@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Reconstructing network weights from measured Markov parameters.
 
-The forcing chronicle is not just a certificate: replayed step by step,
-each force extends the table of measured matrix powers to one more node,
-recovering the forced edge weight by a square root and the new node's
-rows by divided differences. A chronicle of L forces needs measured
-orders up to 2L + 2.
+The forcing chronicle is not just a certificate: replayed round by
+round, each propagation round extends the table of measured matrix
+powers to the nodes it forces, recovering the forced edge weights by
+square roots and the new nodes' rows by one block solve. A chronicle of
+R rounds needs measured orders up to 2R + 2.
 """
 
 import numpy as np
@@ -32,13 +32,13 @@ w = zfs_heuristic(g)
 _, chronicle = derived_set(g, w)
 order = required_order(chronicle)
 print(f"\nexciting + measuring only {list(w)} "
-      f"({len(w)}/{g.n} nodes), Markov order {order}")
+      f"({len(w)}/{g.n} nodes), {len(chronicle.rounds)} rounds, Markov order {order}")
 
 markov = markov_sequence(x, w, w, order)
 result = identify(markov, g, g.nodes)
 print("max abs recovery error:", np.abs(result.recovered - x.entries).max())
 for rec in result.diagnostics:
-    print(f"  step {rec.step}: {rec.forcing_node} -> {rec.forced_node}, "
+    print(f"  step {rec.step} (round {rec.round}): {rec.forcing_node} -> {rec.forced_node}, "
           f"edge weight {rec.weight:.3f}")
 
 # Partial recovery: a seed that is NOT a zero forcing set still certifies

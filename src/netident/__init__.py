@@ -63,12 +63,12 @@ from .reconstruct import (
     ExtendedMarkovTable,
     ForceStepRecord,
     ReconstructionResult,
+    force_round,
     force_step,
     identify,
     required_order,
 )
 from .zero_forcing import (
-    Coloring,
     ForcingChronicle,
     derived_set,
     is_zero_forcing_set,
@@ -85,7 +85,6 @@ __all__ = [
     "selection_matrix",
     "graph_from_json",
     "nodeset_from_json",
-    "Coloring",
     "ForcingChronicle",
     "derived_set",
     "is_zero_forcing_set",
@@ -108,6 +107,7 @@ __all__ = [
     "ReconstructionResult",
     "ForceStepRecord",
     "required_order",
+    "force_round",
     "force_step",
     "identify",
     "NodeDynamics",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_left
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -55,7 +56,12 @@ class NodeSet:
         return len(self.members)
 
     def __contains__(self, node: object) -> bool:
-        return node in self.members
+        members = self.members
+        try:
+            i = bisect_left(members, node)
+        except TypeError:  # not comparable with ints, so not a member
+            return False
+        return i < len(members) and members[i] == node
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NodeSet):
@@ -70,10 +76,9 @@ class NodeSet:
 
     def index(self, node: int) -> int:
         """Position of ``node`` in the ascending member list (0-based)."""
-        try:
-            return self.members.index(node)
-        except ValueError:
-            raise InputError(f"node {node} is not a member of {self!r}") from None
+        if node not in self:
+            raise InputError(f"node {node} is not a member of {self!r}")
+        return bisect_left(self.members, node)
 
     def union(self, other: Iterable[int]) -> "NodeSet":
         return NodeSet(self.members + tuple(other))

@@ -1,26 +1,28 @@
-"""Constructive weight recovery along a forcing chronicle.
+"""Constructive weight recovery along a forcing chronicle, round by round.
 
 Measured Markov parameters give the entries ``(X^k)_{ij}`` for the nodes
-that are both excited and measured. Each force ``u -> v`` then extends
-that table to ``v`` using three closed-form identities obeyed by any
-symmetric, positively-patterned state matrix:
+that are both excited and measured. A forcing round extends that dense
+power table to the nodes it forces. Write B for the current level set,
+U for the round's forcing nodes, V for the nodes they force, P for the
+known block ``X[U,B]`` (zero outside each forcing node's closed
+neighbourhood) and D for the diagonal of the new edge weights
+``X_{u v}``. Any symmetric, positively-patterned state matrix obeys:
 
-* the squared edge weight ``X_uv^2`` equals ``(X^2)_uu`` minus the known
-  products over the other closed-neighbourhood members of ``u``, and the
-  positive branch of the square root is forced by the sign constraint;
-* given ``X_uv``, the cross entries ``(X^k)_{vw}`` follow from
-  ``(X^{k+1})_{uw}`` by subtracting the known neighbourhood terms and
-  dividing once by ``X_uv``;
-* the diagonal ``(X^k)_{vv}`` follows from ``(X^{k+2})_{uu}`` the same
-  way, dividing by ``X_uv^2``.
+* ``D^2 = diag((X^2)[U,U] - P P^T)``, and the positive branch of each
+  square root is forced by the sign constraint;
+* ``X^k[V,B] = D^-1 (X^{k+1}[U,B] - P X^k[B,B])``;
+* ``X^k[V,V] = D^-1 (X^{k+2}[U,U] - P X^k[B,B] P^T - P X^k[B,V] D
+  - D X^k[V,B] P^T) D^-1``.
 
-One force therefore consumes two orders of the table, so a chronicle of
-L forces needs measured orders up to ``2L + 2``.
+These hold for every force valid against the same black set, so a whole
+propagation round is applied at once. One round consumes two orders of
+the table, so a chronicle of R rounds needs measured orders up to
+``2R + 2``; grouping forces into rounds also keeps the chain of
+divisions, and with it the error growth, as short as the graph allows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -42,6 +44,7 @@ __all__ = [
     "ReconstructionResult",
     "ForceStepRecord",
     "required_order",
+    "force_round",
     "force_step",
     "identify",
 ]
@@ -51,56 +54,177 @@ DEGENERACY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExtendedMarkovTable:
-    """Power-table over a growing virtual input/output node set.
+    """Dense power table over a growing virtual input/output node set.
 
-    ``values[(k, i, j)]`` holds ``(X^k)_{ij}`` for i, j in ``level_set``
-    and ``1 <= k <= max_order``; entries are stored symmetrically. Forcing
-    steps enlarge the level set and shrink the usable order by two.
+    ``powers[k, a, b]`` holds ``(X^k)_{ij}`` for ``0 <= k <= max_order``,
+    where i and j are the members at positions a and b of ``level_set``.
+    The array has shape ``(max_order + 1, |L|, |L|)``, is symmetric in its
+    last two axes, and is made read-only on construction. Forcing rounds
+    enlarge the level set and shrink the usable order by two.
     """
 
     level_set: NodeSet
     max_order: int
-    values: dict[tuple[int, int, int], float]
+    powers: np.ndarray
+
+    def __post_init__(self):
+        powers = np.asarray(self.powers, dtype=float)
+        size = len(self.level_set)
+        if powers.shape != (self.max_order + 1, size, size):
+            raise InputError(
+                f"power table has shape {powers.shape}, expected "
+                f"{(self.max_order + 1, size, size)}"
+            )
+        if not np.array_equal(powers, powers.transpose(0, 2, 1)):
+            raise InputError("power table is not symmetric in its node axes")
+        powers.setflags(write=False)
+        object.__setattr__(self, "powers", powers)
 
     def get(self, k: int, i: int, j: int) -> float:
-        try:
-            return self.values[(k, i, j)]
-        except KeyError:
+        level = self.level_set
+        if not (0 <= k <= self.max_order and i in level and j in level):
             raise InputError(
                 f"table entry (X^{k})_{{{i},{j}}} unavailable "
-                f"(level set {list(self.level_set)}, max order {self.max_order})"
-            ) from None
+                f"(level set {list(level)}, max order {self.max_order})"
+            )
+        return float(self.powers[k, level.index(i), level.index(j)])
 
     @classmethod
-    def from_markov(cls, markov: MarkovSequence) -> "ExtendedMarkovTable":
+    def from_markov(
+        cls, markov: MarkovSequence, order: int | None = None
+    ) -> "ExtendedMarkovTable":
         """Seed the table with the overlap block of a measured sequence.
 
         Only nodes that are both inputs and outputs contribute; their
         (i, j) and (j, i) samples are averaged, which is the identity for
-        data from any symmetric generator.
+        data from any symmetric generator. Orders above ``order`` (all of
+        them by default) are not read.
         """
+        order = markov.order if order is None else order
+        if not 0 <= order <= markov.order:
+            raise InputError(f"order {order} outside 0..{markov.order}")
         w = markov.v_in.intersection(markov.v_out)
-        out_pos = {node: markov.v_out.index(node) for node in w}
-        in_pos = {node: markov.v_in.index(node) for node in w}
-        values: dict[tuple[int, int, int], float] = {}
-        for k in range(1, markov.order + 1):
-            block = markov.data[k]
-            for i in w:
-                for j in w:
-                    val = 0.5 * (
-                        block[out_pos[i], in_pos[j]] + block[out_pos[j], in_pos[i]]
-                    )
-                    values[(k, i, j)] = val
-        return cls(level_set=w, max_order=markov.order, values=values)
+        rows = [markov.v_out.index(node) for node in w]
+        cols = [markov.v_in.index(node) for node in w]
+        blocks = np.asarray(markov.data[: order + 1])
+        overlap = blocks[np.ix_(range(order + 1), rows, cols)]
+        powers = 0.5 * (overlap + overlap.transpose(0, 2, 1))
+        return cls(level_set=w, max_order=order, powers=powers)
 
 
 def required_order(chronicle: ForcingChronicle) -> int:
-    """Markov order sufficient to replay a chronicle: 2L + 2 for L forces.
+    """Markov order sufficient to replay a chronicle: 2R + 2 for R rounds.
 
-    Each force consumes two orders of the table and the final level still
-    needs its first two powers; the bound is sufficient, not minimal.
+    Each propagation round consumes two orders of the table and the final
+    level still needs its first two powers; the bound is sufficient, not
+    minimal. A chronicle with one force per round needs 2L + 2 for L
+    forces.
     """
-    return 2 * len(chronicle.forces) + 2
+    return 2 * len(chronicle.rounds) + 2
+
+
+def force_round(
+    table: ExtendedMarkovTable,
+    g: Graph,
+    forces: Iterable[tuple[int, int]],
+    tol: float = DEGENERACY_TOL,
+) -> ExtendedMarkovTable:
+    """Extend the table across one propagation round of forces ``u -> v``.
+
+    Preconditions, for each force: ``u`` is in the level set, ``v`` is a
+    neighbour of ``u`` outside it and forced by no other force of the
+    round, every other closed-neighbourhood member of ``u`` is inside the
+    level set at the round's start (the colour-change precondition), and
+    at least three orders are usable.
+
+    The returned table covers the level set plus the forced nodes with
+    ``max_order`` reduced by two. Each recovered edge weight is strictly
+    positive; measured data for which one vanishes or comes out negative
+    cannot stem from a positively-weighted symmetric matrix on this graph.
+    """
+    level = table.level_set
+    forces = [(int(u), int(v)) for u, v in forces]
+    if not forces:
+        raise InputError("a forcing round needs at least one force")
+    forced: set[int] = set()
+    known_cols: list[list[int]] = []
+    for u, v in forces:
+        if u not in level:
+            raise InputError(f"forcing node {u} is not in the level set {list(level)}")
+        if v in level:
+            raise InputError(f"forced node {v} is already in the level set")
+        if v in forced:
+            raise InputError(f"forced node {v} is forced twice in one round")
+        if not g.has_edge(u, v):
+            raise InputError(f"({u},{v}) is not an edge; only neighbours can be forced")
+        rest = [z for z in g.closed_neighbourhood(u) if z != v]
+        outside = [z for z in rest if z not in level]
+        if outside:
+            raise InputError(
+                f"force ({u},{v}) violates the colour-change precondition: "
+                f"neighbourhood nodes {outside} are outside the level set"
+            )
+        forced.add(v)
+        known_cols.append([level.index(z) for z in rest])
+    k_max = table.max_order
+    if k_max < 3:
+        raise InsufficientOrderError(
+            f"table order {k_max} exhausted: a round needs orders k+1 and k+2; "
+            "supply a sequence of order >= 2R+2 for an R-round chronicle "
+            "(2L+2 for L forces applied one per round)",
+            required=None,
+        )
+
+    t = table.powers
+    ui = [level.index(u) for u, _ in forces]
+    size_b, size_v = len(level), len(forces)
+    p = np.zeros((size_v, size_b))
+    for a, cols in enumerate(known_cols):
+        p[a, cols] = t[1, ui[a], cols]
+
+    # Squared edge weights from the second power at the forcing nodes.
+    power2 = t[2, ui, ui]
+    squared = power2 - (p * p).sum(axis=1)
+    for a, (u, v) in enumerate(forces):
+        scale = max(1.0, abs(power2[a]), float((p[a] * p[a]).max(initial=0.0)))
+        if abs(squared[a]) <= tol * scale:
+            raise DegenerateWeightError(
+                f"forced edge ({u},{v}) has vanishing recovered weight: measured "
+                "data is inconsistent with a positively-weighted matrix on this graph"
+            )
+        if squared[a] < 0.0:
+            raise InconsistentDataError(
+                f"recovered squared weight of edge ({u},{v}) is negative "
+                f"({squared[a]:.3e}): data does not come from a symmetric "
+                "positively-patterned matrix on this graph"
+            )
+    d = np.sqrt(squared)
+
+    # X^k[V,B], then X^k[V,V], for k = 1..k_max-2. The powers are
+    # symmetric, so one product over the stacked X^k gives every X^k P^T.
+    kk = k_max - 2
+    tp = (t[1 : k_max - 1].reshape(-1, size_b) @ p.T).reshape(kk, size_b, size_v)
+    vb = (t[2:k_max, ui, :] - tp.transpose(0, 2, 1)) / d[:, None]
+    m = (vb.reshape(-1, size_b) @ p.T).reshape(kk, size_v, size_v)  # X^k[V,B] P^T
+    acc = t[3:][:, ui][:, :, ui] - p @ tp
+    acc -= m.transpose(0, 2, 1) * d + d[:, None] * m
+    vv = acc / (d[:, None] * d)
+    vv = 0.5 * (vv + vv.transpose(0, 2, 1))
+
+    # Assemble in [B, V] order, then permute to the sorted level set.
+    full = np.zeros((kk + 1, size_b + size_v, size_b + size_v))
+    full[:, :size_b, :size_b] = t[: kk + 1]
+    full[0, size_b:, size_b:] = np.eye(size_v)
+    full[1:, size_b:, :size_b] = vb
+    full[1:, :size_b, size_b:] = vb.transpose(0, 2, 1)
+    full[1:, size_b:, size_b:] = vv
+    nodes = list(level) + [v for _, v in forces]
+    perm = np.argsort(nodes)
+    return ExtendedMarkovTable(
+        level_set=NodeSet(nodes),
+        max_order=kk,
+        powers=full[:, perm[:, None], perm],
+    )
 
 
 def force_step(
@@ -110,97 +234,8 @@ def force_step(
     v: int,
     tol: float = DEGENERACY_TOL,
 ) -> ExtendedMarkovTable:
-    """Extend the table across one force ``u -> v``.
-
-    Preconditions: ``u`` is in the level set, ``v`` is a neighbour of
-    ``u`` outside it, every other closed-neighbourhood member of ``u`` is
-    inside it (the colour-change precondition), and at least three orders
-    are usable.
-
-    The returned table covers ``level_set + {v}`` with ``max_order``
-    reduced by two. The recovered edge weight is strictly positive;
-    measured data for which it vanishes or comes out negative cannot
-    stem from a positively-weighted symmetric matrix on this graph.
-    """
-    level = table.level_set
-    u, v = int(u), int(v)
-    if u not in level:
-        raise InputError(f"forcing node {u} is not in the level set {list(level)}")
-    if v in level:
-        raise InputError(f"forced node {v} is already in the level set")
-    if not g.has_edge(u, v):
-        raise InputError(f"({u},{v}) is not an edge; only neighbours can be forced")
-    closed = g.closed_neighbourhood(u)
-    rest = closed.difference((v,))
-    outside = rest.difference(level)
-    if outside.members:
-        raise InputError(
-            f"force ({u},{v}) violates the colour-change precondition: "
-            f"neighbourhood nodes {list(outside)} are outside the level set"
-        )
-    k_max = table.max_order
-    if k_max < 3:
-        raise InsufficientOrderError(
-            f"table order {k_max} exhausted: a force needs orders k+1 and k+2; "
-            "supply a sequence of order >= 2L+2 for an L-force chronicle",
-            required=None,
-        )
-
-    # Squared edge weight from the second power at u.
-    power2 = table.get(2, u, u)
-    known = [table.get(1, u, z) for z in rest]
-    squared = power2 - sum(x * x for x in known)
-    scale = max(1.0, abs(power2), max((x * x for x in known), default=0.0))
-    if abs(squared) <= tol * scale:
-        raise DegenerateWeightError(
-            f"forced edge ({u},{v}) has vanishing recovered weight: measured "
-            "data is inconsistent with a positively-weighted matrix on this graph"
-        )
-    if squared < 0.0:
-        raise InconsistentDataError(
-            f"recovered squared weight of edge ({u},{v}) is negative "
-            f"({squared:.3e}): data does not come from a symmetric "
-            "positively-patterned matrix on this graph"
-        )
-    weight = math.sqrt(squared)
-
-    values = dict(table.values)
-    x_u = {z: table.get(1, u, z) for z in rest}
-
-    # Cross entries (X^k)_{vw} for w in the old level set, k <= k_max - 1.
-    for k in range(1, k_max):
-        for w in level:
-            acc = table.get(k + 1, u, w)
-            for z in rest:
-                acc -= x_u[z] * table.get(k, z, w)
-            val = acc / weight
-            values[(k, v, w)] = val
-            values[(k, w, v)] = val
-
-    # Diagonal entries (X^k)_{vv}, k <= k_max - 2.
-    weight_sq = weight * weight
-    for k in range(1, k_max - 1):
-        acc = table.get(k + 2, u, u)
-        for i in closed:
-            xi = weight if i == v else x_u[i]
-            for j in closed:
-                if i == v and j == v:
-                    continue
-                xj = weight if j == v else x_u[j]
-                if i == v:
-                    mid = values[(k, v, j)]
-                elif j == v:
-                    mid = values[(k, i, v)]
-                else:
-                    mid = table.get(k, i, j)
-                acc -= xi * mid * xj
-        values[(k, v, v)] = acc / weight_sq
-
-    return ExtendedMarkovTable(
-        level_set=level.union((v,)),
-        max_order=k_max - 2,
-        values=values,
-    )
+    """Extend the table across one force ``u -> v``: a round of one force."""
+    return force_round(table, g, [(u, v)], tol=tol)
 
 
 @dataclass(frozen=True)
@@ -208,6 +243,7 @@ class ForceStepRecord:
     """Conditioning log entry for one replayed force."""
 
     step: int
+    round: int  # 1-based propagation round the force belongs to
     forcing_node: int
     forced_node: int
     weight: float
@@ -216,6 +252,7 @@ class ForceStepRecord:
     def to_json(self) -> dict:
         return {
             "step": self.step,
+            "round": self.round,
             "force": [self.forcing_node, self.forced_node],
             "weight": self.weight,
             "amplification": self.amplification,
@@ -252,10 +289,12 @@ def identify(
     """Recover the weight submatrix over ``target`` from measured data.
 
     Seeds the power table with the input/output overlap block, replays
-    the forcing chronicle (the deterministic one by default, or a
-    caller-supplied one, which is validated first) until the target nodes
-    are covered, and reads the weights off the first power. Non-edges
-    inside the target are never written, so they are exactly zero in the
+    the forcing chronicle (the deterministic round chronicle by default,
+    or a caller-supplied one, which is validated first) round by round
+    until the target nodes are covered, and reads the weights off the
+    first power. Replaying R rounds reads only orders up to 2R + 2 of the
+    data, so a longer sequence gives the same result. Non-edges inside
+    the target are never written, so they are exactly zero in the
     result; edge entries are checked to be strictly positive.
     """
     target = g.check_nodes(target)
@@ -283,73 +322,84 @@ def identify(
             "see identifiability.certify"
         )
 
-    # Only the chronicle prefix that reaches the target matters.
-    covered = set(w)
-    prefix: list[tuple[int, int]] = []
-    for u, v in chronicle.forces:
-        if target.issubset(covered):
+    # Only the rounds that reach the target matter.
+    missing_nodes = set(target.difference(w))
+    prefix: list[tuple[tuple[int, int], ...]] = []
+    for forces in chronicle.round_forces():
+        if not missing_nodes:
             break
-        prefix.append((u, v))
-        covered.add(v)
+        prefix.append(forces)
+        missing_nodes.difference_update(v for _, v in forces)
 
     needed = 2 * len(prefix) + 2
     if markov.order < needed:
         raise InsufficientOrderError(
             f"markov order {markov.order} is insufficient: replaying "
-            f"{len(prefix)} force(s) needs order {needed}",
+            f"{len(prefix)} propagation round(s) "
+            f"({sum(map(len, prefix))} force(s)) needs order {needed}",
             required=needed,
         )
 
-    table = ExtendedMarkovTable.from_markov(markov)
+    table = ExtendedMarkovTable.from_markov(markov, needed)
     records: list[ForceStepRecord] = []
     amplification = 1.0
-    for step, (u, v) in enumerate(prefix, start=1):
-        table = force_step(table, g, u, v, tol=tol)
-        weight = table.values[(1, u, v)]
-        amplification *= max(1.0, 1.0 / weight, 1.0 / (weight * weight))
-        records.append(
-            ForceStepRecord(
-                step=step,
-                forcing_node=u,
-                forced_node=v,
-                weight=weight,
-                amplification=amplification,
+    for rnd, forces in enumerate(prefix, start=1):
+        table = force_round(table, g, forces, tol=tol)
+        for u, v in forces:
+            weight = table.get(1, u, v)
+            amplification *= max(1.0, 1.0 / weight, 1.0 / (weight * weight))
+            records.append(
+                ForceStepRecord(
+                    step=len(records) + 1,
+                    round=rnd,
+                    forcing_node=u,
+                    forced_node=v,
+                    weight=weight,
+                    amplification=amplification,
+                )
             )
-        )
 
     members = target.members
     size = len(members)
+    pos = [table.level_set.index(i) for i in members]
+    block = table.powers[1][np.ix_(pos, pos)]
+    # Upper-triangle edge mask of the target, by position in ``members``.
+    lookup = np.full(g.n + 1, -1)
+    lookup[list(members)] = np.arange(size)
+    ends = lookup[np.asarray(g.edges, dtype=int).reshape(-1, 2)]
+    ends = ends[(ends >= 0).all(axis=1)]
+    edge = np.zeros((size, size), dtype=bool)
+    edge[ends[:, 0], ends[:, 1]] = True
+
+    ea, eb = np.nonzero(edge)
+    vals = block[ea, eb]
+    bad = np.flatnonzero(vals <= 0.0)
+    if bad.size:
+        a = bad[0]
+        raise InconsistentDataError(
+            f"recovered weight of edge ({members[ea[a]]},{members[eb[a]]}) is "
+            f"{vals[a]:.3e}; members of the positive class carry strictly "
+            "positive edge weights"
+        )
     recovered = np.zeros((size, size))
-    notes: list[str] = []
-    table_scale = max(
-        [abs(table.values[(1, i, i)]) for i in members] + [1.0]
-    )
-    for a, i in enumerate(members):
-        recovered[a, a] = table.get(1, i, i)
-        for b in range(a + 1, size):
-            j = members[b]
-            if g.has_edge(i, j):
-                val = table.get(1, i, j)
-                if val <= 0.0:
-                    raise InconsistentDataError(
-                        f"recovered weight of edge ({i},{j}) is {val:.3e}; "
-                        "members of the positive class carry strictly "
-                        "positive edge weights"
-                    )
-                recovered[a, b] = recovered[b, a] = val
-            else:
-                # Never written: report if the table disagrees noticeably.
-                leak = abs(table.values.get((1, i, j), 0.0))
-                if leak > 1e-6 * table_scale:
-                    notes.append(
-                        f"non-edge ({i},{j}) carries weight {leak:.3e} in the "
-                        "measured data; entry omitted from the result"
-                    )
+    recovered[ea, eb] = recovered[eb, ea] = vals
+    diagonal = np.diagonal(block)
+    recovered[np.diag_indices(size)] = diagonal
+
+    # Non-edges are never written: report where the table disagrees noticeably.
+    table_scale = max(float(np.abs(diagonal).max(initial=0.0)), 1.0)
+    na, nb = np.nonzero(np.triu(~edge, 1))
+    leaks = np.abs(block[na, nb])
+    notes = [
+        f"non-edge ({members[na[a]]},{members[nb[a]]}) carries weight "
+        f"{leaks[a]:.3e} in the measured data; entry omitted from the result"
+        for a in np.flatnonzero(leaks > 1e-6 * table_scale)
+    ]
 
     return ReconstructionResult(
         nodes=target,
         recovered=recovered,
-        residual_order=table.max_order,
+        residual_order=markov.order - 2 * len(prefix),
         diagnostics=tuple(records),
         notes=tuple(notes),
     )

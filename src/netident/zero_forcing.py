@@ -4,8 +4,12 @@ A black node with exactly one white neighbour forces that neighbour to
 turn black. The derived set of an initial black set is the fixpoint of
 this rule; it does not depend on the order in which forces are applied,
 but the recorded chronicle does, so the implementation fixes a
-deterministic order: among all currently applicable forces, the one with
-the smallest forcing node is applied first.
+deterministic order. Forces are grouped into propagation rounds: a round
+applies every force that is valid against the black set at the round's
+start, in ascending forcing node, and when two black nodes could force
+the same white node the smaller one forces it. The number of rounds is
+the propagation time of the initial set (Hogben et al., "Propagation
+time for zero forcing on a graph", Discrete Appl. Math. 2012).
 
 Finding a *minimum* zero forcing set is NP-hard, so the exact search is
 capped by a node budget and a verified heuristic is provided for larger
@@ -14,14 +18,12 @@ graphs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .errors import InputError
 from .graph_core import Graph, NodeSet
 
 __all__ = [
-    "Coloring",
     "ForcingChronicle",
     "derived_set",
     "is_zero_forcing_set",
@@ -34,50 +36,27 @@ EXACT_SEARCH_DEFAULT_BUDGET = 25
 
 
 @dataclass(frozen=True)
-class Coloring:
-    """A black/white colouring of a graph's nodes (black set given)."""
-
-    graph: Graph
-    black: NodeSet
-
-    def __post_init__(self):
-        object.__setattr__(self, "black", self.graph.check_nodes(self.black))
-
-    def is_complete(self) -> bool:
-        return len(self.black) == self.graph.n
-
-    def white_neighbours(self, u: int) -> tuple[int, ...]:
-        blk = frozenset(self.black)
-        return tuple(w for w in self.graph.neighbour_ids(u) if w not in blk)
-
-    def applicable_forces(self) -> list[tuple[int, int]]:
-        """All forces (u, v) allowed right now, sorted by forcing node."""
-        out = []
-        for u in self.black:
-            whites = self.white_neighbours(u)
-            if len(whites) == 1:
-                out.append((u, whites[0]))
-        return out
-
-    def force(self, u: int, v: int) -> "Coloring":
-        """Apply the colour-change rule ``u -> v``, validating preconditions."""
-        if u not in self.black:
-            raise InputError(f"force ({u},{v}): forcing node {u} is not black")
-        whites = self.white_neighbours(u)
-        if whites != (v,):
-            raise InputError(
-                f"force ({u},{v}): white neighbours of {u} are {list(whites)}, "
-                f"expected exactly ({v},)"
-            )
-        return Coloring(self.graph, self.black.union((v,)))
-
-
-@dataclass(frozen=True)
 class ForcingChronicle:
-    """Ordered witness of how an initial black set grew to its derived set."""
+    """Ordered witness of how an initial black set grew to its derived set.
+
+    ``rounds`` holds the number of forces in each propagation round, in
+    order; every force of a round must be valid against the black set at
+    the round's start. Given empty, it means one force per round and is
+    stored that way, so ``rounds`` always sums to ``len(forces)``.
+    """
 
     initial: NodeSet
     forces: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    rounds: tuple[int, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        rounds = self.rounds or (1,) * len(self.forces)
+        if any(c < 1 for c in rounds) or sum(rounds) != len(self.forces):
+            raise InputError(
+                f"round sizes {list(rounds)} must be positive and sum to the "
+                f"{len(self.forces)} force(s)"
+            )
+        object.__setattr__(self, "rounds", tuple(rounds))
 
     @property
     def derived(self) -> NodeSet:
@@ -86,24 +65,58 @@ class ForcingChronicle:
     def __len__(self) -> int:
         return len(self.forces)
 
-    def replay(self, g: Graph) -> NodeSet:
-        """Re-apply every force on ``g``, checking each step's precondition.
+    def round_forces(self) -> list[tuple[tuple[int, int], ...]]:
+        """The forces split into their propagation rounds."""
+        out, start = [], 0
+        for count in self.rounds:
+            out.append(self.forces[start:start + count])
+            start += count
+        return out
 
-        Returns the final black set; raises InputError at the first step
-        whose precondition fails.
+    def replay(self, g: Graph) -> NodeSet:
+        """Re-apply every round on ``g``, checking each force's precondition.
+
+        Each force is checked against the black set at its round's start,
+        so a round that groups dependent forces is rejected. Runs in time
+        linear in the chronicle plus the forcing nodes' degrees. Returns
+        the final black set; raises InputError at the first invalid force.
         """
-        col = Coloring(g, self.initial)
-        for t, (u, v) in enumerate(self.forces, start=1):
-            try:
-                col = col.force(u, v)
-            except InputError as exc:
-                raise InputError(f"chronicle invalid at step {t}: {exc}") from None
-        return col.black
+        n = g.n
+        black = bytearray(n + 1)
+        for u in g.check_nodes(self.initial):
+            black[u] = 1
+        step = 0
+        for r, forces in enumerate(self.round_forces(), start=1):
+            for u, v in forces:
+                step += 1
+                problem = None
+                if not (1 <= u <= n and 1 <= v <= n):
+                    problem = f"node outside 1..{n}"
+                elif not black[u]:
+                    problem = f"forcing node {u} is not black"
+                else:
+                    whites = [w for w in g.neighbour_ids(u) if not black[w]]
+                    if whites != [v]:
+                        problem = (f"white neighbours of {u} are {whites}, "
+                                   f"expected exactly [{v}]")
+                if problem is not None:
+                    raise InputError(
+                        f"chronicle invalid at step {step} (round {r}): "
+                        f"force ({u},{v}): {problem}"
+                    )
+            for _, v in forces:
+                if black[v]:
+                    raise InputError(
+                        f"chronicle invalid in round {r}: node {v} is forced twice"
+                    )
+                black[v] = 1
+        return NodeSet(u for u in range(1, n + 1) if black[u])
 
     def to_json(self) -> dict:
         return {
             "initial": self.initial.to_json(),
             "forces": [list(f) for f in self.forces],
+            "rounds": list(self.rounds),
             "derived": self.derived.to_json(),
         }
 
@@ -112,51 +125,61 @@ class ForcingChronicle:
         try:
             initial = NodeSet(obj["initial"])
             forces = tuple((int(u), int(v)) for u, v in obj["forces"])
-        except (KeyError, TypeError, ValueError) as exc:
+            rounds = tuple(int(c) for c in obj.get("rounds", ()))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad chronicle JSON: {exc}") from None
-        return cls(initial=initial, forces=forces)
+        return cls(initial=initial, forces=forces, rounds=rounds)
 
 
 def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     """Fixpoint of the colour-change rule from initial black set ``z``.
 
-    Returns the derived set together with one deterministic chronicle
-    realising it (smallest applicable forcing node first). The derived
-    set itself is order-independent.
+    Returns the derived set together with its round chronicle: each
+    round holds every force valid against the black set at the round's
+    start, in ascending forcing node, the smaller forcing node winning a
+    shared target. The derived set itself is order-independent.
 
     Runs in O((n + m) log n): each node keeps a count of its white
-    neighbours, updated as nodes turn black, and a heap tracks black
-    nodes whose count has reached one.
+    neighbours, updated as nodes turn black. A black node whose count is
+    one either forces in the next round or loses its last white
+    neighbour to another forcer, so only black nodes next to a node
+    coloured in the last round can force in the next one.
     """
     z = g.check_nodes(z)
     n = g.n
-    black = bytearray(n + 1)
+    nbrs = [()] + [g.neighbour_ids(u) for u in range(1, n + 1)]
+    black = bytearray(n + 1)  # 1 black, 2 forced in the current round
+    white_deg = [len(row) for row in nbrs]
     for u in z:
         black[u] = 1
-
-    white_deg = [0] * (n + 1)
-    for u in range(1, n + 1):
-        white_deg[u] = sum(1 for w in g.neighbour_ids(u) if not black[w])
-
-    heap = [u for u in z if white_deg[u] == 1]
-    heapq.heapify(heap)
-    forces: list[tuple[int, int]] = []
-    while heap:
-        u = heapq.heappop(heap)
-        if white_deg[u] != 1:
-            continue  # stale entry: count dropped to 0 since the push
-        v = next(w for w in g.neighbour_ids(u) if not black[w])
-        black[v] = 1
-        forces.append((u, v))
-        for w in g.neighbour_ids(v):
+        for w in nbrs[u]:
             white_deg[w] -= 1
-            if black[w] and white_deg[w] == 1:
-                heapq.heappush(heap, w)
-        if white_deg[v] == 1:
-            heapq.heappush(heap, v)
+
+    forces: list[tuple[int, int]] = []
+    rounds: list[int] = []
+    active = [u for u in z if white_deg[u] == 1]  # ascending: z is sorted
+    while active:
+        new: list[int] = []
+        for u in active:
+            for v in nbrs[u]:
+                if black[v] != 1:
+                    break  # the one white neighbour at the round's start
+            if not black[v]:  # else a smaller forcing node took it
+                black[v] = 2
+                new.append(v)
+                forces.append((u, v))
+        rounds.append(len(new))
+        touched = list(new)
+        for v in new:
+            black[v] = 1
+            for w in nbrs[v]:
+                white_deg[w] -= 1
+                if white_deg[w] == 1:
+                    touched.append(w)
+        active = sorted({w for w in touched if black[w] and white_deg[w] == 1})
 
     derived = NodeSet(u for u in range(1, n + 1) if black[u])
-    return derived, ForcingChronicle(initial=z, forces=tuple(forces))
+    return derived, ForcingChronicle(initial=z, forces=tuple(forces), rounds=tuple(rounds))
 
 
 def is_zero_forcing_set(g: Graph, z: NodeSet) -> bool:

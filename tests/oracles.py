@@ -52,6 +52,26 @@ def shuffled_derived(n, edges, black, rng):
         black.add(v)
 
 
+def parallel_colour_change(n, edges, black):
+    """Forcing fixpoint applied in parallel time steps: at each step every
+    black node with exactly one white neighbour (judged against the black
+    set at the step's start) forces it. Returns the final black set and
+    the number of steps that forced something (the propagation time)."""
+    adj = adjacency(n, edges)
+    black = set(black)
+    steps = 0
+    while True:
+        newly = set()
+        for u in black:
+            whites = [w for w in adj[u] if w not in black]
+            if len(whites) == 1:
+                newly.add(whites[0])
+        if not newly:
+            return black, steps
+        black |= newly
+        steps += 1
+
+
 def is_zfs_naive(n, edges, black):
     return naive_derived(n, edges, black) == set(range(1, n + 1))
 

@@ -255,8 +255,8 @@ def test_criterion_8_worked_two_node_example():
     assert [float(b[0, 0]) for b in markov.data] == [1.0, 1.0, 5.0, 21.0, 89.0]
     table = ExtendedMarkovTable.from_markov(markov)
     stepped = force_step(table, g, 1, 2)
-    assert stepped.values[(1, 1, 2)] == 2.0
-    assert stepped.values[(1, 2, 2)] == 3.0
+    assert stepped.get(1, 1, 2) == 2.0
+    assert stepped.get(1, 2, 2) == 3.0
     recovered = identify(markov, g, [1, 2]).recovered
     np.testing.assert_array_equal(recovered, x)
     _record(8, "Markov sequence [1, 1, 5, 21, ...]; force (1,2) recovers "

@@ -45,7 +45,8 @@ class TestZfs:
         assert code == 0 and json.loads(out)["is_zero_forcing_set"] is True
         code, out, _ = run(capsys, ["zfs", "derive", "--graph", g, "--in", z])
         blob = json.loads(out)
-        assert blob == {"initial": [1], "forces": [[1, 2], [2, 3]], "derived": [1, 2, 3]}
+        assert blob == {"initial": [1], "forces": [[1, 2], [2, 3]], "rounds": [1, 1],
+                        "derived": [1, 2, 3]}
 
     def test_heuristic(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", cycle_json(6))
@@ -73,6 +74,17 @@ class TestIdent:
         assert blob["verdict"] == "CERTIFIED_PARTIAL"
         assert blob["certified_nodes"] == [2]
 
+    def test_certify_chronicle_lists_rounds(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", path_json(5))
+        ends = write(tmp_path, "ends.json", [1, 5])
+        code, out, _ = run(
+            capsys, ["ident", "certify", "--graph", g, "--in", ends, "--out-nodes", ends]
+        )
+        assert code == 0
+        chronicle = json.loads(out)["chronicle"]
+        assert chronicle["forces"] == [[1, 2], [5, 4], [2, 3]]
+        assert chronicle["rounds"] == [2, 1]
+
     def test_certify_human_format(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", path_json(3))
         vin = write(tmp_path, "in.json", [1])
@@ -99,6 +111,20 @@ class TestIdent:
         assert np.abs(recovered - x.entries).max() <= 1e-8 * np.abs(x.entries).max()
         diag = json.loads(err)
         assert [d["force"] for d in diag["diagnostics"]] == [[1, 2], [2, 3], [3, 4]]
+
+    def test_recover_lists_the_round_of_each_force(self, tmp_path, capsys):
+        # Both endpoints force in round 1, so order 4 suffices for two forces.
+        graph = Graph(4, [(1, 2), (2, 3), (3, 4)])
+        markov = markov_sequence(random_weights(graph, seed=5), [1, 4], [1, 4], 4)
+        g = write(tmp_path, "g.json", path_json(4))
+        m = write(tmp_path, "m.json", markov.to_json())
+        t = write(tmp_path, "t.json", [1, 2, 3, 4])
+        code, _, err = run(
+            capsys, ["ident", "recover", "--graph", g, "--markov", m, "--target", t]
+        )
+        assert code == 0
+        diag = json.loads(err)["diagnostics"]
+        assert [(d["force"], d["round"]) for d in diag] == [([1, 2], 1), ([4, 3], 1)]
 
     def test_recover_uncertified_exits_one(self, tmp_path, capsys):
         graph = Graph(3, [(1, 2), (2, 3)])

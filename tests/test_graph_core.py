@@ -51,6 +51,16 @@ class TestNodeSet:
         with pytest.raises(InputError):
             NodeSet([1]).index(3)
 
+    def test_membership_matches_linear_scan(self):
+        members = [2, 3, 5, 8, 13, 21]
+        s = NodeSet(members)
+        for node in range(0, 25):
+            assert (node in s) == (node in members)
+        for pos, node in enumerate(members):
+            assert s.index(node) == pos
+        assert "5" not in s and None not in s
+        assert 1 not in NodeSet()
+
     def test_json_roundtrip(self):
         assert nodeset_from_json(json.dumps([4, 1])) == NodeSet([1, 4])
 

@@ -14,6 +14,7 @@ from netident import (
     UncertifiedTargetError,
     WeightMatrix,
     derived_set,
+    force_round,
     force_step,
     identify,
     markov_sequence,
@@ -37,6 +38,15 @@ P2 = path(2)
 X2 = np.array([[1.0, 2.0], [2.0, 3.0]])
 
 
+def grid(a):
+    def node(r, c):
+        return r * a + c + 1
+
+    edges = [(node(r, c), node(r, c + 1)) for r in range(a) for c in range(a - 1)]
+    edges += [(node(r, c), node(r + 1, c)) for r in range(a - 1) for c in range(a)]
+    return Graph(a * a, edges)
+
+
 def seq_from_raw(entries, v_in, v_out, order):
     """Markov sequence built straight from matrix powers (oracle path)."""
     blocks = markov_blocks_oracle(entries, v_in, v_out, order)
@@ -53,6 +63,11 @@ class TestRequiredOrder:
         chron = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (2, 3), (3, 4)))
         assert required_order(chron) == 8
 
+    def test_json_without_rounds_counts_every_force(self):
+        blob = {"initial": [1], "forces": [[1, 2], [2, 3], [3, 4]]}
+        assert required_order(ForcingChronicle.from_json(blob)) == 8
+        assert required_order(ForcingChronicle.from_json({**blob, "rounds": [3]})) == 4
+
     def test_path_chronicle_length(self):
         _, chron = derived_set(path(4), NodeSet([1]))
         assert len(chron.forces) == 3
@@ -67,8 +82,8 @@ class TestForceStep:
         assert table.max_order == 4
         stepped = force_step(table, P2, 1, 2)
         # X_12 = sqrt(5 - 1) = 2, then X_22 = (21 - 1 - 4 - 4) / 4 = 3.
-        assert stepped.values[(1, 1, 2)] == pytest.approx(2.0)
-        assert stepped.values[(1, 2, 2)] == pytest.approx(3.0)
+        assert stepped.get(1, 1, 2) == pytest.approx(2.0)
+        assert stepped.get(1, 2, 2) == pytest.approx(3.0)
         assert stepped.level_set == NodeSet([1, 2])
         assert stepped.max_order == 2
 
@@ -82,8 +97,8 @@ class TestForceStep:
             _, chron = derived_set(g, w)
             markov = markov_sequence(x, w, w, required_order(chron))
             table = ExtendedMarkovTable.from_markov(markov)
-            for u, v in chron.forces:
-                table = force_step(table, g, u, v)
+            for forces in chron.round_forces():
+                table = force_round(table, g, forces)
             powers = {1: x.entries}
             for k in range(2, table.max_order + 1):
                 powers[k] = powers[k - 1] @ x.entries
@@ -92,10 +107,24 @@ class TestForceStep:
                 ref_scale = max(1.0, np.abs(powers[k]).max())
                 for i in table.level_set:
                     for j in table.level_set:
-                        got = table.values[(k, i, j)]
+                        got = table.get(k, i, j)
                         want = powers[k][i - 1, j - 1]
                         assert abs(got - want) <= 1e-8 * ref_scale, (k, i, j)
             assert scale  # generator well-formed
+
+    def test_round_rejects_dependent_and_duplicate_forces(self):
+        g = path(3)
+        table = ExtendedMarkovTable.from_markov(
+            markov_sequence(random_weights(g, seed=1), [1], [1], 6)
+        )
+        with pytest.raises(InputError, match="forcing node 2 is not in the level set"):
+            force_round(table, g, [(1, 2), (2, 3)])
+        star = Graph(3, [(1, 2), (1, 3)])
+        table = ExtendedMarkovTable.from_markov(
+            markov_sequence(random_weights(star, seed=1), [2, 3], [2, 3], 6)
+        )
+        with pytest.raises(InputError, match="forced twice"):
+            force_round(table, star, [(2, 1), (3, 1)])
 
     def test_second_white_neighbour_violates_precondition(self):
         # Star centre with one black leaf: two whites in the way.
@@ -130,10 +159,28 @@ class TestForceStep:
         table = ExtendedMarkovTable(
             level_set=NodeSet([1]),
             max_order=4,
-            values={(1, 1, 1): 2.0, (2, 1, 1): 1.0, (3, 1, 1): 0.0, (4, 1, 1): 0.0},
+            powers=np.array([1.0, 2.0, 1.0, 0.0, 0.0]).reshape(5, 1, 1),
         )
         with pytest.raises(InconsistentDataError, match="negative"):
             force_step(table, P2, 1, 2)
+
+
+class TestTable:
+    def test_rejects_wrong_shape_and_asymmetry(self):
+        with pytest.raises(InputError, match="shape"):
+            ExtendedMarkovTable(NodeSet([1, 2]), 2, np.zeros((2, 2, 2)))
+        lopsided = np.zeros((3, 2, 2))
+        lopsided[1, 0, 1] = 1.0
+        with pytest.raises(InputError, match="symmetric"):
+            ExtendedMarkovTable(NodeSet([1, 2]), 2, lopsided)
+
+    def test_get_outside_table(self):
+        markov = markov_sequence(WeightMatrix(P2, X2), [1], [1], 4)
+        table = ExtendedMarkovTable.from_markov(markov, 3)
+        assert table.max_order == 3 and table.get(3, 1, 1) == 21.0
+        for k, i, j in ((4, 1, 1), (-1, 1, 1), (1, 1, 2)):
+            with pytest.raises(InputError, match="unavailable"):
+                table.get(k, i, j)
 
 
 class TestIdentify:
@@ -252,3 +299,27 @@ class TestIdentify:
             rec = identify(markov, g, g.nodes).recovered
             for i, j in g.edges:
                 assert rec[i - 1, j - 1] > 0.0
+
+
+class TestPastTheForceWall:
+    """Heuristic-seeded grids finish forcing in three propagation rounds.
+
+    Replayed one force per round they need orders up to 2L + 2 (30 to 118
+    here) and lose all precision; replayed by rounds they need order 8.
+    """
+
+    @pytest.mark.parametrize("side", [8, 10, 12, 30])
+    def test_grid_recovers_with_order_eight(self, side):
+        g = grid(side)
+        w = zfs_heuristic(g)
+        _, chron = derived_set(g, w)
+        assert required_order(chron) == 8
+        x = random_weights(g, seed=1)
+        markov = markov_sequence(x, w, w, required_order(chron))
+        result = identify(markov, g, g.nodes)
+        err = np.linalg.norm(result.recovered - x.entries) / np.linalg.norm(x.entries)
+        assert err <= 1e-10
+        assert [d.round for d in result.diagnostics] == sorted(
+            d.round for d in result.diagnostics
+        )
+        assert result.diagnostics[-1].round == 3

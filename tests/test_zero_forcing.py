@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netident import (
-    Coloring,
     ForcingChronicle,
     Graph,
     InputError,
@@ -20,6 +19,7 @@ from oracles import (
     exhaustive_min_zfs,
     is_zfs_naive,
     naive_derived,
+    parallel_colour_change,
     random_graph_edges,
     random_tree_edges,
     shuffled_derived,
@@ -63,10 +63,17 @@ class TestDerivedSet:
         assert derived == NodeSet()
 
     def test_deterministic_smallest_forcer_first(self):
-        # Both endpoints can force; node 1 moves first, and after (1,2)
-        # the smallest active forcer is 2, not 4.
+        # Both endpoints can force against the initial black set, so both
+        # forces share the first round, in ascending forcing node.
         _, chronicle = derived_set(path(4), NodeSet([1, 4]))
-        assert chronicle.forces == ((1, 2), (2, 3))
+        assert chronicle.forces == ((1, 2), (4, 3))
+        assert chronicle.rounds == (2,)
+
+    def test_shared_target_goes_to_smaller_forcer(self):
+        # Leaves 2 and 3 of the star both see only the white centre 1.
+        _, chronicle = derived_set(star(2), NodeSet([2, 3]))
+        assert chronicle.forces == ((2, 1),)
+        assert chronicle.rounds == (1,)
 
 
 class TestIsZeroForcingSet:
@@ -110,19 +117,71 @@ class TestChronicle:
         with pytest.raises(InputError, match="step 1"):
             bad.replay(path(3))  # node 2 has two white neighbours
 
+    def test_replay_rejects_dependent_forces_in_one_round(self):
+        # (2,3) is valid only after (1,2) has coloured node 2.
+        forces = ((1, 2), (2, 3))
+        grouped = ForcingChronicle(initial=NodeSet([1]), forces=forces, rounds=(2,))
+        with pytest.raises(InputError, match="forcing node 2 is not black"):
+            grouped.replay(path(3))
+        ForcingChronicle(initial=NodeSet([1]), forces=forces).replay(path(3))
+
+    def test_replay_rejects_non_black_forcer_and_non_neighbour(self):
+        g = path(3)
+        with pytest.raises(InputError, match="forcing node 3 is not black"):
+            ForcingChronicle(initial=NodeSet([1]), forces=((3, 2),)).replay(g)
+        with pytest.raises(InputError, match="step 2"):
+            ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (1, 3))).replay(g)
+        done = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (2, 3)))
+        assert done.replay(g) == g.nodes
+
+    def test_replay_rejects_node_forced_twice_in_a_round(self):
+        g = star(2)  # centre 1, leaves 2 and 3
+        twice = ForcingChronicle(initial=NodeSet([2, 3]), forces=((2, 1), (3, 1)),
+                                 rounds=(2,))
+        with pytest.raises(InputError, match="forced twice"):
+            twice.replay(g)
+
+    def test_rounds_must_partition_the_forces(self):
+        forces = ((1, 2), (2, 3))
+        for rounds in ((0, 2), (1,), (1, 1, 1), (3, -1)):
+            with pytest.raises(InputError, match="round sizes"):
+                ForcingChronicle(initial=NodeSet([1]), forces=forces, rounds=rounds)
+        blank = ForcingChronicle(initial=NodeSet([1]), forces=forces)
+        assert blank.rounds == (1, 1)
+        assert blank == ForcingChronicle(initial=NodeSet([1]), forces=forces,
+                                         rounds=(1, 1))
+
     def test_json_roundtrip(self):
         _, chronicle = derived_set(path(4), NodeSet([1]))
         again = ForcingChronicle.from_json(chronicle.to_json())
         assert again == chronicle
         assert chronicle.to_json()["derived"] == [1, 2, 3, 4]
+        assert chronicle.to_json()["rounds"] == [1, 1, 1]
 
-    def test_coloring_force_validation(self):
-        col = Coloring(path(3), NodeSet([1]))
-        assert col.applicable_forces() == [(1, 2)]
-        col = col.force(1, 2)
-        with pytest.raises(InputError):
-            col.force(1, 3)  # 3 is not a neighbour of 1
-        assert col.force(2, 3).is_complete()
+    def test_json_without_rounds_means_one_force_per_round(self):
+        blob = {"initial": [1], "forces": [[1, 2], [2, 3]]}
+        assert ForcingChronicle.from_json(blob).rounds == (1, 1)
+
+    def test_json_malformed_rounds(self):
+        base = {"initial": [1], "forces": [[1, 2], [2, 3]]}
+        for rounds in ([2, 1], [0, 2], ["x"], 3, [[1], [1]]):
+            with pytest.raises(InputError):
+                ForcingChronicle.from_json({**base, "rounds": rounds})
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**31 - 1))
+def test_rounds_match_parallel_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    edges = random_graph_edges(rng, n, p=0.4)
+    g = Graph(n, edges)
+    z = set(rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)),
+                       replace=False).tolist())
+    derived, chronicle = derived_set(g, NodeSet(z))
+    final, time_steps = parallel_colour_change(n, edges, z)
+    assert set(derived) == final
+    assert len(chronicle.rounds) == time_steps
+    assert chronicle.replay(g) == derived
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +43,6 @@ class RunConfig:
     seed: int
     tol: float | None
     fmt: str
-    threads: int | None
 
 
 def _read_text(path: str) -> str:
@@ -93,21 +91,6 @@ def _parse_range(text: str) -> tuple[float, float]:
     except ValueError:
         raise InputError(f"weight range must be 'lo,hi', got {text!r}") from None
     return lo, hi
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("NETIDENT_THREADS")
-    if raw is None:
-        return None
-    try:
-        threads = int(raw)
-        if threads < 1:
-            raise ValueError
-    except ValueError:
-        raise InputError(
-            f"NETIDENT_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,8 +289,7 @@ def _run(config: RunConfig) -> None:
         lifted = MarkovSequence.from_json(_load_json(args.markov))
         kwargs = {} if config.tol is None else {"tol": config.tol}
         base = higher_order.deconvolve(lifted, dyn, **kwargs)
-        id_kwargs = {} if config.tol is None else {"tol": config.tol}
-        result = reconstruct.identify(base, g, _load_nodes(args.target), **id_kwargs)
+        result = reconstruct.identify(base, g, _load_nodes(args.target), **kwargs)
         _emit_matrix(result.recovered, config.fmt or "csv")
         diag = result.to_json()
         del diag["recovered"]
@@ -324,7 +306,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=getattr(args, "seed", 0),
             tol=getattr(args, "tol", None),
             fmt=getattr(args, "format", None),
-            threads=_threads_from_env(),
         )
         _run(config)
     except InputError as exc:

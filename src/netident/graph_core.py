@@ -31,6 +31,17 @@ __all__ = [
 ]
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int; InputError unless it is an integral number."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    if i != value:  # rejects 1.5 and "3"; 2.0 passes as 2
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return i
+
+
 class NodeSet:
     """An ascending, duplicate-free collection of 1-based node identifiers.
 
@@ -43,7 +54,7 @@ class NodeSet:
     def __init__(self, members: Iterable[int] = ()):
         seen = set()
         for m in members:
-            node = int(m)
+            node = m if type(m) is int else _integral(m, "node id")
             if node < 1:
                 raise InputError(f"node identifiers are 1-based, got {node}")
             seen.add(node)
@@ -111,7 +122,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        n = int(n)
+        n = _integral(n, "node count")
         if n < 0:
             raise InputError(f"node count must be non-negative, got {n}")
         self.n = n
@@ -122,21 +133,25 @@ class Graph:
                 i, j = pair
             except (TypeError, ValueError):
                 raise InputError(f"edge {pair!r} is not a pair of nodes") from None
-            i, j = int(i), int(j)
+            if type(i) is not int:
+                i = _integral(i, "edge endpoint")
+            if type(j) is not int:
+                j = _integral(j, "edge endpoint")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise InputError(f"edge ({i},{j}) has an endpoint outside 1..{n}")
             if i == j:
                 raise InputError(f"self-loop ({i},{i}) not allowed in a simple graph")
-            canonical.add((min(i, j), max(i, j)))
+            canonical.add((i, j) if i < j else (j, i))
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canonical))
 
+        # Row v gets its smaller neighbours from edges (i, v), then its
+        # larger ones from edges (v, j); the sorted edge list yields both
+        # runs ascending, so every row comes out ascending.
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        self._neighbour_ids: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(row)) for row in adj
-        )
+        self._neighbour_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     # -- basic queries ----------------------------------------------------
 
@@ -156,6 +171,15 @@ class Graph:
     def neighbour_ids(self, i: int) -> tuple[int, ...]:
         """Neighbours of ``i`` as a plain sorted tuple (fast path)."""
         return self._neighbour_ids[self._check_node(i)]
+
+    @property
+    def neighbour_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's sorted neighbour tuple, indexed by node id.
+
+        Entry 0 is empty. For loops over many nodes: unlike
+        :meth:`neighbour_ids`, no per-node range check.
+        """
+        return self._neighbour_ids
 
     def neighbours(self, i: int) -> NodeSet:
         """All nodes ``j`` with an edge ``{i, j}``."""
@@ -304,15 +328,15 @@ def graph_from_json(obj: dict | str) -> Graph:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj:
         raise InputError('graph JSON must be an object with keys "n" and "edges"')
-    n = obj["n"]
     raw_edges = obj.get("edges", [])
+    if not isinstance(raw_edges, (list, tuple)):
+        raise InputError(f'graph JSON "edges" must be an array of pairs, got {raw_edges!r}')
     edges = []
     loops = 0
     for pair in raw_edges:
-        try:
-            i, j = int(pair[0]), int(pair[1])
-        except (TypeError, ValueError, IndexError):
-            raise InputError(f"edge entry {pair!r} is not a pair of ints") from None
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise InputError(f"edge entry {pair!r} is not a pair of ints")
+        i, j = (_integral(v, "edge endpoint") for v in pair)
         if i == j:
             loops += 1
             continue
@@ -322,7 +346,7 @@ def graph_from_json(obj: dict | str) -> Graph:
             f"stripped {loops} self-loop(s); diagonal weights are free anyway",
             stacklevel=2,
         )
-    return Graph(n, edges)
+    return Graph(obj["n"], edges)
 
 
 def nodeset_from_json(obj: list | str) -> NodeSet:

@@ -82,6 +82,7 @@ class ForcingChronicle:
         the final black set; raises InputError at the first invalid force.
         """
         n = g.n
+        nbrs = g.neighbour_rows
         black = bytearray(n + 1)
         for u in g.check_nodes(self.initial):
             black[u] = 1
@@ -95,7 +96,7 @@ class ForcingChronicle:
                 elif not black[u]:
                     problem = f"forcing node {u} is not black"
                 else:
-                    whites = [w for w in g.neighbour_ids(u) if not black[w]]
+                    whites = [w for w in nbrs[u] if not black[w]]
                     if whites != [v]:
                         problem = (f"white neighbours of {u} are {whites}, "
                                    f"expected exactly [{v}]")
@@ -147,7 +148,7 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     """
     z = g.check_nodes(z)
     n = g.n
-    nbrs = [()] + [g.neighbour_ids(u) for u in range(1, n + 1)]
+    nbrs = g.neighbour_rows
     black = bytearray(n + 1)  # 1 black, 2 forced in the current round
     white_deg = [len(row) for row in nbrs]
     for u in z:
@@ -247,6 +248,23 @@ def _min_zfs_connected_mask(g: Graph) -> tuple[int, ...]:
     return tuple(range(1, n + 1))  # unreachable: V itself always forces
 
 
+def _per_component(g: Graph, solve) -> NodeSet:
+    """Union of ``solve`` over the connected components of ``g``.
+
+    ``solve`` takes a connected graph and returns its chosen nodes. A
+    connected ``g`` is passed as is; otherwise each component is
+    relabelled to ``1..k`` by ``induced_subgraph`` and mapped back.
+    """
+    comps = g.components()
+    if len(comps) == 1:
+        return NodeSet(solve(g))
+    members: list[int] = []
+    for comp in comps:
+        sub = g.induced_subgraph(comp)
+        members.extend(sub.to_parent[v] for v in solve(sub.graph))
+    return NodeSet(members)
+
+
 def minimum_zero_forcing_set(
     g: Graph, node_budget: int = EXACT_SEARCH_DEFAULT_BUDGET
 ) -> NodeSet:
@@ -265,12 +283,7 @@ def minimum_zero_forcing_set(
             f"exact minimum search refused for n={g.n} > budget {node_budget} "
             "(NP-hard); use zfs_heuristic for a verified upper bound"
         )
-    members: list[int] = []
-    for comp in g.components():
-        sub = g.induced_subgraph(comp)
-        local = _min_zfs_connected_mask(sub.graph)
-        members.extend(sub.to_parent[v] for v in local)
-    return NodeSet(members)
+    return _per_component(g, _min_zfs_connected_mask)
 
 
 # -- heuristic -----------------------------------------------------------
@@ -278,6 +291,7 @@ def minimum_zero_forcing_set(
 
 def _bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
     """Distances and BFS parents from ``source`` (-1 where unreachable)."""
+    nbrs = g.neighbour_rows
     dist = [-1] * (g.n + 1)
     parent = [-1] * (g.n + 1)
     dist[source] = 0
@@ -285,7 +299,7 @@ def _bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.neighbour_ids(u):
+            for w in nbrs[u]:
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -303,32 +317,74 @@ def _farthest(dist: list[int]) -> int:
     return best
 
 
+def _eccentricities(g: Graph) -> list[int]:
+    """Eccentricity of every node of a connected graph (index 0 unused).
+
+    One bit-parallel sweep runs the BFS from every source at once (Then
+    et al., "The More the Merrier: Efficient Multi-Source Graph
+    Traversal", PVLDB 2014). ``reach[v]`` is an int with bit ``s-1`` set
+    once the BFS from ``s`` has reached ``v``; each level ORs the reach
+    sets of a node's neighbours into its own, so level ``d`` adds exactly
+    the sources at distance ``d``. A source's eccentricity is the level at
+    which its bit has reached every node, and a node whose reach set is
+    complete leaves the sweep. Costs O(diam * m * n/64) word operations.
+    Raises InputError on a disconnected graph.
+    """
+    n = g.n
+    nbrs = g.neighbour_rows
+    full = (1 << n) - 1
+    reach = [0] + [1 << (v - 1) for v in range(1, n + 1)]
+    ecc = [0] * (n + 1)
+    active = [v for v in range(1, n + 1) if reach[v] != full]
+    done = 0  # sources whose BFS has reached every node
+    level = 0
+    while active:
+        level += 1
+        if level >= n:
+            raise InputError("eccentricities need a connected graph")
+        nxt = reach[:]  # levels update synchronously
+        complete = full
+        still = []
+        for v in active:
+            r = reach[v]
+            for w in nbrs[v]:
+                r |= reach[w]
+            nxt[v] = r
+            if r != full:
+                still.append(v)
+                complete &= r
+        reach, active = nxt, still
+        newly = complete & ~done
+        done = complete
+        while newly:
+            low = newly & -newly
+            ecc[low.bit_length()] = level
+            newly ^= low
+    return ecc
+
+
 def _diametral_path(g: Graph, exact_cutoff: int = 512) -> list[int]:
     """A shortest path realising the diameter (connected graph).
 
-    Exact via all-pairs BFS up to ``exact_cutoff`` nodes; beyond that a
-    double BFS sweep is used, which is exact on trees and a lower-bound
-    approximation in general (the candidate set only gets larger, and it
-    is verified downstream regardless).
+    Up to ``exact_cutoff`` nodes the path is exact: its source ``s`` is
+    the smallest node of maximum eccentricity, taken from one
+    bit-parallel sweep (:func:`_eccentricities`, O(diam * m * n/64) word
+    operations). Beyond the cutoff ``s`` is the node farthest from node 1
+    (a double BFS sweep), which is exact on trees and a lower-bound
+    approximation in general; the candidate set only gets larger, and it
+    is verified downstream regardless. Either way one BFS from ``s``
+    gives the sink, its farthest node (smallest id on ties), and the path.
     """
     if g.n == 1:
         return [1]
     if g.n <= exact_cutoff:
-        best = (-1, 1, 1)  # (distance, source, sink)
-        best_par: list[int] = []
-        for s in range(1, g.n + 1):
-            dist, par = _bfs(g, s)
-            t = _farthest(dist)
-            if dist[t] > best[0]:
-                best = (dist[t], s, t)
-                best_par = par
-        _, s, t = best
-        par = best_par
+        ecc = _eccentricities(g)
+        s = ecc.index(max(ecc))
     else:
         d0, _ = _bfs(g, 1)
         s = _farthest(d0)
-        dist, par = _bfs(g, s)
-        t = _farthest(dist)
+    dist, par = _bfs(g, s)
+    t = _farthest(dist)
     path = [t]
     while path[-1] != s:
         path.append(par[path[-1]])
@@ -363,8 +419,9 @@ def _tree_path_cover(g: Graph) -> list[list[int]]:
     order = [root]
     parent = [0] * (n + 1)
     parent[root] = -1
+    nbrs = g.neighbour_rows
     for u in order:
-        for w in g.neighbour_ids(u):
+        for w in nbrs[u]:
             if parent[w] == 0 and w != root:
                 parent[w] = u
                 order.append(w)
@@ -469,12 +526,12 @@ def zfs_heuristic(g: Graph) -> NodeSet:
     candidate is verified with :func:`is_zero_forcing_set` and repaired
     greedily if verification fails, so the result is always valid.
 
+    The diametral path comes from one bit-parallel all-source BFS sweep
+    up to 512 nodes and from a double BFS sweep beyond (see
+    :func:`_diametral_path`); ties go to the smallest source id, then the
+    smallest sink id.
+
     Disconnected graphs are processed per component and the union is
-    returned.
+    returned; a connected graph is used as is, without a relabelled copy.
     """
-    members: list[int] = []
-    for comp in g.components():
-        sub = g.induced_subgraph(comp)
-        local = _heuristic_connected(sub.graph)
-        members.extend(sub.to_parent[v] for v in local)
-    return NodeSet(members)
+    return _per_component(g, _heuristic_connected)

@@ -280,16 +280,21 @@ class TestErrorsAndPlumbing:
         out = capsys.readouterr().out
         assert "--markov" in out and "JSON" in out
 
-    def test_threads_env_validated(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NETIDENT_THREADS", "zero")
-        g = write(tmp_path, "g.json", path_json(2))
-        z = write(tmp_path, "z.json", [1])
+    @pytest.mark.parametrize("graph, nodes", [
+        ({"n": "abc", "edges": []}, [1]),
+        ({"n": 2.5, "edges": []}, [1]),
+        ({"n": 3, "edges": 5}, [1]),
+        ({"n": 3, "edges": [[1.5, 2]]}, [1]),
+        (path_json(3), ["a"]),
+        (path_json(3), [1.5]),
+    ], ids=["n-string", "n-fraction", "edges-number", "edge-fraction",
+            "node-string", "node-fraction"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, graph, nodes):
+        g = write(tmp_path, "g.json", graph)
+        z = write(tmp_path, "z.json", nodes)
         code, _, err = run(capsys, ["zfs", "check", "--graph", g, "--in", z])
         assert code == 2
-        assert "NETIDENT_THREADS" in err
-        monkeypatch.setenv("NETIDENT_THREADS", "2")
-        code, _, _ = run(capsys, ["zfs", "check", "--graph", g, "--in", z])
-        assert code == 0
+        assert err.startswith("input error:")
 
     def test_out_nodes_alias(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", path_json(3))

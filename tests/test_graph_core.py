@@ -14,7 +14,7 @@ from netident import (
     selection_matrix,
 )
 
-from oracles import random_graph_edges
+from oracles import adjacency, random_graph_edges
 
 
 def path(n):
@@ -45,6 +45,12 @@ class TestNodeSet:
         assert a.difference(b).members == (1, 4)
         assert NodeSet([2]).issubset(a)
         assert not a.issubset(b)
+
+    def test_node_ids_must_be_integral(self):
+        assert NodeSet([2.0, np.int64(3)]) == NodeSet([2, 3])
+        for bad in (1.5, "3", "a", None, [1], float("nan"), float("inf")):
+            with pytest.raises(InputError, match="must be an integer"):
+                NodeSet([bad])
 
     def test_index(self):
         assert NodeSet([5, 2, 9]).index(9) == 2
@@ -90,6 +96,15 @@ class TestGraph:
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(InputError):
             Graph(2, [(1, 3)])
+
+    def test_non_integral_count_or_endpoint(self):
+        for n in ("abc", 2.5, None):
+            with pytest.raises(InputError, match="node count"):
+                Graph(n)
+        for edge in ((1.5, 2), ("1", 2), (1, None)):
+            with pytest.raises(InputError, match="edge endpoint"):
+                Graph(3, [edge])
+        assert Graph(3.0, [(np.int64(1), 2.0)]) == Graph(3, [(1, 2)])
 
     def test_duplicate_edges_collapse(self):
         g = Graph(2, [(1, 2), (2, 1), (1, 2)])
@@ -173,6 +188,21 @@ def test_neighbour_symmetry_random_graphs(n, seed):
             assert i in g.neighbour_ids(j)
 
 
+@settings(max_examples=60)
+@given(n=st.integers(min_value=0, max_value=14), data=st.data())
+def test_neighbour_rows_strictly_ascending(n, data):
+    pairs = st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1)))
+    edges = [e for e in data.draw(st.lists(pairs, max_size=40)) if n and e[0] != e[1]]
+    g = Graph(n, edges)
+    adj = adjacency(n, edges)
+    assert len(g.neighbour_rows) == n + 1 and g.neighbour_rows[0] == ()
+    for v in range(1, n + 1):
+        row = g.neighbour_ids(v)
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert list(row) == sorted(adj[v])
+        assert g.neighbour_rows[v] == row
+
+
 def test_induced_full_equals_graph_random():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -196,3 +226,8 @@ class TestGraphJson:
             graph_from_json({"edges": []})
         with pytest.raises(InputError):
             graph_from_json({"n": 2, "edges": [[1]]})
+        for blob in ({"n": "abc", "edges": []}, {"n": 3, "edges": 5},
+                     {"n": 3, "edges": [[1, 2, 3]]}, {"n": 3, "edges": [[1.5, 2]]},
+                     {"n": 3, "edges": [["a", 2]]}):
+            with pytest.raises(InputError):
+                graph_from_json(blob)

@@ -14,12 +14,18 @@ from netident import (
     zfs_heuristic,
 )
 
+from netident import zero_forcing
+from netident.zero_forcing import _diametral_path, _eccentricities
+
 from oracles import (
+    adjacency,
+    bfs_ecc,
     diameter,
     exhaustive_min_zfs,
     is_zfs_naive,
     naive_derived,
     parallel_colour_change,
+    random_connected_edges,
     random_graph_edges,
     random_tree_edges,
     shuffled_derived,
@@ -312,3 +318,151 @@ class TestHeuristic:
         got = zfs_heuristic(g)
         assert is_zero_forcing_set(g, got)
         assert 4 in got  # isolated node must seed itself
+
+
+# -- seed search: eccentricity sweep and diametral path ---------------------
+
+
+def grid(a):
+    edges = [(r * a + c + 1, r * a + c + 2) for r in range(a) for c in range(a - 1)]
+    edges += [(r * a + c + 1, (r + 1) * a + c + 1) for r in range(a - 1) for c in range(a)]
+    return Graph(a * a, edges)
+
+
+def _bfs_tree(adj, source):
+    """Distances and parents; frontier in discovery order, neighbours ascending."""
+    dist, parent, frontier = {source: 0}, {}, [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in sorted(adj[u]):
+                if w not in dist:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    nxt.append(w)
+        frontier = nxt
+    return dist, parent
+
+
+def _path_to(parent, s, t):
+    path = [t]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def per_source_diametral_path(n, edges):
+    """One BFS per source; the smallest source, then sink, of maximum distance."""
+    adj = adjacency(n, edges)
+    best = None
+    for s in range(1, n + 1):
+        dist, parent = _bfs_tree(adj, s)
+        far = max(dist.values())
+        t = min(v for v, d in dist.items() if d == far)
+        if best is None or far > best[0]:
+            best = (far, s, t, parent)
+    _, s, t, parent = best
+    return _path_to(parent, s, t)
+
+
+def double_sweep_path(n, edges):
+    """Farthest node from node 1, then the farthest node from that one."""
+    adj = adjacency(n, edges)
+    dist, _ = _bfs_tree(adj, 1)
+    s = min(v for v, d in dist.items() if d == max(dist.values()))
+    dist, parent = _bfs_tree(adj, s)
+    t = min(v for v, d in dist.items() if d == max(dist.values()))
+    return _path_to(parent, s, t)
+
+
+def sparse_connected_edges(rng, n, chords):
+    edges = set(random_tree_edges(rng, n))
+    while len(edges) < n - 1 + chords:
+        i, j = (int(v) for v in rng.integers(1, n + 1, size=2))
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    return sorted(edges)
+
+
+def assert_eccentricities(g):
+    ecc = _eccentricities(g)
+    assert ecc[0] == 0 and len(ecc) == g.n + 1
+    for v in range(1, g.n + 1):
+        assert ecc[v] == max(bfs_ecc(g.n, g.edges, v).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), extra=st.floats(0.0, 0.5), seed=st.integers(0, 2**31 - 1))
+def test_eccentricities_match_bfs_oracle(n, extra, seed):
+    rng = np.random.default_rng(seed)
+    assert_eccentricities(Graph(n, random_connected_edges(rng, n, extra)))
+
+
+class TestSeedSearch:
+    @pytest.mark.parametrize("g", [path(1), path(2), path(64), path(130), cycle(3),
+                                   cycle(64), cycle(65), grid(2), grid(7), grid(12),
+                                   complete(9)],
+                             ids=repr)
+    def test_eccentricities_structured(self, g):
+        assert_eccentricities(g)
+
+    def test_eccentricities_refuse_disconnected_graph(self):
+        with pytest.raises(InputError, match="connected"):
+            _eccentricities(Graph(4, [(1, 2), (3, 4)]))
+
+    def test_diametral_path_matches_per_source_bfs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            edges = random_connected_edges(rng, n, float(rng.uniform(0.0, 0.4)))
+            assert _diametral_path(Graph(n, edges)) == per_source_diametral_path(n, edges)
+        for g in (path(9), cycle(10), grid(6), star(5)):
+            assert _diametral_path(g) == per_source_diametral_path(g.n, g.edges)
+
+    def test_diametral_path_at_the_exact_cutoff(self):
+        rng = np.random.default_rng(43)
+        edges = sparse_connected_edges(rng, 512, 170)
+        assert _diametral_path(Graph(512, edges)) == per_source_diametral_path(512, edges)
+        assert _diametral_path(path(512)) == list(range(1, 513))
+        edges = sparse_connected_edges(rng, 513, 171)
+        assert _diametral_path(Graph(513, edges)) == double_sweep_path(513, edges)
+        assert _diametral_path(path(513)) == list(range(513, 0, -1))
+
+    def test_connected_graph_is_solved_without_a_copy(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            g = Graph(n, random_connected_edges(rng, n, 0.2))
+            copy = g.induced_subgraph(g.nodes)
+            via_copy = NodeSet(copy.to_parent[v]
+                               for v in zero_forcing._heuristic_connected(copy.graph))
+            assert zfs_heuristic(g) == via_copy
+            if n <= 12:
+                local = zero_forcing._min_zfs_connected_mask(copy.graph)
+                assert minimum_zero_forcing_set(g) == NodeSet(copy.to_parent[v]
+                                                              for v in local)
+        seen = []
+        real = zero_forcing._heuristic_connected
+        monkeypatch.setattr(zero_forcing, "_heuristic_connected",
+                            lambda h: seen.append(h) or real(h))
+        g = grid(5)
+        zfs_heuristic(g)
+        assert len(seen) == 1 and seen[0] is g
+
+    def test_disconnected_graph_is_solved_per_component(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            sizes = [int(k) for k in rng.integers(1, 9, size=3)]
+            edges, offset = [], 0
+            for k in sizes:
+                edges += [(i + offset, j + offset) for i, j in random_connected_edges(rng, k)]
+                offset += k
+            g = Graph(offset, edges)
+            expect_heur, expect_min = [], []
+            for comp in g.components():
+                sub = g.induced_subgraph(comp)
+                expect_heur += [sub.to_parent[v] for v in zfs_heuristic(sub.graph)]
+                expect_min += [sub.to_parent[v] for v in minimum_zero_forcing_set(sub.graph)]
+            assert len(g.components()) == 3
+            assert zfs_heuristic(g) == NodeSet(expect_heur)
+            assert minimum_zero_forcing_set(g) == NodeSet(expect_min)
+            assert is_zero_forcing_set(g, zfs_heuristic(g))

@@ -18,6 +18,7 @@ File formats (also described in each subcommand's ``--help``):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -93,7 +94,17 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after that.
+
+    Building it costs milliseconds, more than most commands take, so a
+    process that calls :func:`main` repeatedly builds it once. It is not
+    built at import time, so importing the package stays cheap. Sharing
+    is safe because ``parse_args`` keeps no state between calls; the
+    parser must stay stateless, so no command may change its defaults or
+    actions once it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="netident",
         description=(
@@ -297,8 +308,7 @@ def _run(config: RunConfig) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = RunConfig(
             command=f"{args.group} {args.command}",

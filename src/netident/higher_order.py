@@ -238,8 +238,12 @@ def deconvolve(
     leaving a Kronecker product of the unknown base block with
     ``C (EK)^k B``; dividing by that product's largest entry recovers the
     block, and a few other well-sized entries are cross-checked for ratio
-    consistency. Raises DeconvolutionBlockedError at the first order
-    whose coupling product is (numerically) zero, and
+    consistency. The residual is updated on its 4-d block view
+    ``grid[i, a, j, b]`` (output node i, output channel a, input node j,
+    input channel b): each lower-order term is subtracted as a broadcast
+    outer product, with the same products as ``np.kron`` but without
+    forming the Kronecker matrix. Raises DeconvolutionBlockedError at the
+    first order whose coupling product is (numerically) zero, and
     InconsistentDataError when the data is not actually a Kronecker
     mixture of this shape.
 
@@ -269,9 +273,9 @@ def deconvolve(
 
     base_blocks: list[np.ndarray] = []
     for k in range(lifted.order + 1):
-        residual = np.array(lifted.data[k], dtype=float)
+        grid = np.array(lifted.data[k], dtype=float).reshape(n_out, t, n_in, r)
         for i in range(k):
-            residual -= np.kron(base_blocks[i], mixing[k][i])
+            grid -= base_blocks[i][:, None, :, None] * mixing[k][i][None, :, None, :]
         top = mixing[k][k]
         scale = max(c_norm * b_norm * float(np.linalg.norm(power)), 1e-300)
         power = dyn.coupling @ power
@@ -281,7 +285,6 @@ def deconvolve(
                 f"deconvolution blocked at order {k}",
                 k=k,
             )
-        grid = residual.reshape(n_out, t, n_in, r)
         flat = int(np.abs(top).argmax())
         alpha, beta = divmod(flat, r)
         block = grid[:, alpha, :, beta] / top[alpha, beta]

@@ -23,7 +23,7 @@ from .errors import (
     NoHiddenNodesError,
     SingularShiftError,
 )
-from .graph_core import Graph, NodeSet, selection_matrix
+from .graph_core import Graph, NodeSet, _integral, selection_matrix
 
 __all__ = [
     "WeightMatrix",
@@ -151,7 +151,7 @@ class MarkovSequence:
     data: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.order != len(self.data) - 1:
+        if self.order < 0 or self.order != len(self.data) - 1:
             raise InputError(
                 f"order {self.order} inconsistent with {len(self.data)} blocks"
             )
@@ -159,6 +159,8 @@ class MarkovSequence:
         shape = None
         for k, block in enumerate(self.data):
             block = np.array(block, dtype=float)
+            if block.ndim != 2:
+                raise InputError(f"block {k} must be a 2-d matrix, got ndim={block.ndim}")
             if shape is None:
                 shape = block.shape
             elif block.shape != shape:
@@ -190,7 +192,7 @@ class MarkovSequence:
             return cls(
                 v_in=NodeSet(obj["v_in"]),
                 v_out=NodeSet(obj["v_out"]),
-                order=int(obj["K"]),
+                order=_integral(obj["K"], "Markov order K"),
                 data=tuple(np.asarray(b, dtype=float) for b in obj["data"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

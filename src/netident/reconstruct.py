@@ -103,6 +103,12 @@ class ExtendedMarkovTable:
         order = markov.order if order is None else order
         if not 0 <= order <= markov.order:
             raise InputError(f"order {order} outside 0..{markov.order}")
+        expected = (len(markov.v_out), len(markov.v_in))
+        if markov.data[0].shape != expected:
+            raise InputError(
+                f"Markov blocks have shape {markov.data[0].shape}, expected "
+                f"{expected} = (|v_out|, |v_in|)"
+            )
         w = markov.v_in.intersection(markov.v_out)
         rows = [markov.v_out.index(node) for node in w]
         cols = [markov.v_in.index(node) for node in w]

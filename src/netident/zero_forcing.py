@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .graph_core import Graph, NodeSet
+from .graph_core import Graph, NodeSet, _integral
 
 __all__ = [
     "ForcingChronicle",
@@ -125,8 +125,9 @@ class ForcingChronicle:
     def from_json(cls, obj: dict) -> "ForcingChronicle":
         try:
             initial = NodeSet(obj["initial"])
-            forces = tuple((int(u), int(v)) for u, v in obj["forces"])
-            rounds = tuple(int(c) for c in obj.get("rounds", ()))
+            forces = tuple((_integral(u, "forcing node"), _integral(v, "forced node"))
+                           for u, v in obj["forces"])
+            rounds = tuple(_integral(c, "round size") for c in obj.get("rounds", ()))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad chronicle JSON: {exc}") from None
         return cls(initial=initial, forces=forces, rounds=rounds)
@@ -192,20 +193,27 @@ def is_zero_forcing_set(g: Graph, z: NodeSet) -> bool:
 # -- exact minimum search ------------------------------------------------
 
 
-def _closure_mask(adj: tuple[int, ...], n: int, black: int) -> int:
-    """Bitmask fixpoint of the colour-change rule (small-n fast path)."""
-    grew = True
-    while grew:
-        grew = False
-        m = black
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length()  # node id: bit j-1 <-> node j
-            w = adj[u] & ~black
+def _add_and_close(adj: tuple[int, ...], black: int, v: int) -> int:
+    """Closure of ``black | {v}``, where the bitmask ``black`` is already closed.
+
+    In a closed set no black node has exactly one white neighbour, so a
+    force can only come from a node whose white neighbours just shrank:
+    the newly black node itself or one of its black neighbours. Each node
+    that turns black is queued, and only it and its black neighbours are
+    checked, so the work follows the neighbourhoods of the new black nodes.
+    """
+    black |= 1 << (v - 1)
+    queue = [v]
+    while queue:
+        x = queue.pop()
+        check = (adj[x] & black) | (1 << (x - 1))
+        while check:
+            low = check & -check
+            check ^= low
+            w = adj[low.bit_length()] & ~black  # node id: bit j-1 <-> node j
             if w and (w & (w - 1)) == 0:
                 black |= w
-                grew = True
+                queue.append(w.bit_length())
     return black
 
 
@@ -230,7 +238,7 @@ def _min_zfs_connected_mask(g: Graph) -> tuple[int, ...]:
         for v in range(chosen[-1] + 1 if chosen else 1, n + 1):
             if (black >> (v - 1)) & 1:
                 continue
-            new_black = _closure_mask(adj, n, black | (1 << (v - 1)))
+            new_black = _add_and_close(adj, black, v)
             chosen.append(v)
             if new_black == full:
                 return tuple(chosen)

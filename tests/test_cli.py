@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netident
-from netident import Graph, NodeSet, markov_sequence, random_weights
+from netident import Graph, NodeSet, cli, markov_sequence, random_weights
 from netident.cli import main
 
 
@@ -296,6 +300,30 @@ class TestErrorsAndPlumbing:
         assert code == 2
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("group", ["ident", "hod"])
+    @pytest.mark.parametrize("change, code", [
+        ({"K": 8.0}, 0),
+        ({"K": 0.7, "data": [[[1.0]]]}, 2),  # int() would load order 0
+        ({"K": 8.5}, 2),
+        ({"K": -1, "data": []}, 2),
+        ({"data": [[1.0]] * 9}, 2),
+        ({"data": [[[[1.0]]]] * 9}, 2),
+        ({"v_in": [1, 2]}, 2),
+    ], ids=["K-8.0", "K-0.7", "K-8.5", "no-blocks", "1d-blocks",
+            "3d-blocks", "shape-vs-nodes"])
+    def test_recover_checks_the_markov_file(self, tmp_path, capsys, group, change, code):
+        graph = Graph(4, [(1, 2), (2, 3), (3, 4)])
+        blob = markov_sequence(random_weights(graph, seed=5), [1], [1], 8).to_json()
+        g = write(tmp_path, "g.json", path_json(4))
+        m = write(tmp_path, "m.json", {**blob, **change})
+        t = write(tmp_path, "t.json", [1, 2, 3, 4])
+        extra = ["--dyn", write(tmp_path, "d.json", TestHod.DYN)] if group == "hod" else []
+        got, _, err = run(capsys, [group, "recover", "--graph", g, "--markov", m,
+                                   "--target", t, *extra])
+        assert got == code
+        if code == 2:
+            assert err.startswith("input error:")
+
     def test_out_nodes_alias(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", path_json(3))
         vin = write(tmp_path, "in.json", [1])
@@ -304,3 +332,81 @@ class TestErrorsAndPlumbing:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "CERTIFIED_FULL"
+
+
+class TestOneParserPerProcess:
+    def commands(self, tmp_path):
+        """Every subcommand once on a 4-node path, then one domain error
+        (exit 1) and one input error (exit 2)."""
+        graph = Graph(4, [(1, 2), (2, 3), (3, 4)])
+        x = random_weights(graph, seed=3)
+        dyn = netident.NodeDynamics.from_json(TestHod.DYN)
+        lifted = netident.lifted_markov(
+            netident.LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1]),
+                                  v_out=NodeSet([1])), 8)
+        g = write(tmp_path, "g.json", path_json(4))
+        z = write(tmp_path, "z.json", [1])
+        t = write(tmp_path, "t.json", [1, 2, 3, 4])
+        xf = write(tmp_path, "x.csv", netident.matrix_to_csv(x.entries))
+        m = write(tmp_path, "m.json", markov_sequence(x, [1], [1], 8).to_json())
+        lf = write(tmp_path, "l.json", lifted.to_json())
+        d = write(tmp_path, "d.json", TestHod.DYN)
+        io = ["--in", z, "--out-nodes", z]
+        return [
+            ["zfs", "check", "--graph", g, "--in", z],
+            ["zfs", "derive", "--graph", g, "--in", z],
+            ["zfs", "min", "--graph", g],
+            ["zfs", "heuristic", "--graph", g],
+            ["ident", "certify", "--graph", g, *io],
+            ["ident", "recover", "--graph", g, "--markov", m, "--target", t],
+            ["sim", "random", "--graph", g, "--seed", "4"],
+            ["sim", "markov", "--graph", g, "--matrix", xf, *io, "--order", "3"],
+            ["sim", "counterexample", "--matrix", xf, "--in", z, "--out-nodes", z,
+             "--graph", g],
+            ["hod", "check", "--dyn", d],
+            ["hod", "markov", "--graph", g, "--matrix", xf, "--dyn", d, *io,
+             "--order", "3"],
+            ["hod", "recover", "--graph", g, "--markov", lf, "--dyn", d, "--target", t],
+            ["sim", "counterexample", "--matrix", xf, "--in", t, "--out-nodes", t],
+            ["zfs", "min", "--graph", g, "--budget", "2"],
+        ]
+
+    def test_second_round_repeats_the_first(self, tmp_path, capsys):
+        commands = self.commands(tmp_path)
+        first = [run(capsys, argv) for argv in commands]
+        for argv, code in ((["zfs", "nope"], 2), (["hod", "markov", "--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            capsys.readouterr()
+        second = [run(capsys, argv) for argv in commands]
+        assert second == first
+        assert [code for code, _, _ in first] == [0] * 12 + [1, 2]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+
+    def netident_cmd(graph):
+        g = write(tmp_path, "g.json", graph)
+        return subprocess.run(
+            [sys.executable, "-m", "netident", "zfs", "heuristic", "--graph", g],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    grid = {"n": 9, "edges": [[1, 2], [2, 3], [4, 5], [5, 6], [7, 8], [8, 9],
+                              [1, 4], [4, 7], [2, 5], [5, 8], [3, 6], [6, 9]]}
+    proc = netident_cmd(grid)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["size"] == len(json.loads(proc.stdout)["set"])
+    proc = netident_cmd({"n": 2.5, "edges": []})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr

@@ -257,6 +257,37 @@ class TestDeconvolve:
         with pytest.raises(InconsistentDataError, match="mismatch"):
             deconvolve(tampered, dyn)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_kron_reference_bit_for_bit(self, seed):
+        """The block-view update makes the same products as subtracting
+        ``np.kron(base_i, R_ki)`` from the flat residual. ``t != r`` and
+        ``n_out != n_in`` make any swapped reshape axis show."""
+        rng = np.random.default_rng(seed)
+        q, t, r = 3, 2, 3
+        dyn = random_dyn(rng, q, r=r, t=t, s=2)
+        assert coupling_condition(dyn, k_max=6).ok
+        x = random_weights(path(4), seed=seed)
+        lifted = lifted_markov(
+            LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1, 4]),
+                         v_out=NodeSet([1, 2, 4])),
+            6,
+        )
+        n_in, n_out = 2, 3
+        mixing = _mixing_tables(dyn, lifted.order)
+        reference = []
+        for k in range(lifted.order + 1):
+            residual = np.array(lifted.data[k])
+            for i in range(k):
+                residual -= np.kron(reference[i], mixing[k][i])
+            a, b = divmod(int(np.abs(mixing[k][k]).argmax()), r)
+            grid = residual.reshape(n_out, t, n_in, r)
+            reference.append(grid[:, a, :, b] / mixing[k][k][a, b])
+        got = deconvolve(lifted, dyn).data
+        assert len(got) == len(reference)
+        for block, ref in zip(got, reference):
+            assert block.shape == (n_out, n_in)
+            assert np.array_equal(block, ref)
+
 
 def test_end_to_end_recovery_through_lift():
     rng = np.random.default_rng(13)

@@ -159,6 +159,27 @@ class TestMarkovSequence:
         for a, b in zip(again.data, seq.data):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("order", [0.7, 1.5, "2", None])
+    def test_json_non_integral_order_rejected(self, order):
+        blob = markov_sequence(WeightMatrix(P2, X2), [1], [1, 2], 2).to_json()
+        with pytest.raises(InputError, match="K"):
+            MarkovSequence.from_json({**blob, "K": order})
+
+    def test_json_integral_float_order_loads(self):
+        blob = markov_sequence(WeightMatrix(P2, X2), [1], [1, 2], 2).to_json()
+        again = MarkovSequence.from_json({**blob, "K": 2.0})
+        assert again.order == 2 and type(again.order) is int
+
+    @pytest.mark.parametrize("order, data", [
+        (-1, []),
+        (1, [[1.0], [2.0]]),
+        (0, [[[[1.0]]]]),
+        (1, [1.0, 2.0]),
+    ], ids=["no-blocks", "1d-blocks", "3d-block", "scalar-blocks"])
+    def test_blocks_must_be_matrices(self, order, data):
+        with pytest.raises(InputError):
+            MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=order, data=data)
+
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):
             markov_sequence(WeightMatrix(P2, X2), [1], [1], -1)

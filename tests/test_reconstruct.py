@@ -227,6 +227,14 @@ class TestIdentify:
         with pytest.raises(UncertifiedTargetError, match="identifiability.certify"):
             identify(markov, g, [1])
 
+    def test_blocks_must_match_the_node_sets(self):
+        g = path(3)
+        good = markov_sequence(random_weights(g, seed=3), [1], [1], 6)
+        wide = MarkovSequence(v_in=NodeSet([1, 2]), v_out=good.v_out, order=6,
+                              data=good.data)
+        with pytest.raises(InputError, match="shape"):
+            identify(wide, g, g.nodes)
+
     def test_insufficient_order_names_requirement(self):
         g = path(3)
         w = NodeSet([1])

@@ -168,6 +168,25 @@ class TestChronicle:
         blob = {"initial": [1], "forces": [[1, 2], [2, 3]]}
         assert ForcingChronicle.from_json(blob).rounds == (1, 1)
 
+    @pytest.mark.parametrize("blob", [
+        {"initial": [1], "forces": [[1.5, 2.9]]},
+        {"initial": [1], "forces": [[1, 2.5]]},
+        {"initial": [1], "forces": [["1", 2]]},
+        {"initial": [1], "forces": [[1, 2]], "rounds": [1.5]},
+        {"initial": [1], "forces": [[1, 2]], "rounds": ["1"]},
+    ], ids=["forces-fraction", "forced-fraction", "forcer-string", "round-fraction",
+            "round-string"])
+    def test_json_non_integral_values_rejected(self, blob):
+        with pytest.raises(InputError, match="must be an integer"):
+            ForcingChronicle.from_json(blob)
+
+    def test_json_integral_floats_load(self):
+        blob = {"initial": [1.0], "forces": [[1.0, 2.0], [2.0, 3.0]], "rounds": [1.0, 1.0]}
+        chronicle = ForcingChronicle.from_json(blob)
+        assert chronicle.forces == ((1, 2), (2, 3)) and chronicle.rounds == (1, 1)
+        assert all(type(u) is int for f in chronicle.forces for u in f)
+        assert chronicle.replay(path(3)) == NodeSet([1, 2, 3])
+
     def test_json_malformed_rounds(self):
         base = {"initial": [1], "forces": [[1, 2], [2, 3]]}
         for rounds in ([2, 1], [0, 2], ["x"], 3, [[1], [1]]):

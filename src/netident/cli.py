@@ -2,9 +2,17 @@
 
 Subcommand tree: ``zfs {check,derive,min,heuristic}``,
 ``ident {certify,recover}``, ``sim {random,markov,counterexample}``,
-``hod {check,markov,recover}``. Results go to stdout, diagnostics to
-stderr. Exit codes: 0 success, 1 domain errors (uncertified target,
-blocked deconvolution, ...), 2 input/format errors.
+``hod {check,markov,recover}``. Each subcommand has one handler, and its
+parser declares only the flags that handler reads. Results go to
+stdout, diagnostics to stderr. Exit codes: 0 success, 1 domain errors
+(uncertified target, blocked deconvolution, ...), 2 input/format errors.
+
+Output: JSON is written compact, with sorted keys, one object per line.
+``--format`` exists only where there is a choice: ``ident certify``
+takes ``json`` (default) or ``human``; the four commands that write a
+matrix (``ident recover``, ``sim random``, ``sim counterexample``,
+``hod recover``) take ``csv`` (default) or ``json``. Numerical
+tolerances are fixed library constants, not flags.
 
 File formats (also described in each subcommand's ``--help``):
 
@@ -21,7 +29,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,20 +37,20 @@ from . import higher_order, identifiability, netsim, reconstruct, zero_forcing
 from .errors import DomainError, InputError, NetidentError
 from .graph_core import Graph, NodeSet, graph_from_json, nodeset_from_json
 from .netsim import DirectedWeightMatrix, MarkovSequence, WeightMatrix
-from .zero_forcing import ForcingChronicle
 
-FORMATS = ("json", "csv", "human")
+MATRIX_FORMATS = ("csv", "json")
+REPORT_FORMATS = ("json", "human")
 
-
-@dataclass
-class RunConfig:
-    """Everything a run depends on; identical configs give identical output."""
-
-    command: str
-    args: argparse.Namespace
-    seed: int
-    tol: float | None
-    fmt: str
+# Required file arguments: dest -> (option strings, help).
+PATHS = {
+    "graph": (("--graph",), 'graph JSON: {"n": <int>, "edges": [[i,j], ...]}'),
+    "in_nodes": (("--in",), "node set JSON (array of ints)"),
+    "out_nodes": (("--out-nodes", "--out"), "node set JSON (array of ints)"),
+    "target": (("--target",), "node set JSON: nodes whose weights to recover"),
+    "markov": (("--markov",), 'Markov JSON: {"v_in":..,"v_out":..,"K":..,"data":..}'),
+    "dyn": (("--dyn",), 'node dynamics JSON with keys "A","B","C","E","K"'),
+    "matrix": (("--matrix",), 'matrix CSV: header "n,<count>" then rows'),
+}
 
 
 def _read_text(path: str) -> str:
@@ -75,8 +82,13 @@ def _load_matrix(path: str) -> np.ndarray:
     return netsim.matrix_from_csv(_read_text(path))
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _load_dyn(path: str) -> higher_order.NodeDynamics:
+    return higher_order.NodeDynamics.from_json(_load_json(path))
+
+
+def _emit_json(obj, file=None) -> None:
+    """One compact, key-sorted JSON object per line, to stdout by default."""
+    print(json.dumps(obj, sort_keys=True), file=file)
 
 
 def _emit_matrix(entries: np.ndarray, fmt: str) -> None:
@@ -86,12 +98,117 @@ def _emit_matrix(entries: np.ndarray, fmt: str) -> None:
         sys.stdout.write(netsim.matrix_to_csv(entries))
 
 
+def _emit_set(best: NodeSet) -> None:
+    _emit_json({"size": len(best), "set": best.to_json()})
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(v) for v in text.split(","))
     except ValueError:
         raise InputError(f"weight range must be 'lo,hi', got {text!r}") from None
     return lo, hi
+
+
+def _zfs_check(args) -> None:
+    g = _load_graph(args.graph)
+    z = _load_nodes(args.in_nodes)
+    ok = zero_forcing.is_zero_forcing_set(g, g.check_nodes(z))
+    _emit_json({"is_zero_forcing_set": ok, "set": z.to_json()})
+
+
+def _zfs_derive(args) -> None:
+    g = _load_graph(args.graph)
+    _, chronicle = zero_forcing.derived_set(g, _load_nodes(args.in_nodes))
+    _emit_json(chronicle.to_json())
+
+
+def _zfs_min(args) -> None:
+    g = _load_graph(args.graph)
+    _emit_set(zero_forcing.minimum_zero_forcing_set(g, node_budget=args.budget))
+
+
+def _zfs_heuristic(args) -> None:
+    _emit_set(zero_forcing.zfs_heuristic(_load_graph(args.graph)))
+
+
+def _ident_certify(args) -> None:
+    g = _load_graph(args.graph)
+    report = identifiability.certify(
+        g, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes)
+    )
+    if args.format == "human":
+        sys.stdout.write(str(report) + "\n")
+    else:
+        _emit_json(report.to_json())
+
+
+def _recover(args, g: Graph, markov: MarkovSequence) -> None:
+    """Tail of both recover commands: weights to stdout, diagnostics to stderr."""
+    result = reconstruct.identify(markov, g, _load_nodes(args.target))
+    _emit_matrix(result.recovered, args.format)
+    diag = result.to_json()
+    del diag["recovered"]
+    _emit_json(diag, sys.stderr)
+
+
+def _ident_recover(args) -> None:
+    g = _load_graph(args.graph)
+    _recover(args, g, MarkovSequence.from_json(_load_json(args.markov)))
+
+
+def _sim_random(args) -> None:
+    g = _load_graph(args.graph)
+    weights = netsim.random_weights(
+        g, args.seed, _parse_range(args.weight_range), args.diagonal
+    )
+    _emit_matrix(weights.entries, args.format)
+
+
+def _sim_markov(args) -> None:
+    g = _load_graph(args.graph)
+    x = WeightMatrix(g, _load_matrix(args.matrix))
+    seq = netsim.markov_sequence(
+        x, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes), args.order
+    )
+    _emit_json(seq.to_json())
+
+
+def _sim_counterexample(args) -> None:
+    entries = _load_matrix(args.matrix)
+    x: WeightMatrix | DirectedWeightMatrix
+    if args.graph is not None:
+        x = WeightMatrix(_load_graph(args.graph), entries, sign_constrained=False)
+    else:
+        x = DirectedWeightMatrix(entries)
+    rescaled = netsim.scaling_counterexample(
+        x, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes), epsilon=args.epsilon
+    )
+    _emit_matrix(rescaled.entries, args.format)
+
+
+def _hod_check(args) -> None:
+    report = higher_order.coupling_condition(_load_dyn(args.dyn), k_max=args.order)
+    _emit_json(report.to_json())
+
+
+def _hod_markov(args) -> None:
+    dyn = _load_dyn(args.dyn)
+    g = _load_graph(args.graph)
+    system = higher_order.LiftedSystem(
+        weights=WeightMatrix(g, _load_matrix(args.matrix)),
+        dyn=dyn,
+        v_in=_load_nodes(args.in_nodes),
+        v_out=_load_nodes(args.out_nodes),
+    )
+    _emit_json(higher_order.lifted_markov(system, args.order).to_json())
+
+
+def _hod_recover(args) -> None:
+    dyn = _load_dyn(args.dyn)
+    g = _load_graph(args.graph)
+    lifted = MarkovSequence.from_json(_load_json(args.markov))
+    _recover(args, g, higher_order.deconvolve(lifted, dyn))
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,210 +231,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="group", required=True)
 
-    def common(p, *, graph=False, in_nodes=False, out_nodes=False, target=False,
-               markov=False, dyn=False, matrix=False, order=None, seed=False,
-               tol=False):
-        if graph:
-            p.add_argument("--graph", required=True, metavar="PATH",
-                           help='graph JSON: {"n": <int>, "edges": [[i,j], ...]}')
-        if in_nodes:
-            p.add_argument("--in", dest="in_nodes", required=True, metavar="PATH",
-                           help="node set JSON (array of ints)")
-        if out_nodes:
-            p.add_argument("--out-nodes", "--out", dest="out_nodes", required=True,
-                           metavar="PATH", help="node set JSON (array of ints)")
-        if target:
-            p.add_argument("--target", required=True, metavar="PATH",
-                           help="node set JSON: nodes whose weights to recover")
-        if markov:
-            p.add_argument("--markov", required=True, metavar="PATH",
-                           help='Markov JSON: {"v_in":..,"v_out":..,"K":..,"data":..}')
-        if dyn:
-            p.add_argument("--dyn", required=True, metavar="PATH",
-                           help='node dynamics JSON with keys "A","B","C","E","K"')
-        if matrix:
-            p.add_argument("--matrix", required=True, metavar="PATH",
-                           help='matrix CSV: header "n,<count>" then rows')
-        if order is not None:
-            p.add_argument("--order", type=int, default=order,
-                           help=f"highest power to use (default {order})")
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for all randomness (default 0)")
-        if tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="override the default numerical tolerance")
-        p.add_argument("--format", choices=FORMATS, default=None,
-                       help="output format (default: json for reports, csv for matrices)")
+    def group(name, help):
+        sub = top.add_parser(name, help=help)
+        return sub.add_subparsers(dest="command", required=True)
 
-    zfs = top.add_parser("zfs", help="zero forcing sets").add_subparsers(
-        dest="command", required=True
-    )
-    p = zfs.add_parser("check", help="is the given set a zero forcing set?")
-    common(p, graph=True, in_nodes=True)
-    p = zfs.add_parser("derive", help="derived set and forcing chronicle")
-    common(p, graph=True, in_nodes=True)
-    p = zfs.add_parser("min", help="exact minimum zero forcing set (small graphs)")
-    common(p, graph=True)
+    def command(sub, name, handler, help, paths=(), formats=None):
+        p = sub.add_parser(name, help=help)
+        for dest in paths:
+            flags, text = PATHS[dest]
+            p.add_argument(*flags, dest=dest, required=True, metavar="PATH", help=text)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help=f"output format (default {formats[0]})")
+        p.set_defaults(handler=handler)
+        return p
+
+    zfs = group("zfs", "zero forcing sets")
+    command(zfs, "check", _zfs_check, "is the given set a zero forcing set?",
+            ("graph", "in_nodes"))
+    command(zfs, "derive", _zfs_derive, "derived set and forcing chronicle",
+            ("graph", "in_nodes"))
+    p = command(zfs, "min", _zfs_min, "exact minimum zero forcing set (small graphs)",
+                ("graph",))
     p.add_argument("--budget", type=int, default=zero_forcing.EXACT_SEARCH_DEFAULT_BUDGET,
                    help="largest node count accepted by the exact search")
-    p = zfs.add_parser("heuristic", help="verified heuristic zero forcing set")
-    common(p, graph=True)
+    command(zfs, "heuristic", _zfs_heuristic, "verified heuristic zero forcing set",
+            ("graph",))
 
-    ident = top.add_parser("ident", help="identifiability").add_subparsers(
-        dest="command", required=True
-    )
-    p = ident.add_parser("certify", help="certify (graph, inputs, outputs)")
-    common(p, graph=True, in_nodes=True, out_nodes=True)
-    p = ident.add_parser("recover", help="reconstruct weights from Markov data")
-    common(p, graph=True, markov=True, target=True, tol=True)
+    ident = group("ident", "identifiability")
+    command(ident, "certify", _ident_certify, "certify (graph, inputs, outputs)",
+            ("graph", "in_nodes", "out_nodes"), REPORT_FORMATS)
+    command(ident, "recover", _ident_recover, "reconstruct weights from Markov data",
+            ("graph", "markov", "target"), MATRIX_FORMATS)
 
-    sim = top.add_parser("sim", help="instances and Markov data").add_subparsers(
-        dest="command", required=True
-    )
-    p = sim.add_parser("random", help="random positively-weighted matrix for a graph")
-    common(p, graph=True, seed=True)
+    sim = group("sim", "instances and Markov data")
+    p = command(sim, "random", _sim_random,
+                "random positively-weighted matrix for a graph", ("graph",),
+                MATRIX_FORMATS)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for all randomness (default 0)")
     p.add_argument("--weight-range", default="0.5,2.0", metavar="LO,HI",
                    help="uniform edge-weight range (default 0.5,2.0)")
     p.add_argument("--diagonal", choices=("free", "laplacian"), default="free",
                    help="diagonal mode (default free)")
-    p = sim.add_parser("markov", help="Markov parameters N X^k M of a matrix")
-    common(p, graph=True, matrix=True, in_nodes=True, out_nodes=True, order=0)
-    p = sim.add_parser("counterexample",
-                       help="hidden-node rescaling with identical Markov parameters")
-    common(p, in_nodes=True, out_nodes=True, matrix=True)
+    p = command(sim, "markov", _sim_markov, "Markov parameters N X^k M of a matrix",
+                ("graph", "matrix", "in_nodes", "out_nodes"))
+    p.add_argument("--order", type=int, default=0,
+                   help="highest power to use (default 0)")
+    p = command(sim, "counterexample", _sim_counterexample,
+                "hidden-node rescaling with identical Markov parameters",
+                ("in_nodes", "out_nodes", "matrix"), MATRIX_FORMATS)
     p.add_argument("--graph", metavar="PATH", default=None,
                    help="graph JSON; if given, the matrix is read as symmetric "
                         "sign-free on this graph (epsilon -1), otherwise as directed")
     p.add_argument("--epsilon", type=float, default=None,
                    help="rescaling factor (default: -1 symmetric, 2 directed)")
 
-    hod = top.add_parser("hod", help="higher-order node dynamics").add_subparsers(
-        dest="command", required=True
-    )
-    p = hod.add_parser("check", help="coupling products C (EK)^k B != 0")
-    common(p, dyn=True)
+    hod = group("hod", "higher-order node dynamics")
+    p = command(hod, "check", _hod_check, "coupling products C (EK)^k B != 0", ("dyn",))
     p.add_argument("--order", type=int, default=None,
                    help="highest order to check (default 2q)")
-    p = hod.add_parser("markov", help="Markov parameters of the lifted block system")
-    common(p, graph=True, matrix=True, dyn=True, in_nodes=True, out_nodes=True, order=0)
-    p = hod.add_parser("recover",
-                       help="deconvolve lifted Markov data, then reconstruct weights")
-    common(p, graph=True, markov=True, dyn=True, target=True, tol=True)
+    p = command(hod, "markov", _hod_markov,
+                "Markov parameters of the lifted block system",
+                ("graph", "matrix", "dyn", "in_nodes", "out_nodes"))
+    p.add_argument("--order", type=int, default=0,
+                   help="highest power to use (default 0)")
+    command(hod, "recover", _hod_recover,
+            "deconvolve lifted Markov data, then reconstruct weights",
+            ("graph", "markov", "dyn", "target"), MATRIX_FORMATS)
 
     return parser
-
-
-def _run(config: RunConfig) -> None:
-    args = config.args
-    group, command = args.group, args.command
-    fmt = config.fmt
-
-    if group == "zfs":
-        g = _load_graph(args.graph)
-        if command == "check":
-            z = _load_nodes(args.in_nodes)
-            ok = zero_forcing.is_zero_forcing_set(g, g.check_nodes(z))
-            _emit_json({"is_zero_forcing_set": ok, "set": z.to_json()})
-        elif command == "derive":
-            z = _load_nodes(args.in_nodes)
-            _, chronicle = zero_forcing.derived_set(g, z)
-            _emit_json(chronicle.to_json())
-        elif command == "min":
-            best = zero_forcing.minimum_zero_forcing_set(g, node_budget=args.budget)
-            _emit_json({"size": len(best), "set": best.to_json()})
-        else:  # heuristic
-            best = zero_forcing.zfs_heuristic(g)
-            _emit_json({"size": len(best), "set": best.to_json()})
-        return
-
-    if group == "ident":
-        g = _load_graph(args.graph)
-        if command == "certify":
-            report = identifiability.certify(
-                g, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes)
-            )
-            if fmt == "human":
-                sys.stdout.write(str(report) + "\n")
-            else:
-                _emit_json(report.to_json())
-        else:  # recover
-            markov = MarkovSequence.from_json(_load_json(args.markov))
-            target = _load_nodes(args.target)
-            kwargs = {} if config.tol is None else {"tol": config.tol}
-            result = reconstruct.identify(markov, g, target, **kwargs)
-            _emit_matrix(result.recovered, fmt or "csv")
-            diag = result.to_json()
-            del diag["recovered"]
-            sys.stderr.write(json.dumps(diag, sort_keys=True, indent=2) + "\n")
-        return
-
-    if group == "sim":
-        if command == "random":
-            g = _load_graph(args.graph)
-            weights = netsim.random_weights(
-                g, config.seed, _parse_range(args.weight_range), args.diagonal
-            )
-            _emit_matrix(weights.entries, fmt or "csv")
-        elif command == "markov":
-            g = _load_graph(args.graph)
-            x = WeightMatrix(g, _load_matrix(args.matrix))
-            seq = netsim.markov_sequence(
-                x, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes), args.order
-            )
-            _emit_json(seq.to_json())
-        else:  # counterexample
-            entries = _load_matrix(args.matrix)
-            x: WeightMatrix | DirectedWeightMatrix
-            if args.graph is not None:
-                g = _load_graph(args.graph)
-                x = WeightMatrix(g, entries, sign_constrained=False)
-            else:
-                x = DirectedWeightMatrix(entries)
-            rescaled = netsim.scaling_counterexample(
-                x, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes),
-                epsilon=args.epsilon,
-            )
-            _emit_matrix(rescaled.entries, fmt or "csv")
-        return
-
-    # group == "hod"
-    dyn = higher_order.NodeDynamics.from_json(_load_json(args.dyn))
-    if command == "check":
-        report = higher_order.coupling_condition(dyn, k_max=args.order)
-        _emit_json(report.to_json())
-    elif command == "markov":
-        g = _load_graph(args.graph)
-        sys_ = higher_order.LiftedSystem(
-            weights=WeightMatrix(g, _load_matrix(args.matrix)),
-            dyn=dyn,
-            v_in=_load_nodes(args.in_nodes),
-            v_out=_load_nodes(args.out_nodes),
-        )
-        _emit_json(higher_order.lifted_markov(sys_, args.order).to_json())
-    else:  # recover
-        g = _load_graph(args.graph)
-        lifted = MarkovSequence.from_json(_load_json(args.markov))
-        kwargs = {} if config.tol is None else {"tol": config.tol}
-        base = higher_order.deconvolve(lifted, dyn, **kwargs)
-        result = reconstruct.identify(base, g, _load_nodes(args.target), **kwargs)
-        _emit_matrix(result.recovered, config.fmt or "csv")
-        diag = result.to_json()
-        del diag["recovered"]
-        sys.stderr.write(json.dumps(diag, sort_keys=True, indent=2) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=f"{args.group} {args.command}",
-            args=args,
-            seed=getattr(args, "seed", 0),
-            tol=getattr(args, "tol", None),
-            fmt=getattr(args, "format", None),
-        )
-        _run(config)
+        args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

@@ -37,7 +37,8 @@ def _integral(value, what: str) -> int:
         i = int(value)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be an integer, got {value!r}") from None
-    if i != value:  # rejects 1.5 and "3"; 2.0 passes as 2
+    # Rejects 1.5, "3" and True (which equals 1); 2.0 passes as 2.
+    if i != value or isinstance(value, (bool, np.bool_)):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return i
 

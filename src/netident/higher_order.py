@@ -40,7 +40,10 @@ __all__ = [
     "deconvolve",
 ]
 
+# A coupling product at most this times its norm scale counts as zero.
 COUPLING_TOL = 1e-10
+# Largest relative mismatch between two deconvolved copies of one block.
+RATIO_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +231,6 @@ def _mixing_tables(dyn: NodeDynamics, order: int) -> list[list[np.ndarray]]:
 def deconvolve(
     lifted: MarkovSequence,
     dyn: NodeDynamics,
-    counts: tuple[int, int] | None = None,
-    tol: float = COUPLING_TOL,
-    ratio_tol: float = 1e-6,
 ) -> MarkovSequence:
     """Peel base-network Markov parameters out of lifted ones.
 
@@ -251,13 +251,8 @@ def deconvolve(
     ``(norm(EK)/norm(A))**k`` below the data magnitude, so couplings much
     weaker than the local state matrix lose precision quickly even
     though the peel is exact in exact arithmetic.
-
-    ``counts`` gives (n_in, n_out) when the node sets attached to
-    ``lifted`` should not be trusted for the block layout.
     """
-    if counts is None:
-        counts = (len(lifted.v_in), len(lifted.v_out))
-    n_in, n_out = counts
+    n_in, n_out = len(lifted.v_in), len(lifted.v_out)
     t, r = dyn.output_dim, dyn.input_dim
     expected = (t * n_out, r * n_in)
     if lifted.data[0].shape != expected:
@@ -279,7 +274,7 @@ def deconvolve(
         top = mixing[k][k]
         scale = max(c_norm * b_norm * float(np.linalg.norm(power)), 1e-300)
         power = dyn.coupling @ power
-        if np.abs(top).max() <= tol * scale:
+        if np.abs(top).max() <= COUPLING_TOL * scale:
             raise DeconvolutionBlockedError(
                 f"coupling product C (EK)^{k} B is zero within tolerance: "
                 f"deconvolution blocked at order {k}",
@@ -294,11 +289,11 @@ def deconvolve(
         checked = 0
         for pos in order_idx[1:]:
             a2, b2 = divmod(int(pos), r)
-            if abs(top[a2, b2]) <= tol * scale:
+            if abs(top[a2, b2]) <= COUPLING_TOL * scale:
                 break
             other = grid[:, a2, :, b2] / top[a2, b2]
             err = np.abs(other - block).max()
-            if err > ratio_tol * max(1.0, np.abs(block).max()):
+            if err > RATIO_TOL * max(1.0, np.abs(block).max()):
                 raise InconsistentDataError(
                     f"lifted data at order {k} is not a consistent Kronecker "
                     f"mixture: block ratio mismatch {err:.3e}"

@@ -49,6 +49,7 @@ __all__ = [
     "identify",
 ]
 
+# A recovered squared edge weight at most this times its scale vanishes.
 DEGENERACY_TOL = 1e-12
 
 
@@ -133,7 +134,6 @@ def force_round(
     table: ExtendedMarkovTable,
     g: Graph,
     forces: Iterable[tuple[int, int]],
-    tol: float = DEGENERACY_TOL,
 ) -> ExtendedMarkovTable:
     """Extend the table across one propagation round of forces ``u -> v``.
 
@@ -193,7 +193,7 @@ def force_round(
     squared = power2 - (p * p).sum(axis=1)
     for a, (u, v) in enumerate(forces):
         scale = max(1.0, abs(power2[a]), float((p[a] * p[a]).max(initial=0.0)))
-        if abs(squared[a]) <= tol * scale:
+        if abs(squared[a]) <= DEGENERACY_TOL * scale:
             raise DegenerateWeightError(
                 f"forced edge ({u},{v}) has vanishing recovered weight: measured "
                 "data is inconsistent with a positively-weighted matrix on this graph"
@@ -238,10 +238,9 @@ def force_step(
     g: Graph,
     u: int,
     v: int,
-    tol: float = DEGENERACY_TOL,
 ) -> ExtendedMarkovTable:
     """Extend the table across one force ``u -> v``: a round of one force."""
-    return force_round(table, g, [(u, v)], tol=tol)
+    return force_round(table, g, [(u, v)])
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,6 @@ def identify(
     g: Graph,
     target: Iterable[int],
     chronicle: ForcingChronicle | None = None,
-    tol: float = DEGENERACY_TOL,
 ) -> ReconstructionResult:
     """Recover the weight submatrix over ``target`` from measured data.
 
@@ -350,7 +348,7 @@ def identify(
     records: list[ForceStepRecord] = []
     amplification = 1.0
     for rnd, forces in enumerate(prefix, start=1):
-        table = force_round(table, g, forces, tol=tol)
+        table = force_round(table, g, forces)
         for u, v in forces:
             weight = table.get(1, u, v)
             amplification *= max(1.0, 1.0 / weight, 1.0 / (weight * weight))

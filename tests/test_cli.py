@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -410,3 +412,121 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("graph, nodes", [
+    (path_json(3), [True]),
+    ({"n": True, "edges": []}, [1]),
+    ({"n": 3, "edges": [[True, 2]]}, [1]),
+], ids=["node-true", "n-true", "edge-true"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, graph, nodes):
+    g = write(tmp_path, "g.json", graph)
+    z = write(tmp_path, "z.json", nodes)
+    code, out, err = run(capsys, ["zfs", "check", "--graph", g, "--in", z])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "True" in err
+
+
+def test_markov_order_true_exits_two(tmp_path, capsys):
+    graph = Graph(2, [(1, 2)])
+    blob = markov_sequence(random_weights(graph, seed=5), [1], [1], 4).to_json()
+    g = write(tmp_path, "g.json", path_json(2))
+    m = write(tmp_path, "m.json", {**blob, "K": True, "data": blob["data"][:2]})
+    t = write(tmp_path, "t.json", [1, 2])
+    code, _, err = run(capsys, ["ident", "recover", "--graph", g, "--markov", m,
+                                "--target", t])
+    assert code == 2
+    assert err.startswith("input error:") and "Markov order K" in err
+
+
+def test_json_output_is_one_compact_sorted_line(tmp_path, capsys):
+    graph = Graph(3, [(1, 2), (2, 3)])
+    g = write(tmp_path, "g.json", path_json(3))
+    m = write(tmp_path, "m.json",
+              markov_sequence(random_weights(graph, seed=2), [1], [1], 6).to_json())
+    t = write(tmp_path, "t.json", [1, 2, 3])
+    z = write(tmp_path, "z.json", [1])
+    _, derive, _ = run(capsys, ["zfs", "derive", "--graph", g, "--in", z])
+    _, matrix, diag = run(capsys, ["ident", "recover", "--graph", g, "--markov", m,
+                                   "--target", t, "--format", "json"])
+    for text in (derive, matrix, diag):
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+# The flags each subcommand's handler reads; nothing else may be accepted.
+# A value is the flag's choices, or None for a flag that takes any value.
+FLAG_TABLE = {
+    ("zfs", "check"): {"--graph": None, "--in": None},
+    ("zfs", "derive"): {"--graph": None, "--in": None},
+    ("zfs", "min"): {"--graph": None, "--budget": None},
+    ("zfs", "heuristic"): {"--graph": None},
+    ("ident", "certify"): {"--graph": None, "--in": None, "--out-nodes": None,
+                           "--out": None, "--format": ("json", "human")},
+    ("ident", "recover"): {"--graph": None, "--markov": None, "--target": None,
+                           "--format": ("csv", "json")},
+    ("sim", "random"): {"--graph": None, "--seed": None, "--weight-range": None,
+                        "--diagonal": ("free", "laplacian"), "--format": ("csv", "json")},
+    ("sim", "markov"): {"--graph": None, "--matrix": None, "--in": None,
+                        "--out-nodes": None, "--out": None, "--order": None},
+    ("sim", "counterexample"): {"--matrix": None, "--in": None, "--out-nodes": None,
+                                "--out": None, "--graph": None, "--epsilon": None,
+                                "--format": ("csv", "json")},
+    ("hod", "check"): {"--dyn": None, "--order": None},
+    ("hod", "markov"): {"--graph": None, "--matrix": None, "--dyn": None, "--in": None,
+                        "--out-nodes": None, "--out": None, "--order": None},
+    ("hod", "recover"): {"--graph": None, "--markov": None, "--dyn": None,
+                         "--target": None, "--format": ("csv", "json")},
+}
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("group, command", list(FLAG_TABLE))
+    def test_options_are_the_flags_the_handler_reads(self, group, command):
+        sub = _subparsers(_subparsers(cli.build_parser())[group])[command]
+        options = {flag: (tuple(a.choices) if a.choices else None)
+                   for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                   for flag in a.option_strings}
+        assert options == FLAG_TABLE[group, command]
+
+    def test_table_covers_every_subcommand(self):
+        groups = _subparsers(cli.build_parser())
+        commands = {(g, c) for g, p in groups.items() for c in _subparsers(p)}
+        assert commands == set(FLAG_TABLE)
+
+    @pytest.mark.parametrize("command, extra", [
+        *[((group, "recover"), ["--tol", "1e-8"]) for group in ("ident", "hod")],
+        *[((group, command), ["--format", "json"]) for group, command in (
+            ("zfs", "check"), ("zfs", "derive"), ("zfs", "min"), ("zfs", "heuristic"),
+            ("sim", "markov"), ("hod", "check"), ("hod", "markov"))],
+        (("ident", "certify"), ["--format", "csv"]),
+        (("ident", "recover"), ["--format", "human"]),
+    ], ids=lambda v: " ".join(v))
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, extra):
+        argv = next(argv for argv in TestOneParserPerProcess().commands(tmp_path)
+                    if tuple(argv[:2]) == command)
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: netident") and extra[0] in err
+
+
+def test_readme_command_line_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for block in section.split("```sh\n")[1:]
+             for line in block.split("```", 1)[0].splitlines() if "netident " in line]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for line in lines:
+        words = shlex.split(line.split("netident ", 1)[1].split(">", 1)[0])
+        args = parser.parse_args(words)
+        assert callable(args.handler), line

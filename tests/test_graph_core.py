@@ -231,3 +231,19 @@ class TestGraphJson:
                      {"n": 3, "edges": [["a", 2]]}):
             with pytest.raises(InputError):
                 graph_from_json(blob)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)], ids=repr)
+def test_booleans_are_not_integers(flag):
+    with pytest.raises(InputError, match="node id must be an integer"):
+        NodeSet([flag])
+    with pytest.raises(InputError, match="node count"):
+        Graph(flag)
+    with pytest.raises(InputError, match="edge endpoint"):
+        Graph(3, [(flag, 2)])
+    with pytest.raises(InputError, match="node count"):
+        graph_from_json({"n": flag, "edges": []})
+    with pytest.raises(InputError, match="edge endpoint"):
+        graph_from_json({"n": 3, "edges": [[flag, 2]]})
+    with pytest.raises(InputError, match="node id"):
+        nodeset_from_json([flag])

@@ -165,6 +165,11 @@ class TestMarkovSequence:
         with pytest.raises(InputError, match="K"):
             MarkovSequence.from_json({**blob, "K": order})
 
+    def test_json_boolean_order_rejected(self):
+        blob = markov_sequence(WeightMatrix(P2, X2), [1], [1, 2], 2).to_json()
+        with pytest.raises(InputError, match="Markov order K must be an integer"):
+            MarkovSequence.from_json({**blob, "K": True, "data": blob["data"][:2]})
+
     def test_json_integral_float_order_loads(self):
         blob = markov_sequence(WeightMatrix(P2, X2), [1], [1, 2], 2).to_json()
         again = MarkovSequence.from_json({**blob, "K": 2.0})

@@ -180,6 +180,14 @@ class TestChronicle:
         with pytest.raises(InputError, match="must be an integer"):
             ForcingChronicle.from_json(blob)
 
+    @pytest.mark.parametrize("blob", [
+        {"initial": [1], "forces": [[True, 2]]},
+        {"initial": [1], "forces": [[1, 2]], "rounds": [True]},
+    ], ids=["forcer-true", "round-true"])
+    def test_json_booleans_rejected(self, blob):
+        with pytest.raises(InputError, match="must be an integer"):
+            ForcingChronicle.from_json(blob)
+
     def test_json_integral_floats_load(self):
         blob = {"initial": [1.0], "forces": [[1.0, 2.0], [2.0, 3.0]], "rounds": [1.0, 1.0]}
         chronicle = ForcingChronicle.from_json(blob)

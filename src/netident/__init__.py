@@ -45,7 +45,6 @@ from .higher_order import (
 from .identifiability import (
     IdentifiabilityReport,
     certify,
-    certify_subgraph,
     necessity_check_directed,
 )
 from .netsim import (
@@ -64,7 +63,6 @@ from .reconstruct import (
     ForceStepRecord,
     ReconstructionResult,
     force_round,
-    force_step,
     identify,
     required_order,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "zfs_heuristic",
     "IdentifiabilityReport",
     "certify",
-    "certify_subgraph",
     "necessity_check_directed",
     "WeightMatrix",
     "DirectedWeightMatrix",
@@ -108,7 +105,6 @@ __all__ = [
     "ForceStepRecord",
     "required_order",
     "force_round",
-    "force_step",
     "identify",
     "NodeDynamics",
     "LiftedSystem",

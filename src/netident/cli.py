@@ -123,8 +123,20 @@ def _zfs_derive(args) -> None:
     _emit_json(chronicle.to_json())
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: a decimal integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _zfs_min(args) -> None:
     g = _load_graph(args.graph)
+    if g.n > args.budget:
+        raise InputError(
+            f"exact minimum search refused for n={g.n} > --budget {args.budget} "
+            "(NP-hard); use 'netident zfs heuristic' for a verified upper bound"
+        )
     _emit_set(zero_forcing.minimum_zero_forcing_set(g, node_budget=args.budget))
 
 
@@ -253,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("graph", "in_nodes"))
     p = command(zfs, "min", _zfs_min, "exact minimum zero forcing set (small graphs)",
                 ("graph",))
-    p.add_argument("--budget", type=int, default=zero_forcing.EXACT_SEARCH_DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_non_negative_int,
+                   default=zero_forcing.EXACT_SEARCH_DEFAULT_BUDGET,
                    help="largest node count accepted by the exact search")
     command(zfs, "heuristic", _zfs_heuristic, "verified heuristic zero forcing set",
             ("graph",))

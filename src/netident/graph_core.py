@@ -15,6 +15,7 @@ import json
 import warnings
 from bisect import bisect_left
 from functools import cached_property
+from itertools import filterfalse
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,6 +49,12 @@ class NodeSet:
 
     Used for every node subset in the package: input nodes, output nodes,
     initially-black sets, derived sets, reconstruction targets.
+
+    ``NodeSet(iterable)`` validates: every member must be an integral id of
+    at least 1, and duplicates collapse. The private :meth:`_trusted` wraps
+    a tuple without any check; it is only for ids that are valid by
+    construction, such as a scan of ``range(1, n + 1)`` or a filter of an
+    existing NodeSet.
     """
 
     __slots__ = ("members",)
@@ -60,6 +67,13 @@ class NodeSet:
                 raise InputError(f"node identifiers are 1-based, got {node}")
             seen.add(node)
         self.members: tuple[int, ...] = tuple(sorted(seen))
+
+    @classmethod
+    def _trusted(cls, members: tuple[int, ...]) -> "NodeSet":
+        """Wrap ``members``, already ascending, distinct and 1-based, unchecked."""
+        ns = object.__new__(cls)
+        ns.members = members
+        return ns
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -97,11 +111,11 @@ class NodeSet:
 
     def intersection(self, other: Iterable[int]) -> "NodeSet":
         keep = frozenset(other)
-        return NodeSet(m for m in self.members if m in keep)
+        return NodeSet._trusted(tuple(filter(keep.__contains__, self.members)))
 
     def difference(self, other: Iterable[int]) -> "NodeSet":
         drop = frozenset(other)
-        return NodeSet(m for m in self.members if m not in drop)
+        return NodeSet._trusted(tuple(filterfalse(drop.__contains__, self.members)))
 
     def issubset(self, other: Iterable[int]) -> bool:
         return frozenset(self.members) <= frozenset(other)
@@ -216,22 +230,21 @@ class Graph:
 
     def components(self) -> list[NodeSet]:
         """Connected components, each as a NodeSet, ordered by smallest member."""
-        seen = [False] * (self.n + 1)
+        nbrs = self._neighbour_ids
+        seen = bytearray(self.n + 1)
         out: list[NodeSet] = []
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self._neighbour_ids[u]:
+        start = seen.find(0, 1)  # smallest node not yet in a component
+        while start != -1:
+            seen[start] = 1
+            comp = [start]
+            for u in comp:  # BFS: the list grows while it is walked
+                for w in nbrs[u]:
                     if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(NodeSet(comp))
+                        seen[w] = 1
+                        comp.append(w)
+            comp.sort()
+            out.append(NodeSet._trusted(tuple(comp)))
+            start = seen.find(0, start + 1)
         return out
 
     def is_connected(self) -> bool:

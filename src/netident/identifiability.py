@@ -21,7 +21,6 @@ from .zero_forcing import ForcingChronicle, derived_set
 __all__ = [
     "IdentifiabilityReport",
     "certify",
-    "certify_subgraph",
     "necessity_check_directed",
 ]
 
@@ -105,15 +104,6 @@ def certify(g: Graph, v_in: Iterable[int], v_out: Iterable[int]) -> Identifiabil
         certified_nodes=derived,
         notes=tuple(notes),
     )
-
-
-def certify_subgraph(
-    g: Graph, s: Iterable[int], v_in: Iterable[int], v_out: Iterable[int]
-) -> bool:
-    """True iff the principal submatrix over ``s`` is certified identifiable."""
-    s = g.check_nodes(s)
-    report = certify(g, v_in, v_out)
-    return s.issubset(report.certified_nodes)
 
 
 def necessity_check_directed(

@@ -45,7 +45,6 @@ __all__ = [
     "ForceStepRecord",
     "required_order",
     "force_round",
-    "force_step",
     "identify",
 ]
 
@@ -231,16 +230,6 @@ def force_round(
         max_order=kk,
         powers=full[:, perm[:, None], perm],
     )
-
-
-def force_step(
-    table: ExtendedMarkovTable,
-    g: Graph,
-    u: int,
-    v: int,
-) -> ExtendedMarkovTable:
-    """Extend the table across one force ``u -> v``: a round of one force."""
-    return force_round(table, g, [(u, v)])
 
 
 @dataclass(frozen=True)

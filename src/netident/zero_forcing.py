@@ -19,6 +19,7 @@ graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import InputError
 from .graph_core import Graph, NodeSet, _integral
@@ -51,7 +52,7 @@ class ForcingChronicle:
 
     def __post_init__(self):
         rounds = self.rounds or (1,) * len(self.forces)
-        if any(c < 1 for c in rounds) or sum(rounds) != len(self.forces):
+        if min(rounds, default=1) < 1 or sum(rounds) != len(self.forces):
             raise InputError(
                 f"round sizes {list(rounds)} must be positive and sum to the "
                 f"{len(self.forces)} force(s)"
@@ -111,7 +112,7 @@ class ForcingChronicle:
                         f"chronicle invalid in round {r}: node {v} is forced twice"
                     )
                 black[v] = 1
-        return NodeSet(u for u in range(1, n + 1) if black[u])
+        return NodeSet._trusted(tuple(compress(range(1, n + 1), black[1:])))
 
     def to_json(self) -> dict:
         return {
@@ -141,25 +142,40 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     start, in ascending forcing node, the smaller forcing node winning a
     shared target. The derived set itself is order-independent.
 
-    Runs in O((n + m) log n): each node keeps a count of its white
-    neighbours, updated as nodes turn black. A black node whose count is
-    one either forces in the next round or loses its last white
-    neighbour to another forcer, so only black nodes next to a node
-    coloured in the last round can force in the next one.
+    Each node keeps a count of its white neighbours, updated as nodes
+    turn black. The counts start from the smaller side: a seed of at
+    most n/2 nodes subtracts its own edges from the degrees, a larger
+    one counts up over the white nodes' edges, so set-up costs
+    O(n + vol(smaller side)). A black node whose count is one either
+    forces in the next round or loses its last white neighbour to
+    another forcer, so only black nodes next to a node coloured in the
+    last round can force in the next one.
     """
     z = g.check_nodes(z)
     n = g.n
     nbrs = g.neighbour_rows
-    black = bytearray(n + 1)  # 1 black, 2 forced in the current round
-    white_deg = [len(row) for row in nbrs]
-    for u in z:
-        black[u] = 1
-        for w in nbrs[u]:
-            white_deg[w] -= 1
+    # black[v]: 0 white, 1 black, 2 forced in the current round.
+    if 2 * len(z) <= n:  # count down: degrees minus the seed's edges
+        black = bytearray(n + 1)
+        white_deg = list(map(len, nbrs))
+        for u in z:
+            black[u] = 1
+            for w in nbrs[u]:
+                white_deg[w] -= 1
+        active = [u for u in z if white_deg[u] == 1]  # ascending: z is sorted
+    else:  # count up over the white nodes' edges
+        black = bytearray(b"\x01") * (n + 1)  # entry 0 is never read
+        whites = set(range(1, n + 1)).difference(z.members)
+        white_deg = [0] * (n + 1)
+        for v in whites:
+            black[v] = 0
+            for w in nbrs[v]:
+                white_deg[w] += 1
+        active = sorted({w for v in whites for w in nbrs[v]
+                         if black[w] and white_deg[w] == 1})
 
     forces: list[tuple[int, int]] = []
     rounds: list[int] = []
-    active = [u for u in z if white_deg[u] == 1]  # ascending: z is sorted
     while active:
         new: list[int] = []
         for u in active:
@@ -171,16 +187,22 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
                 new.append(v)
                 forces.append((u, v))
         rounds.append(len(new))
-        touched = list(new)
         for v in new:
             black[v] = 1
+        # Candidates: the new nodes and black nodes whose count drops to
+        # one; a later update in this round may still drop it to zero.
+        touched = list(new)
+        for v in new:
             for w in nbrs[v]:
                 white_deg[w] -= 1
-                if white_deg[w] == 1:
+                if white_deg[w] == 1 and black[w]:
                     touched.append(w)
-        active = sorted({w for w in touched if black[w] and white_deg[w] == 1})
+        if len(touched) == 1:
+            active = touched if white_deg[touched[0]] == 1 else []
+        else:
+            active = sorted({w for w in touched if white_deg[w] == 1})
 
-    derived = NodeSet(u for u in range(1, n + 1) if black[u])
+    derived = NodeSet._trusted(tuple(compress(range(1, n + 1), black[1:])))
     return derived, ForcingChronicle(initial=z, forces=tuple(forces), rounds=tuple(rounds))
 
 
@@ -265,12 +287,12 @@ def _per_component(g: Graph, solve) -> NodeSet:
     """
     comps = g.components()
     if len(comps) == 1:
-        return NodeSet(solve(g))
+        return NodeSet._trusted(tuple(solve(g)))
     members: list[int] = []
     for comp in comps:
         sub = g.induced_subgraph(comp)
         members.extend(sub.to_parent[v] for v in solve(sub.graph))
-    return NodeSet(members)
+    return NodeSet._trusted(tuple(sorted(members)))
 
 
 def minimum_zero_forcing_set(
@@ -402,7 +424,7 @@ def _diametral_path(g: Graph, exact_cutoff: int = 512) -> list[int]:
 
 def _repair_to_zfs(g: Graph, candidate: set[int]) -> NodeSet:
     """Greedily add lowest-id stuck white nodes until forcing completes."""
-    black = NodeSet(candidate)
+    black = NodeSet._trusted(tuple(sorted(candidate)))
     derived, _ = derived_set(g, black)
     while len(derived) < g.n:
         stuck = next(u for u in range(1, g.n + 1) if u not in derived)

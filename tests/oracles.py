@@ -72,6 +72,29 @@ def parallel_colour_change(n, edges, black):
         steps += 1
 
 
+def round_chronicle(n, edges, black):
+    """Forces and round sizes under the documented round rule, by rescans.
+
+    Every round judges each black node against the black set at the
+    round's start. Forcing nodes act in ascending order, so when two of
+    them share their one white neighbour the smaller one forces it.
+    Returns the list of (forcing, forced) pairs and the round sizes."""
+    adj = adjacency(n, edges)
+    black = set(black)
+    forces, rounds = [], []
+    while True:
+        forced_by = {}
+        for u in sorted(black):
+            whites = [w for w in adj[u] if w not in black]
+            if len(whites) == 1 and whites[0] not in forced_by:
+                forced_by[whites[0]] = u
+        if not forced_by:
+            return forces, rounds
+        forces += sorted((u, v) for v, u in forced_by.items())
+        rounds.append(len(forced_by))
+        black |= set(forced_by)
+
+
 def is_zfs_naive(n, edges, black):
     return naive_derived(n, edges, black) == set(range(1, n + 1))
 

@@ -21,7 +21,7 @@ from netident import (
     coupling_condition,
     deconvolve,
     derived_set,
-    force_step,
+    force_round,
     identify,
     is_zero_forcing_set,
     lifted_markov,
@@ -254,7 +254,7 @@ def test_criterion_8_worked_two_node_example():
     markov = markov_sequence(WeightMatrix(g, x), [1], [1], 4)
     assert [float(b[0, 0]) for b in markov.data] == [1.0, 1.0, 5.0, 21.0, 89.0]
     table = ExtendedMarkovTable.from_markov(markov)
-    stepped = force_step(table, g, 1, 2)
+    stepped = force_round(table, g, [(1, 2)])
     assert stepped.get(1, 1, 2) == 2.0
     assert stepped.get(1, 2, 2) == 3.0
     recovered = identify(markov, g, [1, 2]).recovered

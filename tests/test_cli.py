@@ -66,6 +66,26 @@ class TestZfs:
         assert code == 2
         assert "heuristic" in err
 
+    def test_min_refusal_names_the_heuristic_command(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", path_json(3))
+        code, _, err = run(capsys, ["zfs", "min", "--graph", g, "--budget", "2"])
+        assert code == 2
+        assert "zfs heuristic" in err and "zfs_heuristic" not in err
+
+    @pytest.mark.parametrize("budget", ["-5", "-1", "2.5", "x"])
+    def test_malformed_budget_is_a_usage_error(self, tmp_path, capsys, budget):
+        g = write(tmp_path, "g.json", path_json(3))
+        with pytest.raises(SystemExit) as exc:
+            main(["zfs", "min", "--graph", g, "--budget", budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: netident") and "--budget" in err
+
+    def test_zero_budget_admits_the_empty_graph(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", {"n": 0, "edges": []})
+        code, out, _ = run(capsys, ["zfs", "min", "--graph", g, "--budget", "0"])
+        assert code == 0 and json.loads(out) == {"size": 0, "set": []}
+
 
 class TestIdent:
     def test_certify_example_instance(self, tmp_path, capsys):

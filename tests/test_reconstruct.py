@@ -15,7 +15,6 @@ from netident import (
     WeightMatrix,
     derived_set,
     force_round,
-    force_step,
     identify,
     markov_sequence,
     random_weights,
@@ -80,7 +79,7 @@ class TestForceStep:
         table = ExtendedMarkovTable.from_markov(markov)
         assert table.level_set == NodeSet([1])
         assert table.max_order == 4
-        stepped = force_step(table, P2, 1, 2)
+        stepped = force_round(table, P2, [(1, 2)])
         # X_12 = sqrt(5 - 1) = 2, then X_22 = (21 - 1 - 4 - 4) / 4 = 3.
         assert stepped.get(1, 1, 2) == pytest.approx(2.0)
         assert stepped.get(1, 2, 2) == pytest.approx(3.0)
@@ -132,27 +131,27 @@ class TestForceStep:
         markov = markov_sequence(random_weights(star, seed=1), [1], [1], 6)
         table = ExtendedMarkovTable.from_markov(markov)
         with pytest.raises(InputError, match="precondition"):
-            force_step(table, star, 1, 2)
+            force_round(table, star, [(1, 2)])
 
     def test_non_edge_cannot_be_forced(self):
         g = path(3)
         markov = markov_sequence(random_weights(g, seed=1), [1], [1], 6)
         table = ExtendedMarkovTable.from_markov(markov)
         with pytest.raises(InputError, match="not an edge"):
-            force_step(table, g, 1, 3)
+            force_round(table, g, [(1, 3)])
 
     def test_order_two_table_is_insufficient(self):
         markov = markov_sequence(WeightMatrix(P2, X2), [1], [1], 2)
         table = ExtendedMarkovTable.from_markov(markov)
         with pytest.raises(InsufficientOrderError, match="2L\\+2"):
-            force_step(table, P2, 1, 2)
+            force_round(table, P2, [(1, 2)])
 
     def test_degenerate_edge_weight(self):
         # Claimed graph P2 but the generator carries no (1,2) coupling.
         markov = seq_from_raw(np.diag([1.0, 3.0]), [1], [1], 4)
         table = ExtendedMarkovTable.from_markov(markov)
         with pytest.raises(DegenerateWeightError, match="vanishing"):
-            force_step(table, P2, 1, 2)
+            force_round(table, P2, [(1, 2)])
 
     def test_negative_square_is_inconsistent(self):
         # Handcrafted data no symmetric matrix can produce: (X^2)_11 < X_11^2.
@@ -162,7 +161,7 @@ class TestForceStep:
             powers=np.array([1.0, 2.0, 1.0, 0.0, 0.0]).reshape(5, 1, 1),
         )
         with pytest.raises(InconsistentDataError, match="negative"):
-            force_step(table, P2, 1, 2)
+            force_round(table, P2, [(1, 2)])
 
 
 class TestTable:

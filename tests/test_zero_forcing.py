@@ -28,6 +28,7 @@ from oracles import (
     random_connected_edges,
     random_graph_edges,
     random_tree_edges,
+    round_chronicle,
     shuffled_derived,
 )
 
@@ -215,6 +216,58 @@ def test_rounds_match_parallel_oracle(n, seed):
     assert set(derived) == final
     assert len(chronicle.rounds) == time_steps
     assert chronicle.replay(g) == derived
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 14), p=st.sampled_from((0.1, 0.25, 0.5)),
+       seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_chronicle_matches_round_oracle(n, p, seed, data):
+    # Seeds from empty to all but one node: derived_set counts white
+    # neighbours from the seed up to n/2 nodes and from the white side
+    # beyond, and both must give this exact chronicle.
+    rng = np.random.default_rng(seed)
+    edges = random_graph_edges(rng, n, p=p)
+    size = data.draw(st.integers(0, max(0, n - 1)), label="seed size")
+    z = rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist()
+    _, chronicle = derived_set(Graph(n, edges), NodeSet(z))
+    forces, rounds = round_chronicle(n, edges, z)
+    assert list(chronicle.forces) == forces
+    assert list(chronicle.rounds) == rounds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 200])
+def test_path_chronicles_match_round_oracle(n):
+    edges = [(i, i + 1) for i in range(1, n)]
+    for z in ([1], [n], list(range(1, n)), list(range(2, n + 1))):
+        _, chronicle = derived_set(path(n), NodeSet(z))
+        forces, rounds = round_chronicle(n, edges, z)
+        assert list(chronicle.forces) == forces
+        assert list(chronicle.rounds) == rounds
+
+
+def assert_well_formed(ns, n):
+    members = ns.members
+    assert type(members) is tuple
+    assert all(type(m) is int and 1 <= m <= n for m in members)
+    assert all(a < b for a, b in zip(members, members[1:]))
+    assert ns == NodeSet(list(ns))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), p=st.sampled_from((0.1, 0.3, 0.5)),
+       seed=st.integers(0, 2**31 - 1))
+def test_returned_node_sets_are_well_formed(n, p, seed):
+    rng = np.random.default_rng(seed)
+    g = Graph(n, random_graph_edges(rng, n, p=p))
+    z = NodeSet(rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, n + 1)),
+                           replace=False).tolist())
+    other = rng.integers(-2, n + 3, size=int(rng.integers(0, n + 1))).tolist()
+    derived, chronicle = derived_set(g, z)
+    results = [derived, chronicle.replay(g), zfs_heuristic(g),
+               minimum_zero_forcing_set(g), z.intersection(other), z.difference(other),
+               *g.components()]
+    for ns in results:
+        assert_well_formed(ns, n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -171,7 +171,8 @@ class Graph:
     # -- basic queries ----------------------------------------------------
 
     def _check_node(self, i: int) -> int:
-        i = int(i)
+        if type(i) is not int:
+            i = _integral(i, "node id")
         if not (1 <= i <= self.n):
             raise InputError(f"node {i} outside 1..{self.n}")
         return i

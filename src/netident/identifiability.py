@@ -78,21 +78,16 @@ def certify(g: Graph, v_in: Iterable[int], v_out: Iterable[int]) -> Identifiabil
     """
     v_in = g.check_nodes(v_in)
     v_out = g.check_nodes(v_out)
-    w = v_in.intersection(v_out)
+    notes: list[str] = []
+    w = v_in
+    if v_in != v_out:  # equal sets: w is v_in, and no node is input- or output-only
+        w = v_in.intersection(v_out)
+        for kind, only in (("input", v_in.difference(v_out)),
+                           ("output", v_out.difference(v_in))):
+            if only.members:
+                notes.append(f"{kind}-only nodes {list(only)} do not join the forcing seed")
     derived, chronicle = derived_set(g, w)
     certified_full = len(derived) == g.n
-
-    notes: list[str] = []
-    in_only = v_in.difference(v_out)
-    out_only = v_out.difference(v_in)
-    if in_only.members:
-        notes.append(
-            f"input-only nodes {list(in_only)} do not join the forcing seed"
-        )
-    if out_only.members:
-        notes.append(
-            f"output-only nodes {list(out_only)} do not join the forcing seed"
-        )
     if not certified_full:
         notes.append(_SUFFICIENCY_CAVEAT)
 

@@ -35,7 +35,7 @@ from .errors import (
     InsufficientOrderError,
     UncertifiedTargetError,
 )
-from .graph_core import Graph, NodeSet
+from .graph_core import Graph, NodeSet, _integral
 from .netsim import MarkovSequence
 from .zero_forcing import ForcingChronicle, derived_set
 
@@ -148,7 +148,9 @@ def force_round(
     cannot stem from a positively-weighted symmetric matrix on this graph.
     """
     level = table.level_set
-    forces = [(int(u), int(v)) for u, v in forces]
+    forces = [(u if type(u) is int else _integral(u, "forcing node"),
+               v if type(v) is int else _integral(v, "forced node"))
+              for u, v in forces]
     if not forces:
         raise InputError("a forcing round needs at least one force")
     forced: set[int] = set()
@@ -277,14 +279,13 @@ def identify(
     markov: MarkovSequence,
     g: Graph,
     target: Iterable[int],
-    chronicle: ForcingChronicle | None = None,
 ) -> ReconstructionResult:
     """Recover the weight submatrix over ``target`` from measured data.
 
     Seeds the power table with the input/output overlap block, replays
-    the forcing chronicle (the deterministic round chronicle by default,
-    or a caller-supplied one, which is validated first) round by round
-    until the target nodes are covered, and reads the weights off the
+    the deterministic round chronicle of the overlap's derived set (see
+    :func:`~netident.zero_forcing.derived_set`) round by round until the
+    target nodes are covered, and reads the weights off the
     first power. Replaying R rounds reads only orders up to 2R + 2 of the
     data, so a longer sequence gives the same result. Non-edges inside
     the target are never written, so they are exactly zero in the
@@ -295,17 +296,7 @@ def identify(
     g.check_nodes(markov.v_in)
     g.check_nodes(markov.v_out)
 
-    if chronicle is None:
-        _, chronicle = derived_set(g, w)
-    else:
-        if chronicle.initial != w:
-            raise InputError(
-                f"chronicle initial set {list(chronicle.initial)} does not match "
-                f"the input/output overlap {list(w)}"
-            )
-        chronicle.replay(g)
-
-    reachable = chronicle.derived
+    reachable, chronicle = derived_set(g, w)
     if not target.issubset(reachable):
         missing = target.difference(reachable)
         raise UncertifiedTargetError(

@@ -84,7 +84,7 @@ class ForcingChronicle:
         """
         n = g.n
         nbrs = g.neighbour_rows
-        black = bytearray(n + 1)
+        black = [0] * (n + 1)
         for u in g.check_nodes(self.initial):
             black[u] = 1
         step = 0
@@ -149,14 +149,16 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     O(n + vol(smaller side)). A black node whose count is one either
     forces in the next round or loses its last white neighbour to
     another forcer, so only black nodes next to a node coloured in the
-    last round can force in the next one.
+    last round can force in the next one. While a round has a single
+    candidate forcer, as along a chain, it forces one node and an inner
+    loop runs it with no per-round sets.
     """
     z = g.check_nodes(z)
     n = g.n
     nbrs = g.neighbour_rows
     # black[v]: 0 white, 1 black, 2 forced in the current round.
     if 2 * len(z) <= n:  # count down: degrees minus the seed's edges
-        black = bytearray(n + 1)
+        black = [0] * (n + 1)
         white_deg = list(map(len, nbrs))
         for u in z:
             black[u] = 1
@@ -164,7 +166,7 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
                 white_deg[w] -= 1
         active = [u for u in z if white_deg[u] == 1]  # ascending: z is sorted
     else:  # count up over the white nodes' edges
-        black = bytearray(b"\x01") * (n + 1)  # entry 0 is never read
+        black = [0] + [1] * n
         whites = set(range(1, n + 1)).difference(z.members)
         white_deg = [0] * (n + 1)
         for v in whites:
@@ -177,6 +179,22 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     forces: list[tuple[int, int]] = []
     rounds: list[int] = []
     while active:
+        while len(active) == 1:  # one forcer: its force is the whole round
+            u = active[0]
+            for v in nbrs[u]:
+                if not black[v]:
+                    break
+            black[v] = 1
+            forces.append((u, v))
+            rounds.append(1)
+            active = [v] if white_deg[v] == 1 else []
+            for w in nbrs[v]:
+                white_deg[w] -= 1
+                if white_deg[w] == 1 and black[w]:
+                    active.append(w)
+            active.sort()  # distinct candidates; v may exceed its neighbours
+        if not active:
+            break
         new: list[int] = []
         for u in active:
             for v in nbrs[u]:
@@ -197,12 +215,9 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
                 white_deg[w] -= 1
                 if white_deg[w] == 1 and black[w]:
                     touched.append(w)
-        if len(touched) == 1:
-            active = touched if white_deg[touched[0]] == 1 else []
-        else:
-            active = sorted({w for w in touched if white_deg[w] == 1})
+        active = sorted({w for w in touched if white_deg[w] == 1})
 
-    derived = NodeSet._trusted(tuple(compress(range(1, n + 1), black[1:])))
+    derived = NodeSet._trusted(tuple(compress(range(n + 1), black)))
     return derived, ForcingChronicle(initial=z, forces=tuple(forces), rounds=tuple(rounds))
 
 
@@ -326,25 +341,18 @@ def _bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
     parent = [-1] * (g.n + 1)
     dist[source] = 0
     frontier = [source]
+    level = 0
     while frontier:
+        level += 1
         nxt = []
         for u in frontier:
             for w in nbrs[u]:
                 if dist[w] < 0:
-                    dist[w] = dist[u] + 1
+                    dist[w] = level
                     parent[w] = u
                     nxt.append(w)
         frontier = nxt
     return dist, parent
-
-
-def _farthest(dist: list[int]) -> int:
-    """Reachable node at maximum distance, smallest id on ties."""
-    best, best_d = -1, -1
-    for u in range(1, len(dist)):
-        if dist[u] > best_d:
-            best, best_d = u, dist[u]
-    return best
 
 
 def _eccentricities(g: Graph) -> list[int]:
@@ -393,7 +401,8 @@ def _eccentricities(g: Graph) -> list[int]:
     return ecc
 
 
-def _diametral_path(g: Graph, exact_cutoff: int = 512) -> list[int]:
+def _diametral_path(g: Graph, d1: list[int] | None = None,
+                    exact_cutoff: int = 512) -> list[int]:
     """A shortest path realising the diameter (connected graph).
 
     Up to ``exact_cutoff`` nodes the path is exact: its source ``s`` is
@@ -402,7 +411,9 @@ def _diametral_path(g: Graph, exact_cutoff: int = 512) -> list[int]:
     operations). Beyond the cutoff ``s`` is the node farthest from node 1
     (a double BFS sweep), which is exact on trees and a lower-bound
     approximation in general; the candidate set only gets larger, and it
-    is verified downstream regardless. Either way one BFS from ``s``
+    is verified downstream regardless. :func:`zfs_heuristic` passes as
+    ``d1`` the BFS from node 1 that was its connectivity test, so one BFS
+    is both that test and the first sweep. Either way one BFS from ``s``
     gives the sink, its farthest node (smallest id on ties), and the path.
     """
     if g.n == 1:
@@ -411,10 +422,11 @@ def _diametral_path(g: Graph, exact_cutoff: int = 512) -> list[int]:
         ecc = _eccentricities(g)
         s = ecc.index(max(ecc))
     else:
-        d0, _ = _bfs(g, 1)
-        s = _farthest(d0)
+        if d1 is None:
+            d1, _ = _bfs(g, 1)
+        s = d1.index(max(d1))
     dist, par = _bfs(g, s)
-    t = _farthest(dist)
+    t = dist.index(max(dist))
     path = [t]
     while path[-1] != s:
         path.append(par[path[-1]])
@@ -528,9 +540,9 @@ def _tree_path_cover(g: Graph) -> list[list[int]]:
     return paths
 
 
-def _heuristic_connected(g: Graph) -> NodeSet:
+def _heuristic_connected(g: Graph, d1: list[int] | None = None) -> NodeSet:
     """Heuristic ZFS for one connected graph, always verified."""
-    path = _diametral_path(g)
+    path = _diametral_path(g, d1)
     interior = set(path[1:])
     diam_candidate = _repair_to_zfs(
         g, set(range(1, g.n + 1)) - interior
@@ -556,12 +568,17 @@ def zfs_heuristic(g: Graph) -> NodeSet:
     candidate is verified with :func:`is_zero_forcing_set` and repaired
     greedily if verification fails, so the result is always valid.
 
-    The diametral path comes from one bit-parallel all-source BFS sweep
-    up to 512 nodes and from a double BFS sweep beyond (see
-    :func:`_diametral_path`); ties go to the smallest source id, then the
-    smallest sink id.
-
-    Disconnected graphs are processed per component and the union is
-    returned; a connected graph is used as is, without a relabelled copy.
+    One BFS from node 1 is both the connectivity test and, beyond 512
+    nodes, the first leg of a double BFS sweep for the diametral path; up
+    to 512 nodes the path comes from one bit-parallel all-source BFS
+    sweep (see :func:`_diametral_path`). Ties go to the smallest source
+    id, then the smallest sink id. A connected graph is used as is,
+    without a relabelled copy; a disconnected one is processed per
+    component and the union is returned.
     """
-    return _per_component(g, _heuristic_connected)
+    if g.n == 0:
+        return NodeSet()
+    d1, _ = _bfs(g, 1)
+    if d1.count(-1) > 1:  # entry 0 is always -1
+        return _per_component(g, _heuristic_connected)
+    return _heuristic_connected(g, d1)

@@ -89,6 +89,23 @@ class TestGraph:
         with pytest.raises(InputError):
             path(3).neighbours(0)
 
+    @pytest.mark.parametrize("bad", [1.5, "2", True])
+    def test_node_queries_refuse_non_integral_ids(self, bad):
+        g = path(3)
+        for query in (lambda: g.has_edge(bad, 2), lambda: g.has_edge(1, bad),
+                      lambda: g.degree(bad), lambda: g.neighbours(bad),
+                      lambda: g.closed_neighbourhood(bad)):
+            with pytest.raises(InputError, match="node id"):
+                query()
+
+    @pytest.mark.parametrize("two", [2.0, np.int64(2), np.int32(2)])
+    def test_node_queries_accept_integral_values(self, two):
+        g = path(3)
+        assert g.has_edge(two, 3) and g.has_edge(1, two)
+        assert g.degree(two) == 2
+        assert g.neighbours(two) == NodeSet([1, 3])
+        assert g.closed_neighbourhood(two) == NodeSet([1, 2, 3])
+
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
             Graph(2, [(1, 1)])

@@ -125,6 +125,28 @@ class TestForceStep:
         with pytest.raises(InputError, match="forced twice"):
             force_round(table, star, [(2, 1), (3, 1)])
 
+    @pytest.mark.parametrize("bad", [1.5, "2", True])
+    def test_non_integral_force_is_refused(self, bad):
+        g = path(3)
+        table = ExtendedMarkovTable.from_markov(
+            markov_sequence(random_weights(g, seed=1), [1, 2], [1, 2], 6)
+        )
+        # As forcing node (2 is in the level set) and as forced node (3 is not).
+        for forces in ([(bad, 3)], [(2, bad)]):
+            with pytest.raises(InputError, match="must be an integer"):
+                force_round(table, g, forces)
+
+    def test_integral_force_values_pass(self):
+        g = path(3)
+        table = ExtendedMarkovTable.from_markov(
+            markov_sequence(random_weights(g, seed=1), [1, 2], [1, 2], 6)
+        )
+        want = force_round(table, g, [(2, 3)])
+        for forces in ([(2.0, 3.0)], [(np.int64(2), np.int32(3))]):
+            got = force_round(table, g, forces)
+            assert got.level_set == want.level_set
+            np.testing.assert_array_equal(got.powers, want.powers)
+
     def test_second_white_neighbour_violates_precondition(self):
         # Star centre with one black leaf: two whites in the way.
         star = Graph(4, [(1, 2), (1, 3), (1, 4)])
@@ -264,22 +286,6 @@ class TestIdentify:
             lean = identify(markov_sequence(x, w, w, base_order), g, g.nodes)
             rich = identify(markov_sequence(x, w, w, base_order + 5), g, g.nodes)
             np.testing.assert_array_equal(lean.recovered, rich.recovered)
-
-    def test_user_chronicle_accepted_and_validated(self):
-        g = path(4)
-        x = random_weights(g, seed=70)
-        w = NodeSet([1, 4])
-        markov = markov_sequence(x, w, w, 6)
-        # A valid order different from the deterministic (1,2),(2,3):
-        alt = ForcingChronicle(initial=w, forces=((4, 3), (3, 2)))
-        result = identify(markov, g, g.nodes, chronicle=alt)
-        assert np.abs(result.recovered - x.entries).max() <= 1e-9 * np.abs(x.entries).max()
-        bogus = ForcingChronicle(initial=w, forces=((1, 3),))
-        with pytest.raises(InputError):
-            identify(markov, g, g.nodes, chronicle=bogus)
-        mismatched = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2),))
-        with pytest.raises(InputError, match="overlap"):
-            identify(markov, g, g.nodes, chronicle=mismatched)
 
     def test_diagnostics_record_weights(self):
         g = path(3)

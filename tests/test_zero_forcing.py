@@ -245,6 +245,76 @@ def test_path_chronicles_match_round_oracle(n):
         assert list(chronicle.rounds) == rounds
 
 
+def spider(legs):
+    """Paths of the given lengths joined at hub 1: (n, edges, leg ends)."""
+    edges, ends, nxt = [], [], 2
+    for length in legs:
+        prev = 1
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+        ends.append(prev)
+    return nxt - 1, edges, ends
+
+
+def broom(handle, bristles):
+    """Path 1..handle ending in the centre of a star: (n, edges, path end and leaves)."""
+    edges = [(i, i + 1) for i in range(1, handle)]
+    edges += [(handle, handle + k) for k in range(1, bristles + 1)]
+    return handle + bristles, edges, [1] + list(range(handle + 1, handle + bristles + 1))
+
+
+def chain_cases():
+    """Spiders and brooms with seeds whose chains meet a branch point."""
+    for legs in ((3, 3, 3), (1, 4, 2), (5, 1, 1, 6), (2, 7, 3, 3, 1)):
+        n, edges, ends = spider(legs)
+        seeds = [[e] for e in ends] + [ends, ends[1:], ends[:-1], [1] + ends[2:]]
+        # One leg's end plus the hub's neighbour on another leg: the chain
+        # up the first leg makes the hub and that neighbour candidates at once.
+        seeds += [[ends[0], j] for i, j in edges if i == 1 and j != edges[0][1]]
+        yield f"spider{legs}", n, edges, seeds
+    for handle, bristles in ((4, 3), (6, 1), (3, 8), (9, 5)):
+        n, edges, tips = broom(handle, bristles)
+        leaves = tips[1:]
+        seeds = [[1], leaves, leaves[:-1], [1] + leaves[:-1], [1] + leaves[1:],
+                 [leaves[0]], [handle] + leaves[:-1]]
+        yield f"broom{handle, bristles}", n, edges, seeds
+
+
+@pytest.mark.parametrize("name, n, edges, seeds", list(chain_cases()),
+                         ids=[case[0] for case in chain_cases()])
+def test_chains_through_branch_points_match_round_oracle(name, n, edges, seeds):
+    # Random relabellings put a chain's next node above and below its
+    # other candidates, so one-candidate and multi-candidate rounds hand
+    # over in both id orders.
+    rng = np.random.default_rng(len(edges))
+    for trial in range(6):
+        perm = [0] + (list(range(1, n + 1)) if trial == 0
+                      else rng.permutation(np.arange(1, n + 1)).tolist())
+        relabelled = [(perm[i], perm[j]) for i, j in edges]
+        g = Graph(n, relabelled)
+        for z in seeds:
+            z = [perm[v] for v in z]
+            derived, chronicle = derived_set(g, NodeSet(z))
+            forces, rounds = round_chronicle(n, relabelled, z)
+            assert list(chronicle.forces) == forces, (name, z)
+            assert list(chronicle.rounds) == rounds, (name, z)
+            assert set(derived) == naive_derived(n, relabelled, z)
+
+
+def test_long_path_chain_from_either_end():
+    n = 10_000
+    g = path(n)
+    derived, chronicle = derived_set(g, NodeSet([1]))
+    assert chronicle.forces == tuple((i, i + 1) for i in range(1, n))
+    assert chronicle.rounds == (1,) * (n - 1)
+    assert derived == g.nodes
+    derived, chronicle = derived_set(g, NodeSet([n]))
+    assert chronicle.forces == tuple((i + 1, i) for i in range(n - 1, 0, -1))
+    assert chronicle.rounds == (1,) * (n - 1)
+    assert derived == g.nodes
+
+
 def assert_well_formed(ns, n):
     members = ns.members
     assert type(members) is tuple
@@ -523,7 +593,7 @@ class TestSeedSearch:
         seen = []
         real = zero_forcing._heuristic_connected
         monkeypatch.setattr(zero_forcing, "_heuristic_connected",
-                            lambda h: seen.append(h) or real(h))
+                            lambda h, *d1: seen.append(h) or real(h, *d1))
         g = grid(5)
         zfs_heuristic(g)
         assert len(seen) == 1 and seen[0] is g
@@ -546,3 +616,61 @@ class TestSeedSearch:
             assert zfs_heuristic(g) == NodeSet(expect_heur)
             assert minimum_zero_forcing_set(g) == NodeSet(expect_min)
             assert is_zero_forcing_set(g, zfs_heuristic(g))
+
+
+def per_component_heuristic(g):
+    """zfs_heuristic through components and relabelled copies, whatever g is."""
+    members = []
+    for comp in g.components():
+        sub = g.induced_subgraph(comp)
+        members += [sub.to_parent[v] for v in zero_forcing._heuristic_connected(sub.graph)]
+    return NodeSet(members)
+
+
+def disjoint_union(parts):
+    """Side-by-side (n, edges) parts, the first part holding node 1."""
+    edges, offset = [], 0
+    for n, part in parts:
+        edges += [(i + offset, j + offset) for i, j in part]
+        offset += n
+    return Graph(offset, edges)
+
+
+class TestConnectivityFromTheFirstSweep:
+    def test_small_and_node_one_cases(self):
+        cases = [Graph(0), Graph(1), Graph(2), path(2), Graph(6, [(i, i + 1) for i in range(2, 6)]),
+                 disjoint_union([(3, [(1, 2), (2, 3)]), (9, grid(3).edges)]),
+                 disjoint_union([(9, grid(3).edges), (3, [(1, 2), (2, 3)])]),
+                 disjoint_union([(9, grid(3).edges), (1, []), (4, cycle(4).edges)])]
+        for g in cases:
+            assert zfs_heuristic(g) == per_component_heuristic(g), g
+
+    @pytest.mark.parametrize("sizes", [(500, 12), (12, 500), (500, 13), (13, 500),
+                                       (1, 511), (1000, 500), (500, 1000), (1, 1499)])
+    def test_disconnected_on_both_sides_of_the_cutoff(self, sizes):
+        rng = np.random.default_rng(sum(sizes) + sizes[0])
+        g = disjoint_union([(k, sparse_connected_edges(rng, k, k // 3)) for k in sizes])
+        assert len(g.components()) == 2
+        got = zfs_heuristic(g)
+        assert got == per_component_heuristic(g)
+        assert is_zero_forcing_set(g, got)
+
+    def test_random_graphs_match_the_per_component_reference(self):
+        rng = np.random.default_rng(59)
+        for _ in range(500):
+            n = int(rng.integers(1, 30))
+            g = Graph(n, random_graph_edges(rng, n, float(rng.choice((0.03, 0.08, 0.15, 0.3)))))
+            assert zfs_heuristic(g) == per_component_heuristic(g)
+
+    def test_connected_graph_costs_two_bfs_and_no_components(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        sources = []
+        real = zero_forcing._bfs
+        monkeypatch.setattr(zero_forcing, "_bfs",
+                            lambda g, s: sources.append(s) or real(g, s))
+        monkeypatch.setattr(Graph, "components",
+                            lambda g: pytest.fail("components of a connected graph"))
+        for n in (300, 600):
+            sources.clear()
+            zfs_heuristic(Graph(n, sparse_connected_edges(rng, n, n // 2)))
+            assert len(sources) == 2 and sources[0] == 1

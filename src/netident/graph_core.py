@@ -302,9 +302,14 @@ class InducedSubgraph:
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges in original node ids, both ends inside ``nodes``."""
+        """Edges in original node ids, both ends inside ``nodes``.
+
+        Read from the members' neighbour rows, so the cost follows the
+        members' degrees, not the parent's edge count.
+        """
         keep = frozenset(self.nodes)
-        return tuple(e for e in self.parent.edges if e[0] in keep and e[1] in keep)
+        rows = self.parent.neighbour_rows
+        return tuple((i, j) for i in self.nodes for j in rows[i] if j > i and j in keep)
 
     @cached_property
     def graph(self) -> Graph:

@@ -243,7 +243,6 @@ class ForceStepRecord:
     forcing_node: int
     forced_node: int
     weight: float
-    amplification: float  # cumulative worst-case division factor
 
     def to_json(self) -> dict:
         return {
@@ -251,7 +250,6 @@ class ForceStepRecord:
             "round": self.round,
             "force": [self.forcing_node, self.forced_node],
             "weight": self.weight,
-            "amplification": self.amplification,
         }
 
 
@@ -326,20 +324,16 @@ def identify(
 
     table = ExtendedMarkovTable.from_markov(markov, needed)
     records: list[ForceStepRecord] = []
-    amplification = 1.0
     for rnd, forces in enumerate(prefix, start=1):
         table = force_round(table, g, forces)
         for u, v in forces:
-            weight = table.get(1, u, v)
-            amplification *= max(1.0, 1.0 / weight, 1.0 / (weight * weight))
             records.append(
                 ForceStepRecord(
                     step=len(records) + 1,
                     round=rnd,
                     forcing_node=u,
                     forced_node=v,
-                    weight=weight,
-                    amplification=amplification,
+                    weight=table.get(1, u, v),
                 )
             )
 

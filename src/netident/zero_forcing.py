@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 EXACT_SEARCH_DEFAULT_BUDGET = 25
+_EXACT_DIAMETER_MAX_NODES = 512  # larger graphs take the double BFS sweep
 
 
 @dataclass(frozen=True)
@@ -401,14 +402,13 @@ def _eccentricities(g: Graph) -> list[int]:
     return ecc
 
 
-def _diametral_path(g: Graph, d1: list[int] | None = None,
-                    exact_cutoff: int = 512) -> list[int]:
+def _diametral_path(g: Graph, d1: list[int] | None = None) -> list[int]:
     """A shortest path realising the diameter (connected graph).
 
-    Up to ``exact_cutoff`` nodes the path is exact: its source ``s`` is
-    the smallest node of maximum eccentricity, taken from one
-    bit-parallel sweep (:func:`_eccentricities`, O(diam * m * n/64) word
-    operations). Beyond the cutoff ``s`` is the node farthest from node 1
+    Up to ``_EXACT_DIAMETER_MAX_NODES`` nodes the path is exact: its
+    source ``s`` is the smallest node of maximum eccentricity, taken from
+    one bit-parallel sweep (:func:`_eccentricities`, O(diam * m * n/64)
+    word operations). Beyond that ``s`` is the node farthest from node 1
     (a double BFS sweep), which is exact on trees and a lower-bound
     approximation in general; the candidate set only gets larger, and it
     is verified downstream regardless. :func:`zfs_heuristic` passes as
@@ -418,7 +418,7 @@ def _diametral_path(g: Graph, d1: list[int] | None = None,
     """
     if g.n == 1:
         return [1]
-    if g.n <= exact_cutoff:
+    if g.n <= _EXACT_DIAMETER_MAX_NODES:
         ecc = _eccentricities(g)
         s = ecc.index(max(ecc))
     else:
@@ -445,99 +445,32 @@ def _repair_to_zfs(g: Graph, candidate: set[int]) -> NodeSet:
     return black
 
 
-def _tree_path_cover(g: Graph) -> list[list[int]]:
-    """Minimum path cover of a tree: vertex-disjoint paths covering all nodes.
+def _path_cover_initials(g: Graph) -> set[int]:
+    """The smaller end of each path of a minimum path cover of a tree.
 
-    Tree DP with two states per vertex: the path containing v still has v
-    as an endpoint (extendable upward), or v is interior. Reconstruction
-    marks which tree edges belong to cover paths; the cover is the set of
-    connected chains of marked edges.
+    Greedy over the BFS tree from node 1: nodes are visited deepest
+    first, and each is joined to its parent while both have fewer than
+    two cover edges. On a tree this keeps the most edges of any subgraph
+    of maximum degree 2, so it leaves the fewest paths. An ascending scan
+    then takes each unseen path end as an initial and walks its chain to
+    mark the far end.
     """
-    n = g.n
-    if n == 1:
-        return [[1]]
-
-    root = 1
-    order = [root]
-    parent = [0] * (n + 1)
-    parent[root] = -1
-    nbrs = g.neighbour_rows
-    for u in order:
-        for w in nbrs[u]:
-            if parent[w] == 0 and w != root:
-                parent[w] = u
-                order.append(w)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for u in order[1:]:
-        children[parent[u]].append(u)
-
-    INF = float("inf")
-    end_cost = [INF] * (n + 1)  # v is an endpoint of its path
-    mid_cost = [INF] * (n + 1)  # v is interior (bridges two child paths)
-    attach: list[tuple[int, ...]] = [()] * (n + 1)
-    bridge: list[tuple[int, int] | None] = [None] * (n + 1)
-
-    for v in reversed(order):
-        kids = children[v]
-        if not kids:
-            end_cost[v] = 1
-            continue
-        base = sum(min(end_cost[c], mid_cost[c]) for c in kids)
-        costs = sorted(
-            (end_cost[c] - min(end_cost[c], mid_cost[c]), c) for c in kids
-        )
-        extend = base + costs[0][0]
-        alone = base + 1
-        if extend <= alone:
-            end_cost[v] = extend
-            attach[v] = (costs[0][1],)
-        else:
-            end_cost[v] = alone
-        if len(kids) >= 2:
-            mid_cost[v] = base - 1 + costs[0][0] + costs[1][0]
-            bridge[v] = (costs[0][1], costs[1][1])
-
-    # Reconstruct: walk down assigning each vertex its chosen state and
-    # collecting the cover's path edges.
-    path_edges: list[tuple[int, int]] = []
-    stack = [(root, end_cost[root] <= mid_cost[root])]
-    while stack:
-        v, as_endpoint = stack.pop()
-        merged: tuple[int, ...]
-        if as_endpoint:
-            merged = attach[v]
-        else:
-            merged = bridge[v]  # type: ignore[assignment]
-        for c in merged:
-            path_edges.append((v, c))
-        merged_set = set(merged)
-        for c in children[v]:
-            if c in merged_set:
-                stack.append((c, True))
-            else:
-                stack.append((c, end_cost[c] <= mid_cost[c]))
-
-    cover_adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in path_edges:
-        cover_adj[a].append(b)
-        cover_adj[b].append(a)
-    paths: list[list[int]] = []
-    seen = [False] * (n + 1)
-    for u in range(1, n + 1):
-        if seen[u] or len(cover_adj[u]) > 1:
-            continue  # walk each chain from an endpoint
-        chain = [u]
-        seen[u] = True
-        cur = u
-        while True:
-            nxt = [w for w in cover_adj[cur] if not seen[w]]
-            if not nxt:
-                break
-            cur = nxt[0]
+    dist, parent = _bfs(g, 1)
+    link: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for v in sorted(range(2, g.n + 1), key=dist.__getitem__, reverse=True):
+        p = parent[v]
+        if len(link[v]) < 2 and len(link[p]) < 2:
+            link[v].append(p)
+            link[p].append(v)
+    initials, seen = set(), [False] * (g.n + 1)
+    for u in range(1, g.n + 1):
+        if len(link[u]) < 2 and not seen[u]:
+            initials.add(u)
+            prev, cur = u, link[u][0] if link[u] else u
+            while len(link[cur]) == 2:
+                prev, cur = cur, link[cur][link[cur][0] == prev]
             seen[cur] = True
-            chain.append(cur)
-        paths.append(chain)
-    return paths
+    return initials
 
 
 def _heuristic_connected(g: Graph, d1: list[int] | None = None) -> NodeSet:
@@ -549,9 +482,7 @@ def _heuristic_connected(g: Graph, d1: list[int] | None = None) -> NodeSet:
     )
 
     if len(g.edges) == g.n - 1:  # tree: path-cover initials hit the minimum
-        cover = _tree_path_cover(g)
-        initials = {min(p[0], p[-1]) for p in cover}
-        cover_candidate = _repair_to_zfs(g, initials)
+        cover_candidate = _repair_to_zfs(g, _path_cover_initials(g))
         if len(cover_candidate) <= len(diam_candidate):
             return cover_candidate
     return diam_candidate
@@ -563,8 +494,10 @@ def zfs_heuristic(g: Graph) -> NodeSet:
     For a connected graph the initial nodes are everything off a
     diametral shortest path except its first node, giving at most
     ``n - diam(G)`` nodes; endpoints force down the path one node at a
-    time. Trees additionally get a minimum-path-cover construction (one
-    endpoint per cover path) and the smaller candidate wins. Every
+    time. Trees additionally get a minimum path cover from a greedy
+    leaves-up pass over the BFS tree from node 1, one initial node per
+    cover path (see :func:`_path_cover_initials`); on a tree that is a
+    minimum zero forcing set, and the smaller candidate wins. Every
     candidate is verified with :func:`is_zero_forcing_set` and repaired
     greedily if verification fails, so the result is always valid.
 

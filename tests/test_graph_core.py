@@ -228,6 +228,16 @@ def test_induced_full_equals_graph_random():
         assert g.induced_subgraph(g.nodes).graph == g
 
 
+def test_induced_edges_match_the_parent_edge_filter():
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        n = int(rng.integers(0, 30))
+        g = Graph(n, random_graph_edges(rng, n, float(rng.choice((0.05, 0.2, 0.5)))))
+        keep = {v for v in range(1, n + 1) if rng.random() < rng.random()}
+        sub = g.induced_subgraph(keep)
+        assert sub.edges == tuple(e for e in g.edges if e[0] in keep and e[1] in keep)
+
+
 class TestGraphJson:
     def test_roundtrip(self):
         g = Graph(3, [(1, 2), (2, 3)])

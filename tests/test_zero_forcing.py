@@ -469,6 +469,29 @@ class TestHeuristic:
         assert is_zero_forcing_set(g, got)
         assert 4 in got  # isolated node must seed itself
 
+    def test_many_component_matching(self):
+        rng = np.random.default_rng(71)
+        k = 5000
+        perm = [0] + rng.permutation(np.arange(1, 2 * k + 1)).tolist()
+        edges = [(perm[2 * i + 1], perm[2 * i + 2]) for i in range(k)]
+        g = Graph(2 * k, edges)
+        got = zfs_heuristic(g)
+        assert got == NodeSet(min(e) for e in edges)  # one seed per edge, its smaller end
+        assert is_zero_forcing_set(g, got)
+
+    def test_spiders_with_mixed_legs_need_one_less_than_their_legs(self):
+        # A spider's minimum path cover joins two legs through the hub, so
+        # its zero forcing number is k - 1: sizes past exhaustive search.
+        rng = np.random.default_rng(73)
+        for k in range(3, 41):
+            legs = [1, 2] + rng.integers(1, 170, size=k - 2).tolist()
+            n, edges, _ = spider(legs)
+            perm = [0] + rng.permutation(np.arange(1, n + 1)).tolist()
+            g = Graph(n, [(perm[i], perm[j]) for i, j in edges])
+            got = zfs_heuristic(g)
+            assert len(got) == k - 1, (k, legs)
+            assert is_zero_forcing_set(g, got)
+
 
 # -- seed search: eccentricity sweep and diametral path ---------------------
 

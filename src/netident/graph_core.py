@@ -44,6 +44,14 @@ def _integral(value, what: str) -> int:
     return i
 
 
+def _nodes_within(s: Iterable[int], n: int) -> NodeSet:
+    """``s`` as a NodeSet; InputError unless every member is at most ``n``."""
+    ns = s if isinstance(s, NodeSet) else NodeSet(s)
+    if ns.members and ns.members[-1] > n:
+        raise InputError(f"node {ns.members[-1]} outside 1..{n}")
+    return ns
+
+
 class NodeSet:
     """An ascending, duplicate-free collection of 1-based node identifiers.
 
@@ -179,10 +187,7 @@ class Graph:
 
     def check_nodes(self, s: Iterable[int]) -> NodeSet:
         """Validate every member of ``s`` against this graph's node range."""
-        ns = s if isinstance(s, NodeSet) else NodeSet(s)
-        if ns.members and ns.members[-1] > self.n:
-            raise InputError(f"node {ns.members[-1]} outside 1..{self.n}")
-        return ns
+        return _nodes_within(s, self.n)
 
     def neighbour_ids(self, i: int) -> tuple[int, ...]:
         """Neighbours of ``i`` as a plain sorted tuple (fast path)."""
@@ -328,9 +333,7 @@ def selection_matrix(n: int, s: Iterable[int]) -> np.ndarray:
     member of ``s``, so the result has shape ``(n, len(s))`` and satisfies
     ``P.T @ P == I``. Row selection for output nodes is its transpose.
     """
-    ns = s if isinstance(s, NodeSet) else NodeSet(s)
-    if ns.members and ns.members[-1] > n:
-        raise InputError(f"node {ns.members[-1]} outside 1..{n}")
+    ns = _nodes_within(s, n)
     mat = np.zeros((n, len(ns)), dtype=float)
     for col, node in enumerate(ns):
         mat[node - 1, col] = 1.0

@@ -23,7 +23,7 @@ from .errors import (
     NoHiddenNodesError,
     SingularShiftError,
 )
-from .graph_core import Graph, NodeSet, _integral, selection_matrix
+from .graph_core import Graph, NodeSet, _integral, _nodes_within, selection_matrix
 
 __all__ = [
     "WeightMatrix",
@@ -171,11 +171,6 @@ class MarkovSequence:
             frozen.append(block)
         object.__setattr__(self, "data", tuple(frozen))
 
-    def block(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.order:
-            raise InputError(f"order {k} outside 0..{self.order}")
-        return self.data[k]
-
     def to_json(self) -> dict:
         return {
             "v_in": self.v_in.to_json(),
@@ -260,11 +255,8 @@ def markov_sequence(
     if order < 0:
         raise InputError(f"order must be >= 0, got {order}")
     n = x.entries.shape[0]
-    v_in = NodeSet(v_in)
-    v_out = NodeSet(v_out)
-    for s in (v_in, v_out):
-        if s.members and s.members[-1] > n:
-            raise InputError(f"node {s.members[-1]} outside 1..{n}")
+    v_in = _nodes_within(v_in, n)
+    v_out = _nodes_within(v_out, n)
     blocks = _markov_blocks(x.entries, v_in, v_out, order)
     return MarkovSequence(v_in=v_in, v_out=v_out, order=order, data=tuple(blocks))
 
@@ -281,8 +273,8 @@ def transfer_eval(
     SingularShiftError when ``s`` is an eigenvalue of the state matrix.
     """
     n = x.entries.shape[0]
-    v_in = NodeSet(v_in)
-    v_out = NodeSet(v_out)
+    v_in = _nodes_within(v_in, n)
+    v_out = _nodes_within(v_out, n)
     m_cols = selection_matrix(n, v_in).astype(complex)
     shifted = s * np.eye(n, dtype=complex) - x.entries
     try:
@@ -318,8 +310,8 @@ def scaling_counterexample(
     """
     entries = x.entries
     n = entries.shape[0]
-    v_in = NodeSet(v_in)
-    v_out = NodeSet(v_out)
+    v_in = _nodes_within(v_in, n)
+    v_out = _nodes_within(v_out, n)
     visible = frozenset(v_in) | frozenset(v_out)
     hidden = [i for i in range(1, n + 1) if i not in visible]
     if not hidden:

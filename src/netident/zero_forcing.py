@@ -445,25 +445,25 @@ def _repair_to_zfs(g: Graph, candidate: set[int]) -> NodeSet:
     return black
 
 
-def _path_cover_initials(g: Graph) -> set[int]:
+def _path_cover_initials(dist: list[int], parent: list[int]) -> set[int]:
     """The smaller end of each path of a minimum path cover of a tree.
 
-    Greedy over the BFS tree from node 1: nodes are visited deepest
+    Greedy over the BFS tree ``(dist, parent)``: nodes are visited deepest
     first, and each is joined to its parent while both have fewer than
     two cover edges. On a tree this keeps the most edges of any subgraph
     of maximum degree 2, so it leaves the fewest paths. An ascending scan
     then takes each unseen path end as an initial and walks its chain to
     mark the far end.
     """
-    dist, parent = _bfs(g, 1)
-    link: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for v in sorted(range(2, g.n + 1), key=dist.__getitem__, reverse=True):
+    n = len(dist) - 1
+    link: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in sorted(range(2, n + 1), key=dist.__getitem__, reverse=True):
         p = parent[v]
         if len(link[v]) < 2 and len(link[p]) < 2:
             link[v].append(p)
             link[p].append(v)
-    initials, seen = set(), [False] * (g.n + 1)
-    for u in range(1, g.n + 1):
+    initials, seen = set(), [False] * (n + 1)
+    for u in range(1, n + 1):
         if len(link[u]) < 2 and not seen[u]:
             initials.add(u)
             prev, cur = u, link[u][0] if link[u] else u
@@ -473,45 +473,41 @@ def _path_cover_initials(g: Graph) -> set[int]:
     return initials
 
 
-def _heuristic_connected(g: Graph, d1: list[int] | None = None) -> NodeSet:
-    """Heuristic ZFS for one connected graph, always verified."""
-    path = _diametral_path(g, d1)
-    interior = set(path[1:])
-    diam_candidate = _repair_to_zfs(
-        g, set(range(1, g.n + 1)) - interior
-    )
+def _heuristic_connected(g: Graph, bfs1: tuple | None = None) -> NodeSet:
+    """Verified ZFS of one connected graph from its single candidate.
 
-    if len(g.edges) == g.n - 1:  # tree: path-cover initials hit the minimum
-        cover_candidate = _repair_to_zfs(g, _path_cover_initials(g))
-        if len(cover_candidate) <= len(diam_candidate):
-            return cover_candidate
-    return diam_candidate
+    Trees take the path cover of ``bfs1``, the ``(dist, parent)`` of the
+    BFS from node 1; other graphs the ``n - diam`` diametral candidate.
+    ``bfs1`` is computed here only if missing and read: on a tree, or
+    beyond ``_EXACT_DIAMETER_MAX_NODES`` nodes.
+    """
+    if len(g.edges) == g.n - 1:  # tree: the path cover is a minimum ZFS
+        return _repair_to_zfs(g, _path_cover_initials(*(bfs1 or _bfs(g, 1))))
+    path = _diametral_path(g, bfs1 and bfs1[0])
+    return _repair_to_zfs(g, set(range(1, g.n + 1)) - set(path[1:]))
 
 
 def zfs_heuristic(g: Graph) -> NodeSet:
     """A valid zero forcing set without the exact-search size cap.
 
-    For a connected graph the initial nodes are everything off a
-    diametral shortest path except its first node, giving at most
-    ``n - diam(G)`` nodes; endpoints force down the path one node at a
-    time. Trees additionally get a minimum path cover from a greedy
-    leaves-up pass over the BFS tree from node 1, one initial node per
-    cover path (see :func:`_path_cover_initials`); on a tree that is a
-    minimum zero forcing set, and the smaller candidate wins. Every
-    candidate is verified with :func:`is_zero_forcing_set` and repaired
-    greedily if verification fails, so the result is always valid.
+    Each connected graph gets one candidate. A tree takes one end of each
+    path of a minimum path cover, built leaves-up over the BFS tree from
+    node 1 (see :func:`_path_cover_initials`); on a tree that is a
+    minimum zero forcing set. Any other connected graph takes every node
+    off a diametral shortest path except its first, at most
+    ``n - diam(G)`` nodes (see :func:`_diametral_path`). A disconnected
+    graph is solved per component and the union is returned. The
+    candidate is verified with :func:`derived_set` and repaired greedily
+    with the lowest-id stuck node until it forces, so the result is
+    always valid.
 
-    One BFS from node 1 is both the connectivity test and, beyond 512
-    nodes, the first leg of a double BFS sweep for the diametral path; up
-    to 512 nodes the path comes from one bit-parallel all-source BFS
-    sweep (see :func:`_diametral_path`). Ties go to the smallest source
-    id, then the smallest sink id. A connected graph is used as is,
-    without a relabelled copy; a disconnected one is processed per
-    component and the union is returned.
+    The BFS from node 1 that tests connectivity is reused: on a tree it
+    is the BFS tree of the cover, and beyond 512 nodes it is the first
+    leg of the double sweep for the diametral path.
     """
     if g.n == 0:
         return NodeSet()
-    d1, _ = _bfs(g, 1)
-    if d1.count(-1) > 1:  # entry 0 is always -1
+    bfs1 = _bfs(g, 1)
+    if bfs1[0].count(-1) > 1:  # entry 0 is always -1
         return _per_component(g, _heuristic_connected)
-    return _heuristic_connected(g, d1)
+    return _heuristic_connected(g, bfs1)

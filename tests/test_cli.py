@@ -212,6 +212,21 @@ class TestSim:
         assert "hidden" in err
 
 
+    @pytest.mark.parametrize("flag", ["--in", "--out-nodes"])
+    def test_counterexample_node_beyond_the_matrix_exits_two(self, tmp_path, capsys,
+                                                             flag):
+        entries = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        x = write(tmp_path, "x.csv", netident.matrix_to_csv(entries))
+        nodes = {"--in": write(tmp_path, "in.json", [1]),
+                 "--out-nodes": write(tmp_path, "out.json", [1])}
+        nodes[flag] = write(tmp_path, "bad.json", [1, 99])
+        code, out, err = run(capsys, ["sim", "counterexample", "--matrix", x,
+                                      "--in", nodes["--in"],
+                                      "--out-nodes", nodes["--out-nodes"]])
+        assert (code, out) == (2, "")
+        assert err == "input error: node 99 outside 1..3\n"
+
+
 class TestHod:
     DYN = {"A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "E": [[1.0]], "K": [[1.0]]}
 

@@ -300,6 +300,25 @@ class TestScalingCounterexample:
                 scaling_counterexample(d, [1], [1], epsilon=bad)
 
 
+class TestNodeRange:
+    CHAIN3 = DirectedWeightMatrix(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                            [0.0, 1.0, 0.0]]))
+
+    @pytest.mark.parametrize("v_in, v_out", [([1, 99], [1]), ([1], [1, 99])],
+                             ids=["in", "out"])
+    def test_node_beyond_the_matrix_is_an_input_error(self, v_in, v_out):
+        with pytest.raises(InputError, match=r"^node 99 outside 1\.\.3$"):
+            scaling_counterexample(self.CHAIN3, v_in, v_out)
+        with pytest.raises(InputError, match=r"^node 99 outside 1\.\.3$"):
+            transfer_eval(self.CHAIN3, v_in, v_out, 2.0)
+
+    def test_markov_sequence_message_is_unchanged(self):
+        for v_in, v_out in (([4], [1]), ([1], [2, 4])):
+            with pytest.raises(InputError) as exc:
+                markov_sequence(self.CHAIN3, v_in, v_out, 2)
+            assert str(exc.value) == "node 4 outside 1..3"
+
+
 class TestMatrixCsv:
     def test_roundtrip(self):
         text = matrix_to_csv(X2)

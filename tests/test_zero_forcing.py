@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from netident import (
 )
 
 from netident import zero_forcing
-from netident.zero_forcing import _diametral_path, _eccentricities
+from netident.zero_forcing import _diametral_path, _eccentricities, _repair_to_zfs
 
 from oracles import (
     adjacency,
@@ -697,3 +699,97 @@ class TestConnectivityFromTheFirstSweep:
             sources.clear()
             zfs_heuristic(Graph(n, sparse_connected_edges(rng, n, n // 2)))
             assert len(sources) == 2 and sources[0] == 1
+
+
+# -- one seed candidate per tree -------------------------------------------
+
+
+def pruefer_tree_edges(rng, n):
+    """The tree of a uniform random Pruefer sequence."""
+    if n < 2:
+        return []
+    seq = rng.integers(1, n + 1, size=n - 2).tolist()
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def caterpillar_edges(rng, n):
+    """A spine 1..k with every other node hung on a random spine node."""
+    k = int(rng.integers(1, n + 1))
+    legs = [(int(rng.integers(1, k + 1)), v) for v in range(k + 1, n + 1)]
+    return [(i, i + 1) for i in range(1, k)] + legs
+
+
+TREE_MAKERS = (random_tree_edges, pruefer_tree_edges, caterpillar_edges)
+
+
+def relabelled(rng, n, edges):
+    perm = [0] + rng.permutation(np.arange(1, n + 1)).tolist()
+    return Graph(n, [(perm[i], perm[j]) for i, j in edges])
+
+
+def random_forest(rng, sizes):
+    """A relabelled forest with one tree of each size, of mixed shapes."""
+    parts = [(k, TREE_MAKERS[i % 3](rng, k)) for i, k in enumerate(sizes)]
+    g = disjoint_union(parts)
+    return relabelled(rng, g.n, g.edges)
+
+
+def diametral_candidate(g):
+    """The n - diam candidate, repaired, summed over the components of g."""
+    size = 0
+    for comp in g.components():
+        sub = g.induced_subgraph(comp).graph
+        off_path = set(range(1, sub.n + 1)) - set(_diametral_path(sub)[1:])
+        size += len(_repair_to_zfs(sub, off_path))
+    return size
+
+
+class TestOneCandidatePerTree:
+    def test_tree_costs_one_bfs_one_closure_and_no_diametral_path(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        sources, closures = [], []
+        real_bfs, real_derived = zero_forcing._bfs, zero_forcing.derived_set
+        monkeypatch.setattr(zero_forcing, "_bfs",
+                            lambda g, s: sources.append(s) or real_bfs(g, s))
+        monkeypatch.setattr(zero_forcing, "derived_set",
+                            lambda g, z: closures.append(z) or real_derived(g, z))
+        for name in ("_diametral_path", "_eccentricities"):
+            monkeypatch.setattr(zero_forcing, name,
+                                lambda *a, name=name: pytest.fail(f"{name} on a tree"))
+        for n in (2, 3, 200, 511, 512, 513, 900, 1500):
+            for make in TREE_MAKERS:
+                g = relabelled(rng, n, make(rng, n))
+                sources.clear()
+                closures.clear()
+                got = zfs_heuristic(g)
+                assert sources == [1] and closures == [got], (make.__name__, n)
+        # A forest pays its own BFS from node 1, then one per component.
+        g = random_forest(rng, (700, 40, 1, 300))
+        sources.clear()
+        closures.clear()
+        zfs_heuristic(g)
+        assert sources == [1] * 5 and len(closures) == 4
+
+    def test_seed_is_no_larger_than_the_diametral_candidate(self):
+        rng = np.random.default_rng(89)
+        graphs = [relabelled(rng, n, TREE_MAKERS[i % 3](rng, n))
+                  for i, n in enumerate(rng.integers(2, 1500, size=24).tolist())]
+        graphs += [random_forest(rng, rng.integers(1, 400, size=k).tolist())
+                   for k in (2, 3, 5, 8)]
+        graphs += [path(1500), star(600), random_forest(rng, [1] * 9)]
+        for g in graphs:
+            got = zfs_heuristic(g)
+            assert len(got) <= diametral_candidate(g), g
+            assert is_zero_forcing_set(g, got)

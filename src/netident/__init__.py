@@ -59,10 +59,8 @@ from .netsim import (
     transfer_eval,
 )
 from .reconstruct import (
-    ExtendedMarkovTable,
     ForceStepRecord,
     ReconstructionResult,
-    force_round,
     identify,
     required_order,
 )
@@ -100,11 +98,9 @@ __all__ = [
     "scaling_counterexample",
     "matrix_to_csv",
     "matrix_from_csv",
-    "ExtendedMarkovTable",
     "ReconstructionResult",
     "ForceStepRecord",
     "required_order",
-    "force_round",
     "identify",
     "NodeDynamics",
     "LiftedSystem",

@@ -29,7 +29,7 @@ from .errors import (
     InputError,
 )
 from .graph_core import NodeSet, selection_matrix
-from .netsim import MarkovSequence, WeightMatrix
+from .netsim import MarkovSequence, WeightMatrix, _check_finite
 
 __all__ = [
     "NodeDynamics",
@@ -63,6 +63,7 @@ class NodeDynamics:
             mat = np.array(getattr(self, name), dtype=float)
             if mat.ndim != 2:
                 raise InputError(f"{name} must be a 2-d matrix, got ndim={mat.ndim}")
+            _check_finite(mat, name)
             mat.setflags(write=False)
             mats[name] = mat
             object.__setattr__(self, name, mat)

@@ -35,7 +35,6 @@ class IdentifiabilityReport:
     """Outcome of certifying one (graph, inputs, outputs) instance."""
 
     w: NodeSet
-    derived: NodeSet
     chronicle: ForcingChronicle
     certified_full: bool
     certified_nodes: NodeSet
@@ -93,7 +92,6 @@ def certify(g: Graph, v_in: Iterable[int], v_out: Iterable[int]) -> Identifiabil
 
     return IdentifiabilityReport(
         w=w,
-        derived=derived,
         chronicle=chronicle,
         certified_full=certified_full,
         certified_nodes=derived,

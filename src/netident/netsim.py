@@ -42,6 +42,15 @@ __all__ = [
 DEFAULT_WEIGHT_RANGE = (0.5, 2.0)
 
 
+def _check_finite(entries: np.ndarray, what: str) -> None:
+    """Raise InputError naming the first NaN or infinite entry of ``entries``."""
+    bad = ~np.isfinite(entries)
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        at = ",".join(str(i + 1) for i in index)
+        raise InputError(f"{what} entry ({at}) is not finite: {entries[index]}")
+
+
 def check_pattern(graph: Graph, entries: np.ndarray, positive: bool = True) -> None:
     """Validate a matrix against a graph's qualitative class.
 
@@ -55,6 +64,7 @@ def check_pattern(graph: Graph, entries: np.ndarray, positive: bool = True) -> N
     entries = np.asarray(entries, dtype=float)
     if entries.shape != (n, n):
         raise InputError(f"matrix shape {entries.shape} does not match n={n}")
+    _check_finite(entries, "matrix")
     if not np.array_equal(entries, entries.T):
         i, j = np.argwhere(entries != entries.T)[0]
         raise InputError(f"matrix is not symmetric at ({i + 1},{j + 1})")
@@ -120,6 +130,7 @@ class DirectedWeightMatrix:
         entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InputError(f"expected a square matrix, got shape {entries.shape}")
+        _check_finite(entries, "matrix")
         off = ~np.eye(entries.shape[0], dtype=bool)
         if (entries[off] < 0.0).any():
             i, j = np.argwhere(off & (entries < 0.0))[0]
@@ -161,6 +172,7 @@ class MarkovSequence:
             block = np.array(block, dtype=float)
             if block.ndim != 2:
                 raise InputError(f"block {k} must be a 2-d matrix, got ndim={block.ndim}")
+            _check_finite(block, f"Markov block {k}")
             if shape is None:
                 shape = block.shape
             elif block.shape != shape:
@@ -341,9 +353,9 @@ def scaling_counterexample(
                 "symmetric (sign-free) rescaling requires epsilon = -1; "
                 "any other value breaks symmetry"
             )
-    elif not (epsilon > 0.0 and epsilon != 1.0):
+    elif not (0.0 < epsilon < np.inf and epsilon != 1.0):
         raise InputError(
-            f"directed rescaling requires a positive epsilon != 1, got {epsilon}"
+            f"directed rescaling requires a finite positive epsilon != 1, got {epsilon}"
         )
 
     scale = np.ones(n)
@@ -388,4 +400,5 @@ def matrix_from_csv(text: str) -> np.ndarray:
     mat = np.asarray(rows, dtype=float)
     if mat.shape != (n, n):
         raise InputError(f"matrix CSV rows have wrong length for n={n}")
+    _check_finite(mat, "matrix CSV")
     return mat

@@ -1,12 +1,16 @@
 """Constructive weight recovery along a forcing chronicle, round by round.
 
 Measured Markov parameters give the entries ``(X^k)_{ij}`` for the nodes
-that are both excited and measured. A forcing round extends that dense
-power table to the nodes it forces. Write B for the current level set,
-U for the round's forcing nodes, V for the nodes they force, P for the
-known block ``X[U,B]`` (zero outside each forcing node's closed
-neighbourhood) and D for the diagonal of the new edge weights
-``X_{u v}``. Any symmetric, positively-patterned state matrix obeys:
+that are both excited and measured. :func:`identify` holds every power
+it knows in one dense array, indexed by order and by the position of a
+node: the overlap nodes in ascending order, then the forced nodes in
+the order the chronicle forces them. A forcing round fills in the rows
+and columns of the nodes it forces. Write B for the nodes known at the
+round's start, U for the round's forcing nodes, V for the nodes they
+force, P for the known block ``X[U,B]`` (zero outside each forcing
+node's closed neighbourhood) and D for the diagonal of the new edge
+weights ``X_{u v}``. Any symmetric, positively-patterned state matrix
+obeys:
 
 * ``D^2 = diag((X^2)[U,U] - P P^T)``, and the positive branch of each
   square root is forced by the sign constraint;
@@ -35,87 +39,19 @@ from .errors import (
     InsufficientOrderError,
     UncertifiedTargetError,
 )
-from .graph_core import Graph, NodeSet, _integral
+from .graph_core import Graph, NodeSet
 from .netsim import MarkovSequence
 from .zero_forcing import ForcingChronicle, derived_set
 
 __all__ = [
-    "ExtendedMarkovTable",
     "ReconstructionResult",
     "ForceStepRecord",
     "required_order",
-    "force_round",
     "identify",
 ]
 
 # A recovered squared edge weight at most this times its scale vanishes.
 DEGENERACY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ExtendedMarkovTable:
-    """Dense power table over a growing virtual input/output node set.
-
-    ``powers[k, a, b]`` holds ``(X^k)_{ij}`` for ``0 <= k <= max_order``,
-    where i and j are the members at positions a and b of ``level_set``.
-    The array has shape ``(max_order + 1, |L|, |L|)``, is symmetric in its
-    last two axes, and is made read-only on construction. Forcing rounds
-    enlarge the level set and shrink the usable order by two.
-    """
-
-    level_set: NodeSet
-    max_order: int
-    powers: np.ndarray
-
-    def __post_init__(self):
-        powers = np.asarray(self.powers, dtype=float)
-        size = len(self.level_set)
-        if powers.shape != (self.max_order + 1, size, size):
-            raise InputError(
-                f"power table has shape {powers.shape}, expected "
-                f"{(self.max_order + 1, size, size)}"
-            )
-        if not np.array_equal(powers, powers.transpose(0, 2, 1)):
-            raise InputError("power table is not symmetric in its node axes")
-        powers.setflags(write=False)
-        object.__setattr__(self, "powers", powers)
-
-    def get(self, k: int, i: int, j: int) -> float:
-        level = self.level_set
-        if not (0 <= k <= self.max_order and i in level and j in level):
-            raise InputError(
-                f"table entry (X^{k})_{{{i},{j}}} unavailable "
-                f"(level set {list(level)}, max order {self.max_order})"
-            )
-        return float(self.powers[k, level.index(i), level.index(j)])
-
-    @classmethod
-    def from_markov(
-        cls, markov: MarkovSequence, order: int | None = None
-    ) -> "ExtendedMarkovTable":
-        """Seed the table with the overlap block of a measured sequence.
-
-        Only nodes that are both inputs and outputs contribute; their
-        (i, j) and (j, i) samples are averaged, which is the identity for
-        data from any symmetric generator. Orders above ``order`` (all of
-        them by default) are not read.
-        """
-        order = markov.order if order is None else order
-        if not 0 <= order <= markov.order:
-            raise InputError(f"order {order} outside 0..{markov.order}")
-        expected = (len(markov.v_out), len(markov.v_in))
-        if markov.data[0].shape != expected:
-            raise InputError(
-                f"Markov blocks have shape {markov.data[0].shape}, expected "
-                f"{expected} = (|v_out|, |v_in|)"
-            )
-        w = markov.v_in.intersection(markov.v_out)
-        rows = [markov.v_out.index(node) for node in w]
-        cols = [markov.v_in.index(node) for node in w]
-        blocks = np.asarray(markov.data[: order + 1])
-        overlap = blocks[np.ix_(range(order + 1), rows, cols)]
-        powers = 0.5 * (overlap + overlap.transpose(0, 2, 1))
-        return cls(level_set=w, max_order=order, powers=powers)
 
 
 def required_order(chronicle: ForcingChronicle) -> int:
@@ -127,111 +63,6 @@ def required_order(chronicle: ForcingChronicle) -> int:
     forces.
     """
     return 2 * len(chronicle.rounds) + 2
-
-
-def force_round(
-    table: ExtendedMarkovTable,
-    g: Graph,
-    forces: Iterable[tuple[int, int]],
-) -> ExtendedMarkovTable:
-    """Extend the table across one propagation round of forces ``u -> v``.
-
-    Preconditions, for each force: ``u`` is in the level set, ``v`` is a
-    neighbour of ``u`` outside it and forced by no other force of the
-    round, every other closed-neighbourhood member of ``u`` is inside the
-    level set at the round's start (the colour-change precondition), and
-    at least three orders are usable.
-
-    The returned table covers the level set plus the forced nodes with
-    ``max_order`` reduced by two. Each recovered edge weight is strictly
-    positive; measured data for which one vanishes or comes out negative
-    cannot stem from a positively-weighted symmetric matrix on this graph.
-    """
-    level = table.level_set
-    forces = [(u if type(u) is int else _integral(u, "forcing node"),
-               v if type(v) is int else _integral(v, "forced node"))
-              for u, v in forces]
-    if not forces:
-        raise InputError("a forcing round needs at least one force")
-    forced: set[int] = set()
-    known_cols: list[list[int]] = []
-    for u, v in forces:
-        if u not in level:
-            raise InputError(f"forcing node {u} is not in the level set {list(level)}")
-        if v in level:
-            raise InputError(f"forced node {v} is already in the level set")
-        if v in forced:
-            raise InputError(f"forced node {v} is forced twice in one round")
-        if not g.has_edge(u, v):
-            raise InputError(f"({u},{v}) is not an edge; only neighbours can be forced")
-        rest = [z for z in g.closed_neighbourhood(u) if z != v]
-        outside = [z for z in rest if z not in level]
-        if outside:
-            raise InputError(
-                f"force ({u},{v}) violates the colour-change precondition: "
-                f"neighbourhood nodes {outside} are outside the level set"
-            )
-        forced.add(v)
-        known_cols.append([level.index(z) for z in rest])
-    k_max = table.max_order
-    if k_max < 3:
-        raise InsufficientOrderError(
-            f"table order {k_max} exhausted: a round needs orders k+1 and k+2; "
-            "supply a sequence of order >= 2R+2 for an R-round chronicle "
-            "(2L+2 for L forces applied one per round)",
-            required=None,
-        )
-
-    t = table.powers
-    ui = [level.index(u) for u, _ in forces]
-    size_b, size_v = len(level), len(forces)
-    p = np.zeros((size_v, size_b))
-    for a, cols in enumerate(known_cols):
-        p[a, cols] = t[1, ui[a], cols]
-
-    # Squared edge weights from the second power at the forcing nodes.
-    power2 = t[2, ui, ui]
-    squared = power2 - (p * p).sum(axis=1)
-    for a, (u, v) in enumerate(forces):
-        scale = max(1.0, abs(power2[a]), float((p[a] * p[a]).max(initial=0.0)))
-        if abs(squared[a]) <= DEGENERACY_TOL * scale:
-            raise DegenerateWeightError(
-                f"forced edge ({u},{v}) has vanishing recovered weight: measured "
-                "data is inconsistent with a positively-weighted matrix on this graph"
-            )
-        if squared[a] < 0.0:
-            raise InconsistentDataError(
-                f"recovered squared weight of edge ({u},{v}) is negative "
-                f"({squared[a]:.3e}): data does not come from a symmetric "
-                "positively-patterned matrix on this graph"
-            )
-    d = np.sqrt(squared)
-
-    # X^k[V,B], then X^k[V,V], for k = 1..k_max-2. The powers are
-    # symmetric, so one product over the stacked X^k gives every X^k P^T.
-    kk = k_max - 2
-    tp = (t[1 : k_max - 1].reshape(-1, size_b) @ p.T).reshape(kk, size_b, size_v)
-    vb = (t[2:k_max, ui, :] - tp.transpose(0, 2, 1)) / d[:, None]
-    m = (vb.reshape(-1, size_b) @ p.T).reshape(kk, size_v, size_v)  # X^k[V,B] P^T
-    acc = t[3:][:, ui][:, :, ui] - p @ tp
-    acc -= m.transpose(0, 2, 1) * d + d[:, None] * m
-    vv = acc / (d[:, None] * d)
-    vv = 0.5 * (vv + vv.transpose(0, 2, 1))
-
-    # Assemble in [B, V] order, then permute to the sorted level set.
-    full = np.zeros((kk + 1, size_b + size_v, size_b + size_v))
-    full[:, :size_b, :size_b] = t[: kk + 1]
-    full[0, size_b:, size_b:] = np.eye(size_v)
-    full[1:, size_b:, :size_b] = vb
-    full[1:, :size_b, size_b:] = vb.transpose(0, 2, 1)
-    full[1:, size_b:, size_b:] = vv
-    nodes = list(level) + [v for _, v in forces]
-    perm = np.argsort(nodes)
-    return ExtendedMarkovTable(
-        level_set=NodeSet(nodes),
-        max_order=kk,
-        powers=full[:, perm[:, None], perm],
-    )
 
 
 @dataclass(frozen=True)
@@ -283,11 +114,13 @@ def identify(
     Seeds the power table with the input/output overlap block, replays
     the deterministic round chronicle of the overlap's derived set (see
     :func:`~netident.zero_forcing.derived_set`) round by round until the
-    target nodes are covered, and reads the weights off the
-    first power. Replaying R rounds reads only orders up to 2R + 2 of the
-    data, so a longer sequence gives the same result. Non-edges inside
-    the target are never written, so they are exactly zero in the
-    result; edge entries are checked to be strictly positive.
+    target nodes are covered, and reads the weights off the first power.
+    Replaying R rounds reads only orders up to 2R + 2 of the data, so a
+    longer sequence gives the same result. Non-edges inside the target
+    are never written, so they are exactly zero in the result; edge
+    entries are checked to be strictly positive. A recovered squared
+    weight that vanishes raises DegenerateWeightError, a negative one
+    InconsistentDataError.
     """
     target = g.check_nodes(target)
     w = markov.v_in.intersection(markov.v_out)
@@ -321,11 +154,73 @@ def identify(
             f"({sum(map(len, prefix))} force(s)) needs order {needed}",
             required=needed,
         )
+    expected = (len(markov.v_out), len(markov.v_in))
+    if markov.data[0].shape != expected:
+        raise InputError(
+            f"Markov blocks have shape {markov.data[0].shape}, expected "
+            f"{expected} = (|v_out|, |v_in|)"
+        )
 
-    table = ExtendedMarkovTable.from_markov(markov, needed)
+    # powers[k, pos[i], pos[j]] = (X^k)_{ij}: the overlap first, with its
+    # (i, j) and (j, i) samples averaged, then each round's forced nodes.
+    nodes = list(w) + [v for forces in prefix for _, v in forces]
+    pos = {node: a for a, node in enumerate(nodes)}
+    powers = np.zeros((needed + 1, len(nodes), len(nodes)))
+    rows = [markov.v_out.index(node) for node in w]
+    cols = [markov.v_in.index(node) for node in w]
+    overlap = np.asarray(markov.data[: needed + 1])[np.ix_(range(needed + 1), rows, cols)]
+    b = len(w)
+    powers[:, :b, :b] = 0.5 * (overlap + overlap.transpose(0, 2, 1))
+    powers[0, b:, b:] = np.eye(len(nodes) - b)
+
     records: list[ForceStepRecord] = []
+    nbrs = g.neighbour_rows
     for rnd, forces in enumerate(prefix, start=1):
-        table = force_round(table, g, forces)
+        # Round rnd reads orders 1..k_max and writes orders 1..k_max-2 of
+        # V = positions b..e-1, against the known block B = positions 0..b-1.
+        k_max = needed - 2 * (rnd - 1)
+        e = b + len(forces)
+        ui = [pos[u] for u, _ in forces]
+        p = np.zeros((len(forces), b))
+        for a, (u, v) in enumerate(forces):
+            known = [pos[z] for z in nbrs[u] if z != v]
+            known.append(ui[a])
+            p[a, known] = powers[1, ui[a], known]
+
+        # Squared edge weights from the second power at the forcing nodes.
+        power2 = powers[2, ui, ui]
+        pp = p * p
+        squared = power2 - pp.sum(axis=1)
+        scale = np.maximum(np.maximum(1.0, np.abs(power2)), pp.max(axis=1, initial=0.0))
+        degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
+        bad = np.flatnonzero(degenerate | (squared < 0.0))
+        if bad.size:
+            a = bad[0]
+            u, v = forces[a]
+            if degenerate[a]:
+                raise DegenerateWeightError(
+                    f"forced edge ({u},{v}) has vanishing recovered weight: measured "
+                    "data is inconsistent with a positively-weighted matrix on this graph"
+                )
+            raise InconsistentDataError(
+                f"recovered squared weight of edge ({u},{v}) is negative "
+                f"({squared[a]:.3e}): data does not come from a symmetric "
+                "positively-patterned matrix on this graph"
+            )
+        d = np.sqrt(squared)
+
+        # X^k[V,B], then X^k[V,V], for k = 1..k_max-2. The powers are
+        # symmetric, so one product over the stacked X^k gives every X^k P^T.
+        tp = powers[1 : k_max - 1, :b, :b] @ p.T
+        vb = (powers[2:k_max, ui, :b] - tp.transpose(0, 2, 1)) / d[:, None]
+        m = vb @ p.T  # X^k[V,B] P^T
+        acc = powers[np.ix_(range(3, k_max + 1), ui, ui)] - p @ tp
+        acc -= m.transpose(0, 2, 1) * d + d[:, None] * m
+        vv = acc / (d[:, None] * d)
+        ks = slice(1, k_max - 1)
+        powers[ks, b:e, :b] = vb
+        powers[ks, :b, b:e] = vb.transpose(0, 2, 1)
+        powers[ks, b:e, b:e] = 0.5 * (vv + vv.transpose(0, 2, 1))
         for u, v in forces:
             records.append(
                 ForceStepRecord(
@@ -333,14 +228,20 @@ def identify(
                     round=rnd,
                     forcing_node=u,
                     forced_node=v,
-                    weight=table.get(1, u, v),
+                    weight=float(powers[1, pos[u], pos[v]]),
                 )
             )
+        b = e
+    if not np.isfinite(powers[1]).all():
+        raise InputError(
+            "Markov data is beyond float64 range: the recovered first power "
+            "is not finite"
+        )
 
     members = target.members
     size = len(members)
-    pos = [table.level_set.index(i) for i in members]
-    block = table.powers[1][np.ix_(pos, pos)]
+    at = [pos[i] for i in members]
+    block = powers[1][np.ix_(at, at)]
     # Upper-triangle edge mask of the target, by position in ``members``.
     lookup = np.full(g.n + 1, -1)
     lookup[list(members)] = np.arange(size)

@@ -21,7 +21,6 @@ from netident import (
     coupling_condition,
     deconvolve,
     derived_set,
-    force_round,
     identify,
     is_zero_forcing_set,
     lifted_markov,
@@ -32,7 +31,6 @@ from netident import (
     scaling_counterexample,
     zfs_heuristic,
 )
-from netident.reconstruct import ExtendedMarkovTable
 
 from oracles import exhaustive_min_zfs, naive_derived, random_connected_edges, random_graph_edges
 
@@ -253,10 +251,6 @@ def test_criterion_8_worked_two_node_example():
 
     markov = markov_sequence(WeightMatrix(g, x), [1], [1], 4)
     assert [float(b[0, 0]) for b in markov.data] == [1.0, 1.0, 5.0, 21.0, 89.0]
-    table = ExtendedMarkovTable.from_markov(markov)
-    stepped = force_round(table, g, [(1, 2)])
-    assert stepped.get(1, 1, 2) == 2.0
-    assert stepped.get(1, 2, 2) == 3.0
     recovered = identify(markov, g, [1, 2]).recovered
     np.testing.assert_array_equal(recovered, x)
     _record(8, "Markov sequence [1, 1, 5, 21, ...]; force (1,2) recovers "

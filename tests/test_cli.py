@@ -371,6 +371,50 @@ class TestErrorsAndPlumbing:
         assert json.loads(out)["verdict"] == "CERTIFIED_FULL"
 
 
+class TestNonFiniteInput:
+    """NaN or infinity anywhere in a numeric input file exits 2, prints nothing."""
+
+    @pytest.mark.parametrize("k, bad", [(1, float("nan")), (3, float("inf"))],
+                             ids=["nan-order-1", "inf-order-3"])
+    def test_ident_recover(self, tmp_path, capsys, k, bad):
+        graph = Graph(4, [(1, 2), (2, 3), (3, 4)])
+        blob = markov_sequence(random_weights(graph, seed=5), [1], [1], 8).to_json()
+        blob["data"][k][0][0] = bad
+        g = write(tmp_path, "g.json", path_json(4))
+        m = write(tmp_path, "m.json", blob)
+        t = write(tmp_path, "t.json", [1, 2, 3, 4])
+        assert ("NaN" if k == 1 else "Infinity") in Path(m).read_text()
+        code, out, err = run(capsys, ["ident", "recover", "--graph", g, "--markov", m,
+                                      "--target", t])
+        assert (code, out) == (2, "")
+        assert err == f"input error: Markov block {k} entry (1,1) is not finite: {bad}\n"
+
+    @pytest.mark.parametrize("with_graph", [False, True], ids=["directed", "graph"])
+    def test_sim_counterexample(self, tmp_path, capsys, with_graph):
+        x = write(tmp_path, "x.csv", "n,3\n0,nan,0\nnan,0,1\n0,1,inf\n")
+        vin = write(tmp_path, "in.json", [1])
+        graph = ["--graph", write(tmp_path, "g.json", path_json(3))] if with_graph else []
+        code, out, err = run(capsys, ["sim", "counterexample", "--matrix", x, "--in", vin,
+                                      "--out-nodes", vin, *graph])
+        assert (code, out) == (2, "")
+        assert err == "input error: matrix CSV entry (1,2) is not finite: nan\n"
+
+    def test_sim_markov(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", path_json(2))
+        x = write(tmp_path, "x.csv", "n,2\n1,2\n2,nan\n")
+        vin = write(tmp_path, "in.json", [1])
+        code, out, err = run(capsys, ["sim", "markov", "--graph", g, "--matrix", x,
+                                      "--in", vin, "--out-nodes", vin, "--order", "3"])
+        assert (code, out) == (2, "")
+        assert "not finite" in err
+
+    def test_hod_check(self, tmp_path, capsys):
+        d = write(tmp_path, "d.json", {**TestHod.DYN, "A": [[float("nan")]]})
+        code, out, err = run(capsys, ["hod", "check", "--dyn", d])
+        assert (code, out) == (2, "")
+        assert err == "input error: A entry (1,1) is not finite: nan\n"
+
+
 class TestOneParserPerProcess:
     def commands(self, tmp_path):
         """Every subcommand once on a 4-node path, then one domain error

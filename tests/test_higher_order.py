@@ -76,6 +76,13 @@ class TestNodeDynamics:
             NodeDynamics(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
                          E=np.ones((2, 1)), K=np.ones((2, 2)))
 
+    @pytest.mark.parametrize("name", list("ABCEK"))
+    def test_non_finite_entry_is_refused(self, name):
+        mats = {m: np.ones((1, 1)) for m in "ABCEK"}
+        mats[name] = np.array([[np.nan]])
+        with pytest.raises(InputError, match=rf"^{name} entry \(1,1\) is not finite"):
+            NodeDynamics(**mats)
+
     def test_json_roundtrip(self):
         dyn = random_dyn(np.random.default_rng(0), 2, r=1, t=3, s=2)
         again = NodeDynamics.from_json(dyn.to_json())

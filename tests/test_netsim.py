@@ -295,7 +295,7 @@ class TestScalingCounterexample:
         with pytest.raises(InputError, match="-1"):
             scaling_counterexample(x, [1], [1], epsilon=2.0)
         d = DirectedWeightMatrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        for bad in (-1.0, 0.0, 1.0):
+        for bad in (-1.0, 0.0, 1.0, np.inf, np.nan):
             with pytest.raises(InputError):
                 scaling_counterexample(d, [1], [1], epsilon=bad)
 
@@ -332,3 +332,29 @@ class TestMatrixCsv:
     def test_row_count_mismatch(self):
         with pytest.raises(InputError):
             matrix_from_csv("n,2\n1.0,2.0\n")
+
+
+class TestNonFinite:
+    """Every numeric input refuses NaN and infinity, naming the first entry."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_matrix_input(self, bad):
+        entries = X2.copy()
+        entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(InputError, match=r"matrix entry \(1,2\) is not finite"):
+            check_pattern(P2, entries)
+        with pytest.raises(InputError, match=r"matrix entry \(1,2\) is not finite"):
+            DirectedWeightMatrix(entries)
+        with pytest.raises(InputError, match=r"matrix CSV entry \(1,2\) is not finite"):
+            matrix_from_csv(matrix_to_csv(entries))
+
+    def test_markov_blocks(self):
+        data = (np.eye(1), np.array([[1.0]]), np.array([[np.nan]]))
+        with pytest.raises(InputError, match=r"Markov block 2 entry \(1,1\) is not finite"):
+            MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=2, data=data)
+
+    def test_overflowing_markov_sequence_raises(self):
+        x = WeightMatrix(P2, X2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InputError, match="not finite"):
+                markov_sequence(x, [1], [1], 1000)

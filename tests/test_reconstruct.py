@@ -3,7 +3,6 @@ import pytest
 
 from netident import (
     DegenerateWeightError,
-    ExtendedMarkovTable,
     ForcingChronicle,
     Graph,
     InconsistentDataError,
@@ -14,7 +13,6 @@ from netident import (
     UncertifiedTargetError,
     WeightMatrix,
     derived_set,
-    force_round,
     identify,
     markov_sequence,
     random_weights,
@@ -74,134 +72,35 @@ class TestRequiredOrder:
 
 
 class TestForceStep:
+    """One forcing round on P2, replayed by identify."""
+
     def test_worked_two_node_example(self):
         markov = markov_sequence(WeightMatrix(P2, X2), [1], [1], 4)
-        table = ExtendedMarkovTable.from_markov(markov)
-        assert table.level_set == NodeSet([1])
-        assert table.max_order == 4
-        stepped = force_round(table, P2, [(1, 2)])
+        result = identify(markov, P2, [1, 2])
         # X_12 = sqrt(5 - 1) = 2, then X_22 = (21 - 1 - 4 - 4) / 4 = 3.
-        assert stepped.get(1, 1, 2) == pytest.approx(2.0)
-        assert stepped.get(1, 2, 2) == pytest.approx(3.0)
-        assert stepped.level_set == NodeSet([1, 2])
-        assert stepped.max_order == 2
-
-    def test_intermediate_entries_match_matrix_powers(self):
-        rng = np.random.default_rng(19)
-        for _ in range(10):
-            n = int(rng.integers(3, 8))
-            g = Graph(n, random_connected_edges(rng, n))
-            x = random_weights(g, seed=int(rng.integers(1 << 30)))
-            w = zfs_heuristic(g)
-            _, chron = derived_set(g, w)
-            markov = markov_sequence(x, w, w, required_order(chron))
-            table = ExtendedMarkovTable.from_markov(markov)
-            for forces in chron.round_forces():
-                table = force_round(table, g, forces)
-            powers = {1: x.entries}
-            for k in range(2, table.max_order + 1):
-                powers[k] = powers[k - 1] @ x.entries
-            scale = max(1.0, np.abs(x.entries).max())
-            for k in range(1, table.max_order + 1):
-                ref_scale = max(1.0, np.abs(powers[k]).max())
-                for i in table.level_set:
-                    for j in table.level_set:
-                        got = table.get(k, i, j)
-                        want = powers[k][i - 1, j - 1]
-                        assert abs(got - want) <= 1e-8 * ref_scale, (k, i, j)
-            assert scale  # generator well-formed
-
-    def test_round_rejects_dependent_and_duplicate_forces(self):
-        g = path(3)
-        table = ExtendedMarkovTable.from_markov(
-            markov_sequence(random_weights(g, seed=1), [1], [1], 6)
-        )
-        with pytest.raises(InputError, match="forcing node 2 is not in the level set"):
-            force_round(table, g, [(1, 2), (2, 3)])
-        star = Graph(3, [(1, 2), (1, 3)])
-        table = ExtendedMarkovTable.from_markov(
-            markov_sequence(random_weights(star, seed=1), [2, 3], [2, 3], 6)
-        )
-        with pytest.raises(InputError, match="forced twice"):
-            force_round(table, star, [(2, 1), (3, 1)])
-
-    @pytest.mark.parametrize("bad", [1.5, "2", True])
-    def test_non_integral_force_is_refused(self, bad):
-        g = path(3)
-        table = ExtendedMarkovTable.from_markov(
-            markov_sequence(random_weights(g, seed=1), [1, 2], [1, 2], 6)
-        )
-        # As forcing node (2 is in the level set) and as forced node (3 is not).
-        for forces in ([(bad, 3)], [(2, bad)]):
-            with pytest.raises(InputError, match="must be an integer"):
-                force_round(table, g, forces)
-
-    def test_integral_force_values_pass(self):
-        g = path(3)
-        table = ExtendedMarkovTable.from_markov(
-            markov_sequence(random_weights(g, seed=1), [1, 2], [1, 2], 6)
-        )
-        want = force_round(table, g, [(2, 3)])
-        for forces in ([(2.0, 3.0)], [(np.int64(2), np.int32(3))]):
-            got = force_round(table, g, forces)
-            assert got.level_set == want.level_set
-            np.testing.assert_array_equal(got.powers, want.powers)
-
-    def test_second_white_neighbour_violates_precondition(self):
-        # Star centre with one black leaf: two whites in the way.
-        star = Graph(4, [(1, 2), (1, 3), (1, 4)])
-        markov = markov_sequence(random_weights(star, seed=1), [1], [1], 6)
-        table = ExtendedMarkovTable.from_markov(markov)
-        with pytest.raises(InputError, match="precondition"):
-            force_round(table, star, [(1, 2)])
-
-    def test_non_edge_cannot_be_forced(self):
-        g = path(3)
-        markov = markov_sequence(random_weights(g, seed=1), [1], [1], 6)
-        table = ExtendedMarkovTable.from_markov(markov)
-        with pytest.raises(InputError, match="not an edge"):
-            force_round(table, g, [(1, 3)])
+        assert result.recovered[0, 1] == pytest.approx(2.0)
+        assert result.recovered[1, 1] == pytest.approx(3.0)
+        assert result.diagnostics[0].weight == pytest.approx(2.0)
+        assert result.residual_order == 2
 
     def test_order_two_table_is_insufficient(self):
         markov = markov_sequence(WeightMatrix(P2, X2), [1], [1], 2)
-        table = ExtendedMarkovTable.from_markov(markov)
-        with pytest.raises(InsufficientOrderError, match="2L\\+2"):
-            force_round(table, P2, [(1, 2)])
+        with pytest.raises(InsufficientOrderError, match="needs order 4") as err:
+            identify(markov, P2, [1, 2])
+        assert err.value.required == 4
 
     def test_degenerate_edge_weight(self):
         # Claimed graph P2 but the generator carries no (1,2) coupling.
         markov = seq_from_raw(np.diag([1.0, 3.0]), [1], [1], 4)
-        table = ExtendedMarkovTable.from_markov(markov)
         with pytest.raises(DegenerateWeightError, match="vanishing"):
-            force_round(table, P2, [(1, 2)])
+            identify(markov, P2, [1, 2])
 
     def test_negative_square_is_inconsistent(self):
         # Handcrafted data no symmetric matrix can produce: (X^2)_11 < X_11^2.
-        table = ExtendedMarkovTable(
-            level_set=NodeSet([1]),
-            max_order=4,
-            powers=np.array([1.0, 2.0, 1.0, 0.0, 0.0]).reshape(5, 1, 1),
-        )
+        data = tuple(np.array([[v]]) for v in (1.0, 2.0, 1.0, 0.0, 0.0))
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=4, data=data)
         with pytest.raises(InconsistentDataError, match="negative"):
-            force_round(table, P2, [(1, 2)])
-
-
-class TestTable:
-    def test_rejects_wrong_shape_and_asymmetry(self):
-        with pytest.raises(InputError, match="shape"):
-            ExtendedMarkovTable(NodeSet([1, 2]), 2, np.zeros((2, 2, 2)))
-        lopsided = np.zeros((3, 2, 2))
-        lopsided[1, 0, 1] = 1.0
-        with pytest.raises(InputError, match="symmetric"):
-            ExtendedMarkovTable(NodeSet([1, 2]), 2, lopsided)
-
-    def test_get_outside_table(self):
-        markov = markov_sequence(WeightMatrix(P2, X2), [1], [1], 4)
-        table = ExtendedMarkovTable.from_markov(markov, 3)
-        assert table.max_order == 3 and table.get(3, 1, 1) == 21.0
-        for k, i, j in ((4, 1, 1), (-1, 1, 1), (1, 1, 2)):
-            with pytest.raises(InputError, match="unavailable"):
-                table.get(k, i, j)
+            identify(markov, P2, [1, 2])
 
 
 class TestIdentify:
@@ -256,6 +155,14 @@ class TestIdentify:
         with pytest.raises(InputError, match="shape"):
             identify(wide, g, g.nodes)
 
+    def test_data_beyond_float64_range_is_refused(self):
+        # Finite data whose replay overflows: no NaN or inf comes back.
+        data = tuple(np.array([[v]]) for v in (1.0, 10.0) + (1e307,) * 7)
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=8, data=data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InputError, match="not finite"):
+                identify(markov, path(4), [1, 2, 3, 4])
+
     def test_insufficient_order_names_requirement(self):
         g = path(3)
         w = NodeSet([1])
@@ -296,6 +203,16 @@ class TestIdentify:
         result = identify(markov, g, g.nodes)
         assert [d.step for d in result.diagnostics] == [1, 2]
         assert result.diagnostics[0].weight == pytest.approx(x.entries[0, 1], rel=1e-9)
+
+    def test_diagnostics_weights_are_the_recovered_entries(self):
+        g = grid(8)
+        w = zfs_heuristic(g)
+        _, chron = derived_set(g, w)
+        markov = markov_sequence(random_weights(g, seed=1), w, w, required_order(chron))
+        result = identify(markov, g, g.nodes)
+        assert len(result.diagnostics) == len(chron.forces)
+        for d in result.diagnostics:
+            assert d.weight == result.recovered[d.forcing_node - 1, d.forced_node - 1]
 
     def test_recovered_edges_strictly_positive(self):
         rng = np.random.default_rng(61)

@@ -202,14 +202,6 @@ class Graph:
         """
         return self._neighbour_ids
 
-    def neighbours(self, i: int) -> NodeSet:
-        """All nodes ``j`` with an edge ``{i, j}``."""
-        return NodeSet(self.neighbour_ids(i))
-
-    def closed_neighbourhood(self, i: int) -> NodeSet:
-        """``{i}`` together with the neighbours of ``i``."""
-        return NodeSet((i,) + self.neighbour_ids(i))
-
     def degree(self, i: int) -> int:
         return len(self.neighbour_ids(i))
 
@@ -219,7 +211,14 @@ class Graph:
 
     @property
     def nodes(self) -> NodeSet:
-        return NodeSet(range(1, self.n + 1))
+        return NodeSet._trusted(tuple(range(1, self.n + 1)))
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """Read-only ``(m, 2)`` array of 0-based edge ends, in ``edges`` order."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2) - 1
+        ends.setflags(write=False)
+        return ends
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -252,9 +251,6 @@ class Graph:
             out.append(NodeSet._trusted(tuple(comp)))
             start = seen.find(0, start + 1)
         return out
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
 
     # -- derived graphs ---------------------------------------------------
 

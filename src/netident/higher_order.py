@@ -208,25 +208,19 @@ def lifted_markov(sys: LiftedSystem, order: int) -> MarkovSequence:
     )
 
 
-def _mixing_tables(dyn: NodeDynamics, order: int) -> list[list[np.ndarray]]:
-    """R[k][i] = C G_{k,i} B where G sums all k-letter words with i
-    coupling letters; G recursion: G_{k,i} = A G_{k-1,i} + EK G_{k-1,i-1}."""
+def _mixing_tables(dyn: NodeDynamics, order: int) -> np.ndarray:
+    """R[k, i] = C G_{k,i} B where G sums all k-letter words with i
+    coupling letters; G recursion: G_{k,i} = A G_{k-1,i} + EK G_{k-1,i-1}.
+
+    Shape ``(order+1, order+1, t, r)``; entries with i > k are zero.
+    """
     q = dyn.state_dim
-    words: list[dict[int, np.ndarray]] = [{0: np.eye(q)}]
+    words = np.zeros((order + 1, order + 1, q, q))
+    words[0, 0] = np.eye(q)
     for k in range(1, order + 1):
-        prev = words[k - 1]
-        cur: dict[int, np.ndarray] = {}
-        for i in range(k + 1):
-            acc = np.zeros((q, q))
-            if i in prev:
-                acc = acc + dyn.A @ prev[i]
-            if i - 1 in prev:
-                acc = acc + dyn.coupling @ prev[i - 1]
-            cur[i] = acc
-        words.append(cur)
-    return [
-        [dyn.C @ words[k][i] @ dyn.B for i in range(k + 1)] for k in range(order + 1)
-    ]
+        words[k, :k] += dyn.A @ words[k - 1, :k]
+        words[k, 1 : k + 1] += dyn.coupling @ words[k - 1, :k]
+    return dyn.C @ words @ dyn.B
 
 
 def deconvolve(
@@ -239,14 +233,16 @@ def deconvolve(
     leaving a Kronecker product of the unknown base block with
     ``C (EK)^k B``; dividing by that product's largest entry recovers the
     block, and a few other well-sized entries are cross-checked for ratio
-    consistency. The residual is updated on its 4-d block view
-    ``grid[i, a, j, b]`` (output node i, output channel a, input node j,
-    input channel b): each lower-order term is subtracted as a broadcast
-    outer product, with the same products as ``np.kron`` but without
-    forming the Kronecker matrix. Raises DeconvolutionBlockedError at the
-    first order whose coupling product is (numerically) zero, and
-    InconsistentDataError when the data is not actually a Kronecker
-    mixture of this shape.
+    consistency. The residuals of all orders are held on one 5-d block
+    view ``grids[k, i, a, j, b]`` (output node i, output channel a, input
+    node j, input channel b): once the block of order k is known, its term
+    is subtracted from every higher order in one broadcast outer product,
+    with the same products as ``np.kron`` but without forming the
+    Kronecker matrix. Each order still takes its subtractions in
+    ascending order, and the whole peel makes O(K) numpy calls. Raises
+    DeconvolutionBlockedError at the first order whose coupling product
+    is (numerically) zero, and InconsistentDataError when the data is not
+    actually a Kronecker mixture of this shape.
 
     Conditioning caveat: the recoverable signal at order k sits a factor
     ``(norm(EK)/norm(A))**k`` below the data magnitude, so couplings much
@@ -267,12 +263,10 @@ def deconvolve(
     b_norm = float(np.linalg.norm(dyn.B)) or 1.0
     power = np.eye(dyn.state_dim)  # accumulated (EK)^k, sets the "nonzero" scale
 
+    grids = np.array(lifted.data, dtype=float).reshape(-1, n_out, t, n_in, r)
     base_blocks: list[np.ndarray] = []
-    for k in range(lifted.order + 1):
-        grid = np.array(lifted.data[k], dtype=float).reshape(n_out, t, n_in, r)
-        for i in range(k):
-            grid -= base_blocks[i][:, None, :, None] * mixing[k][i][None, :, None, :]
-        top = mixing[k][k]
+    for k, grid in enumerate(grids):
+        top = mixing[k, k]
         scale = max(c_norm * b_norm * float(np.linalg.norm(power)), 1e-300)
         power = dyn.coupling @ power
         if np.abs(top).max() <= COUPLING_TOL * scale:
@@ -303,6 +297,8 @@ def deconvolve(
             if checked >= 3:
                 break
         base_blocks.append(block)
+        # Peel this order's term out of every higher order at once.
+        grids[k + 1 :] -= block[:, None, :, None] * mixing[k + 1 :, k, None, :, None, :]
 
     return MarkovSequence(
         v_in=lifted.v_in,

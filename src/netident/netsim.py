@@ -69,8 +69,8 @@ def check_pattern(graph: Graph, entries: np.ndarray, positive: bool = True) -> N
         i, j = np.argwhere(entries != entries.T)[0]
         raise InputError(f"matrix is not symmetric at ({i + 1},{j + 1})")
     edge_mask = np.zeros((n, n), dtype=bool)
-    for i, j in graph.edges:
-        edge_mask[i - 1, j - 1] = edge_mask[j - 1, i - 1] = True
+    i, j = graph.edge_index.T
+    edge_mask[i, j] = edge_mask[j, i] = True
     off = ~np.eye(n, dtype=bool)
     bad_zero = off & ~edge_mask & (entries != 0.0)
     if bad_zero.any():
@@ -215,10 +215,11 @@ def random_weights(
     """Draw a random positively-weighted member for ``g``, reproducibly.
 
     Edge weights are uniform on ``weight_range`` (which must satisfy
-    0 < lo <= hi so the reconstruction stays well-conditioned). The
-    diagonal is either uniform on ``[-hi, hi]`` (``"free"``) or chosen so
-    every row sums to zero (``"laplacian"``, the negated-Laplacian
-    member). Same graph and seed give the identical matrix.
+    0 < lo <= hi so the reconstruction stays well-conditioned), drawn in
+    one call in canonical edge order. The diagonal is either uniform on
+    ``[-hi, hi]`` (``"free"``), drawn after the edges, or chosen so every
+    row sums to zero (``"laplacian"``, the negated-Laplacian member).
+    Same graph and seed give the identical matrix.
     """
     lo, hi = weight_range
     if not (0.0 < lo <= hi):
@@ -228,9 +229,8 @@ def random_weights(
     rng = np.random.default_rng(seed)
     n = g.n
     entries = np.zeros((n, n))
-    for i, j in g.edges:  # canonical ascending edge order: draw order is fixed
-        w = rng.uniform(lo, hi)
-        entries[i - 1, j - 1] = entries[j - 1, i - 1] = w
+    i, j = g.edge_index.T
+    entries[i, j] = entries[j, i] = rng.uniform(lo, hi, size=len(i))
     if diagonal_mode == "free":
         entries[np.diag_indices(n)] = rng.uniform(-hi, hi, size=n)
     else:
@@ -247,7 +247,7 @@ def _markov_blocks(
     out_rows = np.asarray([i - 1 for i in v_out], dtype=int)
     blocks = []
     for _ in range(order + 1):
-        blocks.append(cur[out_rows, :].copy())
+        blocks.append(cur[out_rows, :])
         cur = entries @ cur
     return blocks
 
@@ -360,8 +360,13 @@ def scaling_counterexample(
 
     scale = np.ones(n)
     scale[hid] = epsilon
-    factor = np.outer(1.0 / scale, scale)  # (S^-1 X S)_ij = X_ij * s_j / s_i
-    rescaled = entries * factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.outer(1.0 / scale, scale)  # (S^-1 X S)_ij = X_ij * s_j / s_i
+        rescaled = entries * factor
+    if not np.isfinite(rescaled).all():
+        raise InputError(
+            f"epsilon {epsilon} rescales the matrix beyond float64 range"
+        )
     if symmetric:
         return WeightMatrix(x.graph, rescaled, sign_constrained=False)
     return DirectedWeightMatrix(rescaled)

@@ -28,6 +28,7 @@ divisions, and with it the error growth, as short as the graph allows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
 
 # A recovered squared edge weight at most this times its scale vanishes.
 DEGENERACY_TOL = 1e-12
+_BEYOND_RANGE = "Markov data is beyond float64 range"
 
 
 def required_order(chronicle: ForcingChronicle) -> int:
@@ -104,6 +106,8 @@ class ReconstructionResult:
         }
 
 
+# Finite data can overflow float64 mid-replay; the finiteness checks report it.
+@np.errstate(over="ignore", invalid="ignore")
 def identify(
     markov: MarkovSequence,
     g: Graph,
@@ -123,7 +127,9 @@ def identify(
     InconsistentDataError.
     """
     target = g.check_nodes(target)
-    w = markov.v_in.intersection(markov.v_out)
+    w = markov.v_in
+    if w != markov.v_out:
+        w = w.intersection(markov.v_out)
     g.check_nodes(markov.v_in)
     g.check_nodes(markov.v_out)
 
@@ -166,11 +172,13 @@ def identify(
     nodes = list(w) + [v for forces in prefix for _, v in forces]
     pos = {node: a for a, node in enumerate(nodes)}
     powers = np.zeros((needed + 1, len(nodes), len(nodes)))
-    rows = [markov.v_out.index(node) for node in w]
-    cols = [markov.v_in.index(node) for node in w]
-    overlap = np.asarray(markov.data[: needed + 1])[np.ix_(range(needed + 1), rows, cols)]
+    rows = np.searchsorted(markov.v_out.members, w.members)
+    cols = np.searchsorted(markov.v_in.members, w.members)
+    overlap = np.asarray(markov.data[: needed + 1])[:, rows[:, None], cols]
     b = len(w)
     powers[:, :b, :b] = 0.5 * (overlap + overlap.transpose(0, 2, 1))
+    if not np.isfinite(powers[:, :b, :b]).all():
+        raise InputError(f"{_BEYOND_RANGE}: the symmetrised overlap is not finite")
     powers[0, b:, b:] = np.eye(len(nodes) - b)
 
     records: list[ForceStepRecord] = []
@@ -180,12 +188,13 @@ def identify(
         # V = positions b..e-1, against the known block B = positions 0..b-1.
         k_max = needed - 2 * (rnd - 1)
         e = b + len(forces)
-        ui = [pos[u] for u, _ in forces]
+        # P's nonzeros: each forcing node's own column and its known neighbours'.
+        ui = np.array([pos[u] for u, _ in forces])
+        known = [[pos[z] for z in nbrs[u] if z != v] + [pos[u]] for u, v in forces]
+        prow = [a for a, row in enumerate(known) for _ in row]
+        pcol = list(chain.from_iterable(known))
         p = np.zeros((len(forces), b))
-        for a, (u, v) in enumerate(forces):
-            known = [pos[z] for z in nbrs[u] if z != v]
-            known.append(ui[a])
-            p[a, known] = powers[1, ui[a], known]
+        p[prow, pcol] = powers[1, ui[prow], pcol]
 
         # Squared edge weights from the second power at the forcing nodes.
         power2 = powers[2, ui, ui]
@@ -214,38 +223,30 @@ def identify(
         tp = powers[1 : k_max - 1, :b, :b] @ p.T
         vb = (powers[2:k_max, ui, :b] - tp.transpose(0, 2, 1)) / d[:, None]
         m = vb @ p.T  # X^k[V,B] P^T
-        acc = powers[np.ix_(range(3, k_max + 1), ui, ui)] - p @ tp
+        acc = powers[3 : k_max + 1, ui[:, None], ui] - p @ tp
         acc -= m.transpose(0, 2, 1) * d + d[:, None] * m
         vv = acc / (d[:, None] * d)
         ks = slice(1, k_max - 1)
         powers[ks, b:e, :b] = vb
         powers[ks, :b, b:e] = vb.transpose(0, 2, 1)
         powers[ks, b:e, b:e] = 0.5 * (vv + vv.transpose(0, 2, 1))
-        for u, v in forces:
-            records.append(
-                ForceStepRecord(
-                    step=len(records) + 1,
-                    round=rnd,
-                    forcing_node=u,
-                    forced_node=v,
-                    weight=float(powers[1, pos[u], pos[v]]),
-                )
-            )
+        weights = vb[0, np.arange(e - b), ui].tolist()  # X_{uv} = X^1[V,B][a, u]
+        records += [
+            ForceStepRecord(len(records) + a, rnd, u, v, weight)
+            for a, ((u, v), weight) in enumerate(zip(forces, weights), start=1)
+        ]
         b = e
     if not np.isfinite(powers[1]).all():
-        raise InputError(
-            "Markov data is beyond float64 range: the recovered first power "
-            "is not finite"
-        )
+        raise InputError(f"{_BEYOND_RANGE}: the recovered first power is not finite")
 
     members = target.members
     size = len(members)
-    at = [pos[i] for i in members]
-    block = powers[1][np.ix_(at, at)]
+    at = np.array([pos[i] for i in members], dtype=np.intp)
+    block = powers[1, at[:, None], at]
     # Upper-triangle edge mask of the target, by position in ``members``.
     lookup = np.full(g.n + 1, -1)
     lookup[list(members)] = np.arange(size)
-    ends = lookup[np.asarray(g.edges, dtype=int).reshape(-1, 2)]
+    ends = lookup[1:][g.edge_index]
     ends = ends[(ends >= 0).all(axis=1)]
     edge = np.zeros((size, size), dtype=bool)
     edge[ends[:, 0], ends[:, 1]] = True

@@ -226,6 +226,15 @@ class TestSim:
         assert (code, out) == (2, "")
         assert err == "input error: node 99 outside 1..3\n"
 
+    def test_counterexample_epsilon_beyond_float64_exits_two(self, tmp_path, capsys):
+        entries = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        x = write(tmp_path, "x.csv", netident.matrix_to_csv(entries))
+        vin = write(tmp_path, "in.json", [1])
+        code, out, err = run(capsys, ["sim", "counterexample", "--matrix", x, "--in", vin,
+                                      "--out-nodes", vin, "--epsilon", "1e-320"])
+        assert (code, out) == (2, "")
+        assert err == "input error: epsilon 1e-320 rescales the matrix beyond float64 range\n"
+
 
 class TestHod:
     DYN = {"A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "E": [[1.0]], "K": [[1.0]]}
@@ -369,6 +378,19 @@ class TestErrorsAndPlumbing:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "CERTIFIED_FULL"
+
+
+def test_recover_overflowing_overlap_exits_two(tmp_path, capsys):
+    blob = {"v_in": [1], "v_out": [1], "K": 6,
+            "data": [[[v]] for v in (1.0, 10.0, 1e308, 1.0, 1.0, 1.0, 1.0)]}
+    g = write(tmp_path, "g.json", path_json(3))
+    m = write(tmp_path, "m.json", blob)
+    t = write(tmp_path, "t.json", [1, 2, 3])
+    code, out, err = run(capsys, ["ident", "recover", "--graph", g, "--markov", m,
+                                  "--target", t])
+    assert (code, out) == (2, "")
+    assert err == ("input error: Markov data is beyond float64 range: the "
+                   "symmetrised overlap is not finite\n")
 
 
 class TestNonFiniteInput:

@@ -74,27 +74,23 @@ class TestNodeSet:
 class TestGraph:
     def test_neighbours_path(self):
         g = path(3)
-        assert g.neighbours(2) == NodeSet([1, 3])
-        assert g.neighbours(1) == NodeSet([2])
+        assert g.neighbour_rows == ((), (2,), (1, 3), (2,))
+        assert g.neighbour_ids(2) == (1, 3)
 
     def test_neighbours_complete(self):
-        assert complete(4).neighbours(3) == NodeSet([1, 2, 4])
-
-    def test_closed_neighbourhood(self):
-        assert path(3).closed_neighbourhood(2) == NodeSet([1, 2, 3])
+        assert complete(4).neighbour_rows[3] == (1, 2, 4)
 
     def test_out_of_range_node(self):
         with pytest.raises(InputError):
-            path(3).neighbours(4)
+            path(3).neighbour_ids(4)
         with pytest.raises(InputError):
-            path(3).neighbours(0)
+            path(3).neighbour_ids(0)
 
     @pytest.mark.parametrize("bad", [1.5, "2", True])
     def test_node_queries_refuse_non_integral_ids(self, bad):
         g = path(3)
         for query in (lambda: g.has_edge(bad, 2), lambda: g.has_edge(1, bad),
-                      lambda: g.degree(bad), lambda: g.neighbours(bad),
-                      lambda: g.closed_neighbourhood(bad)):
+                      lambda: g.degree(bad), lambda: g.neighbour_ids(bad)):
             with pytest.raises(InputError, match="node id"):
                 query()
 
@@ -103,8 +99,7 @@ class TestGraph:
         g = path(3)
         assert g.has_edge(two, 3) and g.has_edge(1, two)
         assert g.degree(two) == 2
-        assert g.neighbours(two) == NodeSet([1, 3])
-        assert g.closed_neighbourhood(two) == NodeSet([1, 2, 3])
+        assert g.neighbour_ids(two) == (1, 3)
 
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
@@ -130,8 +125,8 @@ class TestGraph:
     def test_components(self):
         g = Graph(5, [(1, 2), (4, 5)])
         assert [c.members for c in g.components()] == [(1, 2), (3,), (4, 5)]
-        assert not g.is_connected()
-        assert path(4).is_connected()
+        assert path(4).components() == [path(4).nodes]
+        assert Graph(0).components() == []
 
     def test_adjacency_masks(self):
         g = path(3)
@@ -218,6 +213,22 @@ def test_neighbour_rows_strictly_ascending(n, data):
         assert all(a < b for a, b in zip(row, row[1:]))
         assert list(row) == sorted(adj[v])
         assert g.neighbour_rows[v] == row
+
+
+@settings(max_examples=60)
+@given(n=st.integers(min_value=0, max_value=14), data=st.data())
+def test_edge_index_is_the_edge_list_less_one_and_read_only(n, data):
+    pairs = st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1)))
+    edges = [e for e in data.draw(st.lists(pairs, max_size=40)) if n and e[0] != e[1]]
+    g = Graph(n, edges)
+    ends = g.edge_index
+    assert ends.shape == (len(g.edges), 2) and ends.dtype == np.intp
+    assert [tuple(e) for e in (ends + 1).tolist()] == list(g.edges)
+    assert not ends.flags.writeable
+    with pytest.raises(ValueError):
+        ends[...] = 0
+    assert g.edge_index is ends
+    assert g.nodes == NodeSet(range(1, n + 1))
 
 
 def test_induced_full_equals_graph_random():

@@ -166,6 +166,31 @@ class TestMixingTables:
                     scale = max(1.0, np.abs(oracle[i]).max())
                     assert np.abs(tables[k][i] - oracle[i]).max() <= 1e-9 * scale
 
+    def test_equals_the_per_word_recursion_bit_for_bit(self):
+        """The batched tables hold the products of the per-(k, i) recursion."""
+        rng = np.random.default_rng(14)
+        order = 20
+        for q, r, t in ((1, 1, 1), (2, 1, 2), (3, 3, 2), (4, 2, 3)):
+            dyn = random_dyn(rng, q, r=r, t=t)
+            words = [{0: np.eye(q)}]
+            for k in range(1, order + 1):
+                prev, cur = words[-1], {}
+                for i in range(k + 1):
+                    acc = np.zeros((q, q))
+                    if i in prev:
+                        acc = acc + dyn.A @ prev[i]
+                    if i - 1 in prev:
+                        acc = acc + dyn.coupling @ prev[i - 1]
+                    cur[i] = acc
+                words.append(cur)
+            tables = _mixing_tables(dyn, order)
+            assert tables.shape == (order + 1, order + 1, t, r)
+            for k in range(order + 1):
+                for i in range(k + 1):
+                    want = dyn.C @ words[k][i] @ dyn.B
+                    assert tables[k][i].tobytes() == want.tobytes()
+                assert not tables[k, k + 1 :].any()
+
     def test_lifted_blocks_are_the_predicted_mixture(self):
         rng = np.random.default_rng(8)
         g = Graph(3, random_connected_edges(rng, 3))
@@ -272,12 +297,14 @@ class TestDeconvolve:
         rng = np.random.default_rng(seed)
         q, t, r = 3, 2, 3
         dyn = random_dyn(rng, q, r=r, t=t, s=2)
-        assert coupling_condition(dyn, k_max=6).ok
+        # A coupling that dominates A keeps order 20 inside the ratio check.
+        dyn = NodeDynamics(A=0.1 * dyn.A, B=dyn.B, C=dyn.C, E=dyn.E, K=dyn.K)
+        assert coupling_condition(dyn, k_max=20).ok
         x = random_weights(path(4), seed=seed)
         lifted = lifted_markov(
             LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1, 4]),
                          v_out=NodeSet([1, 2, 4])),
-            6,
+            20,
         )
         n_in, n_out = 2, 3
         mixing = _mixing_tables(dyn, lifted.order)

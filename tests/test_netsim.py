@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,26 @@ class TestRandomWeights:
         np.testing.assert_array_equal(a.entries, b.entries)
         c = random_weights(g, seed=43)
         assert not np.array_equal(a.entries, c.entries)
+
+    @pytest.mark.parametrize("mode", ["free", "laplacian"])
+    def test_equals_per_edge_scalar_draws_byte_for_byte(self, mode):
+        """One draw of every edge weight equals one scalar draw per edge."""
+        rng = np.random.default_rng(5)
+        graphs = [Graph(0), Graph(3)] + [
+            Graph(n, random_graph_edges(rng, n)) for n in (2, 5, 9, 14)
+        ]
+        for g in graphs:
+            for seed in (0, 1, 12345):
+                draw = np.random.default_rng(seed)
+                want = np.zeros((g.n, g.n))
+                for i, j in g.edges:
+                    want[i - 1, j - 1] = want[j - 1, i - 1] = draw.uniform(0.5, 2.0)
+                if mode == "free":
+                    want[np.diag_indices(g.n)] = draw.uniform(-2.0, 2.0, size=g.n)
+                else:
+                    want[np.diag_indices(g.n)] = -want.sum(axis=1)
+                got = random_weights(g, seed, diagonal_mode=mode).entries
+                assert got.tobytes() == want.tobytes()
 
     def test_invalid_range(self):
         with pytest.raises(InputError):
@@ -298,6 +321,17 @@ class TestScalingCounterexample:
         for bad in (-1.0, 0.0, 1.0, np.inf, np.nan):
             with pytest.raises(InputError):
                 scaling_counterexample(d, [1], [1], epsilon=bad)
+
+    @pytest.mark.parametrize("epsilon", [1e-320, 1e308])
+    def test_epsilon_beyond_float64_range_is_refused(self, epsilon):
+        # 1 / 1e-320 overflows; 2 * 1e308 overflows in the rescaled entry.
+        d = DirectedWeightMatrix(
+            np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=re.escape(f"epsilon {epsilon} ") + ".*float64"):
+                scaling_counterexample(d, [1], [1], epsilon=epsilon)
 
 
 class TestNodeRange:

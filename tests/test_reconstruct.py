@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,12 +158,22 @@ class TestIdentify:
             identify(wide, g, g.nodes)
 
     def test_data_beyond_float64_range_is_refused(self):
-        # Finite data whose replay overflows: no NaN or inf comes back.
+        # Finite data whose replay overflows: no NaN, inf or warning comes back.
         data = tuple(np.array([[v]]) for v in (1.0, 10.0) + (1e307,) * 7)
         markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=8, data=data)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(InputError, match="not finite"):
                 identify(markov, path(4), [1, 2, 3, 4])
+
+    def test_overflowing_overlap_is_refused_without_a_warning(self):
+        # 0.5 * (1e308 + 1e308) overflows while the overlap is symmetrised.
+        data = tuple(np.array([[v]]) for v in (1.0, 10.0, 1e308, 1.0, 1.0, 1.0, 1.0))
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=6, data=data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="beyond float64 range"):
+                identify(markov, path(3), [1, 2, 3])
 
     def test_insufficient_order_names_requirement(self):
         g = path(3)

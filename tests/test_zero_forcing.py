@@ -452,7 +452,7 @@ class TestHeuristic:
             g = Graph(n, edges)
             got = zfs_heuristic(g)
             assert is_zero_forcing_set(g, got)
-            if g.is_connected():
+            if len(g.components()) == 1:
                 assert len(got) <= n - diameter(n, edges)
 
     def test_trees_hit_path_cover_minimum(self):

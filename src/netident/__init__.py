@@ -28,7 +28,6 @@ from .errors import (
 )
 from .graph_core import (
     Graph,
-    InducedSubgraph,
     NodeSet,
     graph_from_json,
     nodeset_from_json,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "NodeSet",
-    "InducedSubgraph",
     "selection_matrix",
     "graph_from_json",
     "nodeset_from_json",

@@ -16,7 +16,8 @@ tolerances are fixed library constants, not flags.
 
 File formats (also described in each subcommand's ``--help``):
 
-* graph JSON: ``{"n": <int>, "edges": [[i, j], ...]}``
+* graph JSON: ``{"n": <int>, "edges": [[i, j], ...]}``; a self-loop
+  ``[i, i]`` is stripped with a warning, and ``i`` must lie in ``1..n``
 * node set JSON: array of ints, e.g. ``[1, 4, 7]``
 * matrix CSV: header line ``n,<count>`` then one comma-separated row per line
 * Markov sequence JSON: ``{"v_in": [...], "v_out": [...], "K": k, "data": [[[...]]]}``
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sim, "random", _sim_random,
                 "random positively-weighted matrix for a graph", ("graph",),
                 MATRIX_FORMATS)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="seed for all randomness (default 0)")
     p.add_argument("--weight-range", default="0.5,2.0", metavar="LO,HI",
                    help="uniform edge-weight range (default 0.5,2.0)")

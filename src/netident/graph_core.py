@@ -25,7 +25,6 @@ from .errors import InputError
 __all__ = [
     "Graph",
     "NodeSet",
-    "InducedSubgraph",
     "selection_matrix",
     "graph_from_json",
     "nodeset_from_json",
@@ -108,12 +107,6 @@ class NodeSet:
     def __repr__(self) -> str:
         return f"NodeSet({list(self.members)})"
 
-    def index(self, node: int) -> int:
-        """Position of ``node`` in the ascending member list (0-based)."""
-        if node not in self:
-            raise InputError(f"node {node} is not a member of {self!r}")
-        return bisect_left(self.members, node)
-
     def union(self, other: Iterable[int]) -> "NodeSet":
         return NodeSet(self.members + tuple(other))
 
@@ -174,40 +167,14 @@ class Graph:
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        self._neighbour_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        # Every node's sorted neighbour tuple, indexed by node id; entry 0 is empty.
+        self.neighbour_rows: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     # -- basic queries ----------------------------------------------------
-
-    def _check_node(self, i: int) -> int:
-        if type(i) is not int:
-            i = _integral(i, "node id")
-        if not (1 <= i <= self.n):
-            raise InputError(f"node {i} outside 1..{self.n}")
-        return i
 
     def check_nodes(self, s: Iterable[int]) -> NodeSet:
         """Validate every member of ``s`` against this graph's node range."""
         return _nodes_within(s, self.n)
-
-    def neighbour_ids(self, i: int) -> tuple[int, ...]:
-        """Neighbours of ``i`` as a plain sorted tuple (fast path)."""
-        return self._neighbour_ids[self._check_node(i)]
-
-    @property
-    def neighbour_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Every node's sorted neighbour tuple, indexed by node id.
-
-        Entry 0 is empty. For loops over many nodes: unlike
-        :meth:`neighbour_ids`, no per-node range check.
-        """
-        return self._neighbour_ids
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbour_ids(i))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        self._check_node(j)
-        return j in self._neighbour_ids[self._check_node(i)]
 
     @property
     def nodes(self) -> NodeSet:
@@ -235,7 +202,7 @@ class Graph:
 
     def components(self) -> list[NodeSet]:
         """Connected components, each as a NodeSet, ordered by smallest member."""
-        nbrs = self._neighbour_ids
+        nbrs = self.neighbour_rows
         seen = bytearray(self.n + 1)
         out: list[NodeSet] = []
         start = seen.find(0, 1)  # smallest node not yet in a component
@@ -252,14 +219,6 @@ class Graph:
             start = seen.find(0, start + 1)
         return out
 
-    # -- derived graphs ---------------------------------------------------
-
-    def induced_subgraph(self, s: Iterable[int]) -> "InducedSubgraph":
-        """Subgraph on ``s`` keeping exactly the edges with both ends in ``s``."""
-        return InducedSubgraph(self, self.check_nodes(s))
-
-    # -- identity and I/O -------------------------------------------------
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Graph):
             return self.n == other.n and self.edges == other.edges
@@ -270,56 +229,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-
-class InducedSubgraph:
-    """Induced subgraph of a parent graph on a chosen node set.
-
-    The subgraph keeps an edge ``{i, j}`` exactly when both endpoints are
-    selected and the edge exists in the parent. ``graph`` exposes the
-    relabelled copy over ``1..len(nodes)``; the relabelling is always by
-    ascending original id, so it is deterministic.
-    """
-
-    def __init__(self, parent: Graph, nodes: NodeSet):
-        self.parent = parent
-        self.nodes = parent.check_nodes(nodes)
-
-    @cached_property
-    def to_sub(self) -> dict[int, int]:
-        """Original node id -> 1-based id in the relabelled subgraph."""
-        return {orig: k + 1 for k, orig in enumerate(self.nodes)}
-
-    @cached_property
-    def to_parent(self) -> tuple[int, ...]:
-        """1-based subgraph id -> original node id (index 0 unused)."""
-        return (0,) + self.nodes.members
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges in original node ids, both ends inside ``nodes``.
-
-        Read from the members' neighbour rows, so the cost follows the
-        members' degrees, not the parent's edge count.
-        """
-        keep = frozenset(self.nodes)
-        rows = self.parent.neighbour_rows
-        return tuple((i, j) for i in self.nodes for j in rows[i] if j > i and j in keep)
-
-    @cached_property
-    def graph(self) -> Graph:
-        """The relabelled subgraph over ``1..len(nodes)``."""
-        m = self.to_sub
-        return Graph(len(self.nodes), [(m[i], m[j]) for i, j in self.edges])
-
-    def __repr__(self) -> str:
-        return f"InducedSubgraph(nodes={list(self.nodes)}, edges={len(self.edges)})"
 
 
 def selection_matrix(n: int, s: Iterable[int]) -> np.ndarray:
@@ -341,7 +250,8 @@ def graph_from_json(obj: dict | str) -> Graph:
 
     Self-loops in the input are stripped with a warning rather than
     rejected: diagonal entries of network matrices are unconstrained, so
-    a loop carries no extra information.
+    a loop carries no extra information. A loop's node must still lie in
+    ``1..n``. Every other pair is validated once, by :class:`Graph`.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -351,21 +261,25 @@ def graph_from_json(obj: dict | str) -> Graph:
     if not isinstance(raw_edges, (list, tuple)):
         raise InputError(f'graph JSON "edges" must be an array of pairs, got {raw_edges!r}')
     edges = []
-    loops = 0
+    loops = []
     for pair in raw_edges:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise InputError(f"edge entry {pair!r} is not a pair of ints")
-        i, j = (_integral(v, "edge endpoint") for v in pair)
-        if i == j:
-            loops += 1
-            continue
-        edges.append((i, j))
+        if pair[0] == pair[1]:  # [1, true] compares equal too; _integral refuses it
+            loops.append(_integral(pair[0], "edge endpoint"))
+            _integral(pair[1], "edge endpoint")
+        else:
+            edges.append(pair)
+    g = Graph(obj["n"], edges)
+    for i in loops:
+        if not 1 <= i <= g.n:
+            raise InputError(f"edge ({i},{i}) has an endpoint outside 1..{g.n}")
     if loops:
         warnings.warn(
-            f"stripped {loops} self-loop(s); diagonal weights are free anyway",
+            f"stripped {len(loops)} self-loop(s); diagonal weights are free anyway",
             stacklevel=2,
         )
-    return Graph(obj["n"], edges)
+    return g
 
 
 def nodeset_from_json(obj: list | str) -> NodeSet:

@@ -226,7 +226,10 @@ def random_weights(
         raise InputError(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
     if diagonal_mode not in ("free", "laplacian"):
         raise InputError(f"diagonal_mode must be 'free' or 'laplacian', got {diagonal_mode!r}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad random seed {seed!r}: {exc}") from None
     n = g.n
     entries = np.zeros((n, n))
     i, j = g.edge_index.T
@@ -402,8 +405,8 @@ def matrix_from_csv(text: str) -> np.ndarray:
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     except ValueError as exc:
         raise InputError(f"bad matrix CSV value: {exc}") from None
-    mat = np.asarray(rows, dtype=float)
-    if mat.shape != (n, n):
+    if any(len(row) != n for row in rows):
         raise InputError(f"matrix CSV rows have wrong length for n={n}")
+    mat = np.asarray(rows, dtype=float).reshape(n, n)  # (0, 0) when n is 0
     _check_finite(mat, "matrix CSV")
     return mat

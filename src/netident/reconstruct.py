@@ -41,8 +41,9 @@ from .errors import (
     UncertifiedTargetError,
 )
 from .graph_core import Graph, NodeSet
+from .identifiability import certify
 from .netsim import MarkovSequence
-from .zero_forcing import ForcingChronicle, derived_set
+from .zero_forcing import ForcingChronicle
 
 __all__ = [
     "ReconstructionResult",
@@ -116,9 +117,9 @@ def identify(
     """Recover the weight submatrix over ``target`` from measured data.
 
     Seeds the power table with the input/output overlap block, replays
-    the deterministic round chronicle of the overlap's derived set (see
-    :func:`~netident.zero_forcing.derived_set`) round by round until the
-    target nodes are covered, and reads the weights off the first power.
+    the round chronicle that :func:`~netident.identifiability.certify`
+    records for the overlap round by round until the target nodes are
+    covered, and reads the weights off the first power.
     Replaying R rounds reads only orders up to 2R + 2 of the data, so a
     longer sequence gives the same result. Non-edges inside the target
     are never written, so they are exactly zero in the result; edge
@@ -127,13 +128,8 @@ def identify(
     InconsistentDataError.
     """
     target = g.check_nodes(target)
-    w = markov.v_in
-    if w != markov.v_out:
-        w = w.intersection(markov.v_out)
-    g.check_nodes(markov.v_in)
-    g.check_nodes(markov.v_out)
-
-    reachable, chronicle = derived_set(g, w)
+    report = certify(g, markov.v_in, markov.v_out)
+    w, reachable, chronicle = report.w, report.certified_nodes, report.chronicle
     if not target.issubset(reachable):
         missing = target.difference(reachable)
         raise UncertifiedTargetError(

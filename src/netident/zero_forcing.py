@@ -286,7 +286,7 @@ def _min_zfs_connected_mask(g: Graph) -> tuple[int, ...]:
             chosen.pop()
         return None
 
-    lower = max(1, min(g.degree(i) for i in range(1, n + 1)))
+    lower = max(1, min(map(len, g.neighbour_rows[1:])))
     for k in range(lower, n + 1):
         hit = dfs([], 0, k)
         if hit is not None:
@@ -299,15 +299,20 @@ def _per_component(g: Graph, solve) -> NodeSet:
 
     ``solve`` takes a connected graph and returns its chosen nodes. A
     connected ``g`` is passed as is; otherwise each component is
-    relabelled to ``1..k`` by ``induced_subgraph`` and mapped back.
+    relabelled to ``1..k`` in ascending id order and mapped back. A
+    component holds every neighbour of its members, so its edges are
+    read straight off their neighbour rows.
     """
     comps = g.components()
     if len(comps) == 1:
         return NodeSet._trusted(tuple(solve(g)))
+    nbrs = g.neighbour_rows
     members: list[int] = []
     for comp in comps:
-        sub = g.induced_subgraph(comp)
-        members.extend(sub.to_parent[v] for v in solve(sub.graph))
+        ids = comp.members
+        local = {v: k for k, v in enumerate(ids, start=1)}
+        edges = [(local[i], local[j]) for i in ids for j in nbrs[i] if j > i]
+        members.extend(ids[v - 1] for v in solve(Graph(len(ids), edges)))
     return NodeSet._trusted(tuple(sorted(members)))
 
 
@@ -477,7 +482,8 @@ def _heuristic_connected(g: Graph, bfs1: tuple | None = None) -> NodeSet:
     """Verified ZFS of one connected graph from its single candidate.
 
     Trees take the path cover of ``bfs1``, the ``(dist, parent)`` of the
-    BFS from node 1; other graphs the ``n - diam`` diametral candidate.
+    BFS from node 1; other graphs the diametral candidate, ``n - diam``
+    nodes up to ``_EXACT_DIAMETER_MAX_NODES`` nodes.
     ``bfs1`` is computed here only if missing and read: on a tree, or
     beyond ``_EXACT_DIAMETER_MAX_NODES`` nodes.
     """
@@ -494,8 +500,10 @@ def zfs_heuristic(g: Graph) -> NodeSet:
     path of a minimum path cover, built leaves-up over the BFS tree from
     node 1 (see :func:`_path_cover_initials`); on a tree that is a
     minimum zero forcing set. Any other connected graph takes every node
-    off a diametral shortest path except its first, at most
-    ``n - diam(G)`` nodes (see :func:`_diametral_path`). A disconnected
+    off a diametral shortest path except its first (see
+    :func:`_diametral_path`): at most ``n - diam(G)`` nodes up to 512
+    nodes; beyond that the double sweep can find a shorter path than the
+    diameter, and the candidate grows by the difference. A disconnected
     graph is solved per component and the union is returned. The
     candidate is verified with :func:`derived_set` and repaired greedily
     with the lowest-id stuck node until it forces, so the result is

@@ -134,6 +134,28 @@ def diameter(n, edges):
     return best
 
 
+def relabelled_components(n, edges):
+    """Connected components by graph search over the adjacency sets, each
+    relabelled to 1..k in ascending node order. Returns, ordered by
+    smallest member, pairs (members, edges) where members[v - 1] is the
+    original id of local node v and edges are in local ids."""
+    adj = adjacency(n, edges)
+    seen, out = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        members = sorted(comp)
+        local = {v: k for k, v in enumerate(members, start=1)}
+        out.append((members, [(local[i], local[j]) for i, j in edges if i in comp]))
+    return out
+
+
 def markov_blocks_oracle(entries, v_in, v_out, order):
     """N X^k M via numpy matrix powers and explicit selections."""
     entries = np.asarray(entries, dtype=float)

@@ -175,6 +175,26 @@ class TestSim:
         mat = netident.matrix_from_csv(out1)
         assert mat.shape == (4, 4)
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_malformed_seed_is_a_usage_error(self, tmp_path, capsys, seed):
+        g = write(tmp_path, "g.json", cycle_json(4))
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "random", "--graph", g, "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: netident") and "--seed" in err
+
+    def test_empty_graph_from_random_matrix_to_markov(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", {"n": 0, "edges": []})
+        code, out, _ = run(capsys, ["sim", "random", "--graph", g])
+        assert code == 0 and out == "n,0\n"
+        x = write(tmp_path, "x.csv", out)
+        vin = write(tmp_path, "in.json", [])
+        code, out, err = run(capsys, ["sim", "markov", "--graph", g, "--matrix", x,
+                                      "--in", vin, "--out-nodes", vin, "--order", "2"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["data"] == [[], [], []]
+
     def test_markov_command(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", path_json(2))
         x = write(tmp_path, "x.csv", netident.matrix_to_csv(np.array([[1.0, 2.0], [2.0, 3.0]])))
@@ -345,6 +365,14 @@ class TestErrorsAndPlumbing:
         code, _, err = run(capsys, ["zfs", "check", "--graph", g, "--in", z])
         assert code == 2
         assert err.startswith("input error:")
+
+    @pytest.mark.parametrize("loop", [[4, 4], [0, 0]])
+    def test_self_loop_outside_the_graph_exits_two(self, tmp_path, capsys, loop):
+        g = write(tmp_path, "g.json", {"n": 3, "edges": [[1, 2], loop]})
+        code, out, err = run(capsys, ["zfs", "heuristic", "--graph", g])
+        assert (code, out) == (2, "")
+        i = loop[0]
+        assert err == f"input error: edge ({i},{i}) has an endpoint outside 1..3\n"
 
     @pytest.mark.parametrize("group", ["ident", "hod"])
     @pytest.mark.parametrize("change, code", [

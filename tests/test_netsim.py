@@ -128,6 +128,11 @@ class TestRandomWeights:
         with pytest.raises(InputError):
             random_weights(P2, seed=0, weight_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", [1, -2]], ids=repr)
+    def test_seed_the_generator_refuses_is_an_input_error(self, seed):
+        with pytest.raises(InputError, match="bad random seed"):
+            random_weights(P2, seed=seed)
+
     def test_laplacian_rows_sum_to_zero(self):
         g = Graph(5, random_connected_edges(np.random.default_rng(8), 5))
         x = random_weights(g, seed=1, diagonal_mode="laplacian")
@@ -358,6 +363,17 @@ class TestMatrixCsv:
         text = matrix_to_csv(X2)
         assert text.splitlines()[0] == "n,2"
         np.testing.assert_array_equal(matrix_from_csv(text), X2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_roundtrip_every_small_size(self, n):
+        entries = np.arange(n * n, dtype=float).reshape(n, n) - 2.5
+        back = matrix_from_csv(matrix_to_csv(entries))
+        assert back.shape == (n, n)
+        np.testing.assert_array_equal(back, entries)
+
+    def test_ragged_rows(self):
+        with pytest.raises(InputError, match="wrong length for n=2"):
+            matrix_from_csv("n,2\n1.0,2.0\n3.0\n")
 
     def test_bad_header(self):
         with pytest.raises(InputError, match="header"):

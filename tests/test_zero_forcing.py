@@ -30,6 +30,7 @@ from oracles import (
     random_connected_edges,
     random_graph_edges,
     random_tree_edges,
+    relabelled_components,
     round_chronicle,
     shuffled_derived,
 )
@@ -374,7 +375,7 @@ def test_fixpoint_soundness():
         derived, _ = derived_set(g, z)
         blk = set(derived)
         for u in blk:
-            whites = [w for w in g.neighbour_ids(u) if w not in blk]
+            whites = [w for w in g.neighbour_rows[u] if w not in blk]
             assert len(whites) != 1
 
 
@@ -607,13 +608,14 @@ class TestSeedSearch:
         for _ in range(20):
             n = int(rng.integers(2, 30))
             g = Graph(n, random_connected_edges(rng, n, 0.2))
-            copy = g.induced_subgraph(g.nodes)
-            via_copy = NodeSet(copy.to_parent[v]
-                               for v in zero_forcing._heuristic_connected(copy.graph))
+            [(members, copy_edges)] = relabelled_components(n, g.edges)
+            copy = Graph(len(members), copy_edges)
+            via_copy = NodeSet(members[v - 1]
+                               for v in zero_forcing._heuristic_connected(copy))
             assert zfs_heuristic(g) == via_copy
             if n <= 12:
-                local = zero_forcing._min_zfs_connected_mask(copy.graph)
-                assert minimum_zero_forcing_set(g) == NodeSet(copy.to_parent[v]
+                local = zero_forcing._min_zfs_connected_mask(copy)
+                assert minimum_zero_forcing_set(g) == NodeSet(members[v - 1]
                                                               for v in local)
         seen = []
         real = zero_forcing._heuristic_connected
@@ -622,6 +624,13 @@ class TestSeedSearch:
         g = grid(5)
         zfs_heuristic(g)
         assert len(seen) == 1 and seen[0] is g
+
+    def test_components_are_relabelled_in_ascending_order(self):
+        g = Graph(6, [(4, 5), (2, 5), (1, 6)])
+        seen = []
+        got = zero_forcing._per_component(g, lambda h: seen.append(h) or [h.n])
+        assert seen == [Graph(2, [(1, 2)]), Graph(3, [(1, 3), (2, 3)]), Graph(1)]
+        assert got == NodeSet([3, 5, 6])  # the last local node of each component
 
     def test_disconnected_graph_is_solved_per_component(self):
         rng = np.random.default_rng(53)
@@ -633,10 +642,10 @@ class TestSeedSearch:
                 offset += k
             g = Graph(offset, edges)
             expect_heur, expect_min = [], []
-            for comp in g.components():
-                sub = g.induced_subgraph(comp)
-                expect_heur += [sub.to_parent[v] for v in zfs_heuristic(sub.graph)]
-                expect_min += [sub.to_parent[v] for v in minimum_zero_forcing_set(sub.graph)]
+            for members, sub_edges in relabelled_components(g.n, g.edges):
+                sub = Graph(len(members), sub_edges)
+                expect_heur += [members[v - 1] for v in zfs_heuristic(sub)]
+                expect_min += [members[v - 1] for v in minimum_zero_forcing_set(sub)]
             assert len(g.components()) == 3
             assert zfs_heuristic(g) == NodeSet(expect_heur)
             assert minimum_zero_forcing_set(g) == NodeSet(expect_min)
@@ -645,11 +654,11 @@ class TestSeedSearch:
 
 def per_component_heuristic(g):
     """zfs_heuristic through components and relabelled copies, whatever g is."""
-    members = []
-    for comp in g.components():
-        sub = g.induced_subgraph(comp)
-        members += [sub.to_parent[v] for v in zero_forcing._heuristic_connected(sub.graph)]
-    return NodeSet(members)
+    chosen = []
+    for members, sub_edges in relabelled_components(g.n, g.edges):
+        sub = Graph(len(members), sub_edges)
+        chosen += [members[v - 1] for v in zero_forcing._heuristic_connected(sub)]
+    return NodeSet(chosen)
 
 
 def disjoint_union(parts):
@@ -749,8 +758,8 @@ def random_forest(rng, sizes):
 def diametral_candidate(g):
     """The n - diam candidate, repaired, summed over the components of g."""
     size = 0
-    for comp in g.components():
-        sub = g.induced_subgraph(comp).graph
+    for members, sub_edges in relabelled_components(g.n, g.edges):
+        sub = Graph(len(members), sub_edges)
         off_path = set(range(1, sub.n + 1)) - set(_diametral_path(sub)[1:])
         size += len(_repair_to_zfs(sub, off_path))
     return size

@@ -11,7 +11,6 @@ JSON arrays of ints.
 
 from __future__ import annotations
 
-import json
 import warnings
 from bisect import bisect_left
 from functools import cached_property
@@ -245,7 +244,7 @@ def selection_matrix(n: int, s: Iterable[int]) -> np.ndarray:
     return mat
 
 
-def graph_from_json(obj: dict | str) -> Graph:
+def graph_from_json(obj: dict) -> Graph:
     """Build a Graph from the shared JSON format.
 
     Self-loops in the input are stripped with a warning rather than
@@ -253,8 +252,6 @@ def graph_from_json(obj: dict | str) -> Graph:
     a loop carries no extra information. A loop's node must still lie in
     ``1..n``. Every other pair is validated once, by :class:`Graph`.
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj:
         raise InputError('graph JSON must be an object with keys "n" and "edges"')
     raw_edges = obj.get("edges", [])
@@ -282,10 +279,8 @@ def graph_from_json(obj: dict | str) -> Graph:
     return g
 
 
-def nodeset_from_json(obj: list | str) -> NodeSet:
+def nodeset_from_json(obj: list) -> NodeSet:
     """Build a NodeSet from a JSON array of ints."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, list):
         raise InputError("node set JSON must be an array of ints")
     return NodeSet(obj)

@@ -17,9 +17,9 @@ plain reconstruction applies unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -103,9 +103,7 @@ class NodeDynamics:
         return {name: getattr(self, name).tolist() for name in "ABCEK"}
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "NodeDynamics":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "NodeDynamics":
         try:
             return cls(**{name: np.asarray(obj[name], dtype=float) for name in "ABCEK"})
         except (KeyError, TypeError, ValueError) as exc:
@@ -165,6 +163,24 @@ class CouplingReport:
         }
 
 
+def _vanishing_couplings(dyn: NodeDynamics) -> Iterator[np.ndarray]:
+    """For k = 0, 1, 2, ...: which entries of C (EK)^k B count as zero.
+
+    An entry vanishes when it is at most ``COUPLING_TOL`` times
+    ``norm(C) norm(B) norm((EK)^k)``. The test is scale-invariant, so the
+    power is divided by its largest entry at every step and stays inside
+    float64 range however large or small EK is. A nilpotent EK reaches
+    the exact zero power, every entry of whose product vanishes.
+    """
+    tol = COUPLING_TOL * (float(np.linalg.norm(dyn.C)) or 1.0)
+    tol *= float(np.linalg.norm(dyn.B)) or 1.0
+    power = np.eye(dyn.state_dim)
+    while True:
+        yield np.abs(dyn.C @ power @ dyn.B) <= tol * np.linalg.norm(power)
+        power = dyn.coupling @ power
+        power /= np.abs(power).max() or 1.0
+
+
 def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingReport:
     """Check C (EK)^k B != 0 for k = 0..k_max (default 2q).
 
@@ -176,36 +192,28 @@ def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingR
         k_max = 2 * dyn.state_dim
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")
-    c_norm = float(np.linalg.norm(dyn.C)) or 1.0
-    b_norm = float(np.linalg.norm(dyn.B)) or 1.0
-    power = np.eye(dyn.state_dim)
-    for k in range(k_max + 1):
-        product = dyn.C @ power @ dyn.B
-        scale = max(c_norm * b_norm * max(float(np.linalg.norm(power)), 1e-300), 1e-300)
-        if np.abs(product).max() <= COUPLING_TOL * scale:
+    for k, vanish in zip(range(k_max + 1), _vanishing_couplings(dyn)):
+        if vanish.all():
             return CouplingReport(verified_up_to=k - 1, first_failure=k)
-        power = dyn.coupling @ power
     return CouplingReport(verified_up_to=k_max, first_failure=None)
 
 
 def lifted_markov(sys: LiftedSystem, order: int) -> MarkovSequence:
     """Markov parameters of the lifted block system.
 
-    Block k has shape ``(t*|v_out|, r*|v_in|)``: per output node a band of
-    t rows, per input node a band of r columns.
+    ``data`` has shape ``(order+1, t*|v_out|, r*|v_in|)``: per output node
+    a band of t rows, per input node a band of r columns.
     """
     if order < 0:
         raise InputError(f"order must be >= 0, got {order}")
     state = sys.state_matrix
     cur = sys.input_matrix
     out = sys.output_matrix
-    blocks = []
-    for _ in range(order + 1):
-        blocks.append(out @ cur)
+    data = np.empty((order + 1, out.shape[0], cur.shape[1]))
+    for k in range(order + 1):
+        data[k] = out @ cur
         cur = state @ cur
-    return MarkovSequence(
-        v_in=sys.v_in, v_out=sys.v_out, order=order, data=tuple(blocks)
-    )
+    return MarkovSequence(v_in=sys.v_in, v_out=sys.v_out, data=data)
 
 
 def _mixing_tables(dyn: NodeDynamics, order: int) -> np.ndarray:
@@ -239,10 +247,11 @@ def deconvolve(
     is subtracted from every higher order in one broadcast outer product,
     with the same products as ``np.kron`` but without forming the
     Kronecker matrix. Each order still takes its subtractions in
-    ascending order, and the whole peel makes O(K) numpy calls. Raises
+    ascending order, the whole peel makes O(K) numpy calls, and the
+    blocks fill one ``(K+1, n_out, n_in)`` array. Raises
     DeconvolutionBlockedError at the first order whose coupling product
-    is (numerically) zero, and InconsistentDataError when the data is not
-    actually a Kronecker mixture of this shape.
+    is zero by the test of :func:`coupling_condition`, and
+    InconsistentDataError when the data is not a Kronecker mixture.
 
     Conditioning caveat: the recoverable signal at order k sits a factor
     ``(norm(EK)/norm(A))**k`` below the data magnitude, so couplings much
@@ -252,24 +261,19 @@ def deconvolve(
     n_in, n_out = len(lifted.v_in), len(lifted.v_out)
     t, r = dyn.output_dim, dyn.input_dim
     expected = (t * n_out, r * n_in)
-    if lifted.data[0].shape != expected:
+    if lifted.data.shape[1:] != expected:
         raise InputError(
-            f"lifted blocks have shape {lifted.data[0].shape}, expected "
+            f"lifted blocks have shape {lifted.data.shape[1:]}, expected "
             f"{expected} = (t*n_out, r*n_in)"
         )
 
     mixing = _mixing_tables(dyn, lifted.order)
-    c_norm = float(np.linalg.norm(dyn.C)) or 1.0
-    b_norm = float(np.linalg.norm(dyn.B)) or 1.0
-    power = np.eye(dyn.state_dim)  # accumulated (EK)^k, sets the "nonzero" scale
-
-    grids = np.array(lifted.data, dtype=float).reshape(-1, n_out, t, n_in, r)
-    base_blocks: list[np.ndarray] = []
-    for k, grid in enumerate(grids):
+    grids = lifted.data.reshape(-1, n_out, t, n_in, r).copy()
+    base = np.empty((len(grids), n_out, n_in))
+    for k, (grid, vanish) in enumerate(zip(grids, _vanishing_couplings(dyn))):
         top = mixing[k, k]
-        scale = max(c_norm * b_norm * float(np.linalg.norm(power)), 1e-300)
-        power = dyn.coupling @ power
-        if np.abs(top).max() <= COUPLING_TOL * scale:
+        # The table's unscaled (EK)^k can underflow to zero where the test does not.
+        if vanish.all() or not top.any():
             raise DeconvolutionBlockedError(
                 f"coupling product C (EK)^{k} B is zero within tolerance: "
                 f"deconvolution blocked at order {k}",
@@ -279,12 +283,10 @@ def deconvolve(
         alpha, beta = divmod(flat, r)
         block = grid[:, alpha, :, beta] / top[alpha, beta]
 
-        # Cross-check a few other well-sized entries of the top product.
-        order_idx = np.argsort(np.abs(top), axis=None)[::-1]
-        checked = 0
-        for pos in order_idx[1:]:
+        # Cross-check up to three other well-sized entries of the top product.
+        for pos in np.argsort(np.abs(top), axis=None)[::-1][1:4]:
             a2, b2 = divmod(int(pos), r)
-            if abs(top[a2, b2]) <= COUPLING_TOL * scale:
+            if vanish[a2, b2]:
                 break
             other = grid[:, a2, :, b2] / top[a2, b2]
             err = np.abs(other - block).max()
@@ -293,16 +295,8 @@ def deconvolve(
                     f"lifted data at order {k} is not a consistent Kronecker "
                     f"mixture: block ratio mismatch {err:.3e}"
                 )
-            checked += 1
-            if checked >= 3:
-                break
-        base_blocks.append(block)
+        base[k] = block
         # Peel this order's term out of every higher order at once.
         grids[k + 1 :] -= block[:, None, :, None] * mixing[k + 1 :, k, None, :, None, :]
 
-    return MarkovSequence(
-        v_in=lifted.v_in,
-        v_out=lifted.v_out,
-        order=lifted.order,
-        data=tuple(base_blocks),
-    )
+    return MarkovSequence(v_in=lifted.v_in, v_out=lifted.v_out, data=base)

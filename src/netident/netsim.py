@@ -11,7 +11,6 @@ identifiability whenever some node is neither excited nor measured.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -147,63 +146,60 @@ class DirectedWeightMatrix:
 
 @dataclass(frozen=True, eq=False)
 class MarkovSequence:
-    """The output/input samples of the matrix powers: block k is N X^k M.
+    """The output/input samples of the matrix powers: ``data[k]`` is N X^k M.
 
-    Rows follow the ascending output node list, columns the ascending
-    input node list; ``data[k]`` has shape ``(len(v_out), len(v_in))`` for
-    plain network dynamics. Sequences produced by the higher-order lift
-    keep the same node sets but carry per-node blocks, so their shapes
-    are integer multiples of that.
+    ``data`` is one read-only float array of shape ``(K+1, p, m)`` and
+    ``order`` is K. Rows follow the ascending output nodes, columns the
+    ascending input nodes, so ``(p, m) = (len(v_out), len(v_in))`` for
+    plain network dynamics; the higher-order lift carries per-node
+    blocks, so its ``(p, m)`` are integer multiples of that.
     """
 
     v_in: NodeSet
     v_out: NodeSet
-    order: int
-    data: tuple[np.ndarray, ...]
+    data: np.ndarray
 
     def __post_init__(self):
-        if self.order < 0 or self.order != len(self.data) - 1:
+        try:
+            data = np.array(self.data, dtype=float)
+        except (TypeError, ValueError) as exc:
             raise InputError(
-                f"order {self.order} inconsistent with {len(self.data)} blocks"
+                f"Markov data is not an array of equal-shape blocks: {exc}"
+            ) from None
+        if data.ndim != 3 or not len(data):
+            raise InputError(
+                f"Markov data must stack at least one 2-d block, got shape {data.shape}"
             )
-        frozen = []
-        shape = None
-        for k, block in enumerate(self.data):
-            block = np.array(block, dtype=float)
-            if block.ndim != 2:
-                raise InputError(f"block {k} must be a 2-d matrix, got ndim={block.ndim}")
-            _check_finite(block, f"Markov block {k}")
-            if shape is None:
-                shape = block.shape
-            elif block.shape != shape:
-                raise InputError(
-                    f"block {k} has shape {block.shape}, expected {shape}"
-                )
-            block.setflags(write=False)
-            frozen.append(block)
-        object.__setattr__(self, "data", tuple(frozen))
+        finite = np.isfinite(data).all(axis=(1, 2))
+        if not finite.all():
+            k = int(finite.argmin())
+            _check_finite(data[k], f"Markov block {k}")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
+
+    @property
+    def order(self) -> int:
+        return len(self.data) - 1
 
     def to_json(self) -> dict:
         return {
             "v_in": self.v_in.to_json(),
             "v_out": self.v_out.to_json(),
             "K": self.order,
-            "data": [block.tolist() for block in self.data],
+            "data": self.data.tolist(),
         }
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "MarkovSequence":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "MarkovSequence":
+        """Load the JSON format; ``"K"`` must equal the block count minus one."""
         try:
-            return cls(
-                v_in=NodeSet(obj["v_in"]),
-                v_out=NodeSet(obj["v_out"]),
-                order=_integral(obj["K"], "Markov order K"),
-                data=tuple(np.asarray(b, dtype=float) for b in obj["data"]),
-            )
+            seq = cls(NodeSet(obj["v_in"]), NodeSet(obj["v_out"]), obj["data"])
+            order = _integral(obj["K"], "Markov order K")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad Markov sequence JSON: {exc}") from None
+        if order != seq.order:
+            raise InputError(f"order {order} inconsistent with {len(seq.data)} blocks")
+        return seq
 
 
 def random_weights(
@@ -241,20 +237,6 @@ def random_weights(
     return WeightMatrix(g, entries)
 
 
-def _markov_blocks(
-    entries: np.ndarray, v_in: NodeSet, v_out: NodeSet, order: int
-) -> list[np.ndarray]:
-    """N X^k M for k = 0..order by repeated multiply on the input columns."""
-    n = entries.shape[0]
-    cur = selection_matrix(n, v_in)
-    out_rows = np.asarray([i - 1 for i in v_out], dtype=int)
-    blocks = []
-    for _ in range(order + 1):
-        blocks.append(cur[out_rows, :])
-        cur = entries @ cur
-    return blocks
-
-
 def markov_sequence(
     x: WeightMatrix | DirectedWeightMatrix,
     v_in: Iterable[int],
@@ -264,16 +246,22 @@ def markov_sequence(
     """Markov parameters of the network with the given input/output nodes.
 
     ``data[k] = N X^k M`` where M selects the input-node columns and N the
-    output-node rows. Entries can grow like ``norm(X)**k``; downstream
-    comparisons should use relative tolerances.
+    output-node rows, one ``(order+1, len(v_out), len(v_in))`` array.
+    Entries can grow like ``norm(X)**k``; downstream comparisons should
+    use relative tolerances.
     """
     if order < 0:
         raise InputError(f"order must be >= 0, got {order}")
     n = x.entries.shape[0]
     v_in = _nodes_within(v_in, n)
     v_out = _nodes_within(v_out, n)
-    blocks = _markov_blocks(x.entries, v_in, v_out, order)
-    return MarkovSequence(v_in=v_in, v_out=v_out, order=order, data=tuple(blocks))
+    cur = selection_matrix(n, v_in)
+    out_rows = np.asarray([i - 1 for i in v_out], dtype=int)
+    data = np.empty((order + 1, len(v_out), len(v_in)))
+    for k in range(order + 1):
+        data[k] = cur[out_rows]
+        cur = x.entries @ cur
+    return MarkovSequence(v_in=v_in, v_out=v_out, data=data)
 
 
 def transfer_eval(

@@ -157,9 +157,9 @@ def identify(
             required=needed,
         )
     expected = (len(markov.v_out), len(markov.v_in))
-    if markov.data[0].shape != expected:
+    if markov.data.shape[1:] != expected:
         raise InputError(
-            f"Markov blocks have shape {markov.data[0].shape}, expected "
+            f"Markov blocks have shape {markov.data.shape[1:]}, expected "
             f"{expected} = (|v_out|, |v_in|)"
         )
 
@@ -170,7 +170,7 @@ def identify(
     powers = np.zeros((needed + 1, len(nodes), len(nodes)))
     rows = np.searchsorted(markov.v_out.members, w.members)
     cols = np.searchsorted(markov.v_in.members, w.members)
-    overlap = np.asarray(markov.data[: needed + 1])[:, rows[:, None], cols]
+    overlap = markov.data[: needed + 1, rows[:, None], cols]
     b = len(w)
     powers[:, :b, :b] = 0.5 * (overlap + overlap.transpose(0, 2, 1))
     if not np.isfinite(powers[:, :b, :b]).all():

@@ -43,8 +43,7 @@ class ForcingChronicle:
 
     ``rounds`` holds the number of forces in each propagation round, in
     order; every force of a round must be valid against the black set at
-    the round's start. Given empty, it means one force per round and is
-    stored that way, so ``rounds`` always sums to ``len(forces)``.
+    the round's start, and ``rounds`` must sum to ``len(forces)``.
     """
 
     initial: NodeSet
@@ -52,13 +51,13 @@ class ForcingChronicle:
     rounds: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        rounds = self.rounds or (1,) * len(self.forces)
+        rounds = tuple(self.rounds)
         if min(rounds, default=1) < 1 or sum(rounds) != len(self.forces):
             raise InputError(
                 f"round sizes {list(rounds)} must be positive and sum to the "
                 f"{len(self.forces)} force(s)"
             )
-        object.__setattr__(self, "rounds", tuple(rounds))
+        object.__setattr__(self, "rounds", rounds)
 
     @property
     def derived(self) -> NodeSet:
@@ -129,7 +128,7 @@ class ForcingChronicle:
             initial = NodeSet(obj["initial"])
             forces = tuple((_integral(u, "forcing node"), _integral(v, "forced node"))
                            for u, v in obj["forces"])
-            rounds = tuple(_integral(c, "round size") for c in obj.get("rounds", ()))
+            rounds = tuple(_integral(c, "round size") for c in obj["rounds"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad chronicle JSON: {exc}") from None
         return cls(initial=initial, forces=forces, rounds=rounds)

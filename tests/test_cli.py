@@ -275,6 +275,14 @@ class TestHod:
         assert code == 0
         assert json.loads(out)["first_failure"] == 2
 
+    def test_check_growing_coupling_past_float64_range(self, tmp_path, capsys):
+        # C (EK)^k B = 2^k: the norm of (EK)^k overflows when squared from k = 512.
+        d = write(tmp_path, "d.json", {**self.DYN, "E": [[2.0]]})
+        code, out, err = run(capsys, ["hod", "check", "--dyn", d, "--order", "1000"])
+        assert (code, err) == (0, "")
+        blob = json.loads(out)
+        assert (blob["ok"], blob["first_failure"], blob["verified_up_to"]) == (True, None, 1000)
+
     def test_markov_and_recover_chain(self, tmp_path, capsys):
         graph = Graph(3, [(1, 2), (2, 3)])
         x = random_weights(graph, seed=11)
@@ -419,6 +427,37 @@ def test_recover_overflowing_overlap_exits_two(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("input error: Markov data is beyond float64 range: the "
                    "symmetrised overlap is not finite\n")
+
+
+class TestMarkovArrayInput:
+    """Markov JSON whose data is not one (K+1, p, m) array exits 2, prints nothing."""
+
+    def recover(self, tmp_path, capsys, command, blob):
+        argv = [command, "recover", "--graph", write(tmp_path, "g.json", path_json(3)),
+                "--markov", write(tmp_path, "m.json", blob),
+                "--target", write(tmp_path, "t.json", [1, 2, 3])]
+        if command == "hod":
+            argv += ["--dyn", write(tmp_path, "d.json", TestHod.DYN)]
+        return run(capsys, argv)
+
+    @pytest.mark.parametrize("command", ["ident", "hod"])
+    @pytest.mark.parametrize("data", [
+        [[[1.0]], [[1.0, 2.0]]],
+        [1.0, 2.0],
+        [[[[1.0]]]],
+        [],
+    ], ids=["ragged", "1d", "4d", "empty"])
+    def test_malformed_data(self, tmp_path, capsys, command, data):
+        blob = {"v_in": [1], "v_out": [1], "K": len(data) - 1, "data": data}
+        code, out, err = self.recover(tmp_path, capsys, command, blob)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: Markov data ")
+
+    @pytest.mark.parametrize("command", ["ident", "hod"])
+    def test_order_must_match_block_count(self, tmp_path, capsys, command):
+        blob = {"v_in": [1], "v_out": [1], "K": 7, "data": [[[1.0]]] * 7}
+        code, out, err = self.recover(tmp_path, capsys, command, blob)
+        assert (code, out, err) == (2, "", "input error: order 7 inconsistent with 7 blocks\n")
 
 
 class TestNonFiniteInput:

@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -58,7 +57,7 @@ class TestNodeSet:
         assert 1 not in NodeSet()
 
     def test_json_roundtrip(self):
-        assert nodeset_from_json(json.dumps([4, 1])) == NodeSet([1, 4])
+        assert nodeset_from_json([4, 1]) == NodeSet([1, 4])
 
 
 class TestGraph:
@@ -192,7 +191,7 @@ def test_edge_index_is_the_edge_list_less_one_and_read_only(n, data):
 class TestGraphJson:
     def test_roundtrip(self):
         g = Graph(3, [(1, 2), (2, 3)])
-        assert graph_from_json(json.dumps({"n": g.n, "edges": g.edges})) == g
+        assert graph_from_json({"n": g.n, "edges": g.edges}) == g
 
     def test_strips_self_loops_with_warning(self):
         with pytest.warns(UserWarning, match="self-loop"):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from netident import (
 )
 from netident.higher_order import _mixing_tables
 
-from oracles import random_connected_edges
+from oracles import markov_blocks_oracle, random_connected_edges
 
 
 def path(n):
@@ -40,6 +41,10 @@ NILPOTENT = NodeDynamics(
     A=np.zeros((2, 2)), B=np.eye(2), C=np.eye(2),
     E=[[1.0], [0.0]], K=[[0.0, 1.0]],
 )
+
+# C (EK)^k B = 2^k never vanishes, though the norm of (EK)^k squares past
+# float64 range from k = 512 on.
+DOUBLING = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[2.0]], K=[[1.0]])
 
 
 def random_dyn(rng, q, r=None, t=None, s=None):
@@ -118,6 +123,26 @@ class TestCouplingCondition:
         assert blob["first_failure"] == 2
         assert not blob["ok"]
 
+    def test_growing_coupling_is_verified_past_float64_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = coupling_condition(DOUBLING, k_max=1000)
+        assert report.ok and report.verified_up_to == 1000
+
+    def test_tiny_coupling_is_not_zero(self):
+        # (EK)^2 = 1e-400 underflows, but the test is scale-invariant.
+        dyn = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[1e-200]], K=[[1.0]])
+        assert coupling_condition(dyn, k_max=20).ok
+
+    def test_scale_free(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            dyn = random_dyn(rng, 3, r=1, t=1)
+            want = coupling_condition(dyn, k_max=12).first_failure
+            for c in (1e-100, 1e100):
+                big = NodeDynamics(A=dyn.A, B=c * dyn.B, C=c * dyn.C, E=c * dyn.E, K=dyn.K)
+                assert coupling_condition(big, k_max=12).first_failure == want
+
 
 class TestLiftedMarkov:
     def test_scalar_identity_reduces_to_base(self):
@@ -138,6 +163,20 @@ class TestLiftedMarkov:
         lifted = lifted_markov(sys_, 0)
         nm = np.array([[0.0, 1.0]])  # N M for v_out={2}, v_in={1,2}
         np.testing.assert_allclose(lifted.data[0], np.kron(nm, dyn.C @ dyn.B))
+
+    def test_one_array_matching_the_oracle_bit_for_bit(self):
+        # With B = C = I every lifted block is the state-power block of the
+        # nodes' bands, and integer entries keep every product exact.
+        rng = np.random.default_rng(18)
+        g = path(3)
+        x = WeightMatrix(g, [[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 3.0]])
+        dyn = NodeDynamics(A=rng.integers(-2, 3, (2, 2)), B=np.eye(2), C=np.eye(2),
+                           E=rng.integers(-2, 3, (2, 1)), K=rng.integers(-2, 3, (1, 2)))
+        sys_ = LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1, 3]), v_out=NodeSet([2]))
+        lifted = lifted_markov(sys_, 6)
+        assert lifted.data.shape == (7, 2, 4) and not lifted.data.flags.writeable
+        want = np.array(markov_blocks_oracle(sys_.state_matrix, [1, 2, 5, 6], [3, 4], 6))
+        assert lifted.data.tobytes() == want.tobytes()
 
     def test_matches_dense_matrix_power_oracle(self):
         rng = np.random.default_rng(6)
@@ -260,6 +299,24 @@ class TestDeconvolve:
             deconvolve(lifted, NILPOTENT)
         assert err.value.k == 2
 
+    def test_growing_coupling_returns_exact_powers(self):
+        x = WeightMatrix(Graph(1, []), [[0.5]])
+        one = NodeSet([1])
+        lifted = lifted_markov(LiftedSystem(weights=x, dyn=DOUBLING, v_in=one, v_out=one), 600)
+        base = deconvolve(lifted, DOUBLING)
+        assert base.data.shape == (601, 1, 1) and base.order == 600
+        np.testing.assert_array_equal(base.data[:, 0, 0], 0.5 ** np.arange(601))
+
+    def test_underflowing_coupling_product_blocks(self):
+        # C (EK)^2 B = 1e-400 is zero in float64, so order 2 cannot be divided out.
+        dyn = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[1e-200]], K=[[1.0]])
+        x = WeightMatrix(Graph(1, []), [[1.0]])
+        one = NodeSet([1])
+        lifted = lifted_markov(LiftedSystem(weights=x, dyn=dyn, v_in=one, v_out=one), 4)
+        with pytest.raises(DeconvolutionBlockedError) as err:
+            deconvolve(lifted, dyn)
+        assert err.value.k == 2
+
     def test_shape_mismatch_rejected(self):
         g = path(2)
         x = WeightMatrix(g, np.array([[1.0, 2.0], [2.0, 3.0]]))
@@ -283,8 +340,7 @@ class TestDeconvolve:
         blocks = [np.array(b) for b in lifted.data]
         blocks[2][0, 1] += 7.0  # break the Kronecker structure
         tampered = MarkovSequence(
-            v_in=lifted.v_in, v_out=lifted.v_out, order=lifted.order,
-            data=tuple(blocks),
+            v_in=lifted.v_in, v_out=lifted.v_out, data=tuple(blocks),
         )
         with pytest.raises(InconsistentDataError, match="mismatch"):
             deconvolve(tampered, dyn)

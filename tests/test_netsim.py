@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 
@@ -203,19 +204,80 @@ class TestMarkovSequence:
         again = MarkovSequence.from_json({**blob, "K": 2.0})
         assert again.order == 2 and type(again.order) is int
 
-    @pytest.mark.parametrize("order, data", [
-        (-1, []),
-        (1, [[1.0], [2.0]]),
-        (0, [[[[1.0]]]]),
-        (1, [1.0, 2.0]),
+    @pytest.mark.parametrize("data", [
+        [],
+        [[1.0], [2.0]],
+        [[[[1.0]]]],
+        [1.0, 2.0],
     ], ids=["no-blocks", "1d-blocks", "3d-block", "scalar-blocks"])
-    def test_blocks_must_be_matrices(self, order, data):
+    def test_blocks_must_be_matrices(self, data):
         with pytest.raises(InputError):
-            MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=order, data=data)
+            MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
 
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):
             markov_sequence(WeightMatrix(P2, X2), [1], [1], -1)
+
+    def test_data_is_one_read_only_array(self):
+        seq = markov_sequence(WeightMatrix(P2, X2), [1], [1, 2], 3)
+        assert seq.data.shape == (4, 2, 1) and seq.order == 3
+        assert not seq.data.flags.writeable
+        with pytest.raises(ValueError):
+            seq.data[0, 0, 0] = 7.0
+        with pytest.raises(AttributeError):
+            seq.order = 2
+
+    def test_constructor_copies_its_input(self):
+        data = np.ones((2, 1, 1))
+        seq = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
+        data[1] = 5.0
+        assert data.flags.writeable and seq.data[1, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("data", [
+        [[[1.0]], [[1.0, 2.0]]],
+        [[[1.0], [1.0, 2.0]]],
+        [1.0, 2.0],
+        [[[[1.0]]]],
+        [],
+        [[[1.0]], "a"],
+    ], ids=["ragged-blocks", "ragged-rows", "1d", "4d", "empty", "string-block"])
+    def test_data_must_be_one_3d_array(self, data):
+        with pytest.raises(InputError, match="Markov data"):
+            MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
+        blob = {"v_in": [1], "v_out": [1], "K": len(data) - 1, "data": data}
+        with pytest.raises(InputError, match="Markov data"):
+            MarkovSequence.from_json(blob)
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_json_order_must_match_block_count(self, order):
+        blob = markov_sequence(WeightMatrix(P2, X2), [1], [1, 2], 2).to_json()
+        with pytest.raises(InputError, match=f"order {order} inconsistent with 3 blocks"):
+            MarkovSequence.from_json({**blob, "K": order})
+
+    def test_matches_oracle_bit_for_bit(self):
+        # Integer weights keep every product exact, so any summation order agrees.
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            g = Graph(n, random_connected_edges(rng, n))
+            entries = np.diag(rng.integers(-3, 4, size=n).astype(float))
+            i, j = g.edge_index.T
+            entries[i, j] = entries[j, i] = rng.integers(1, 4, size=len(i))
+            vin = NodeSet(rng.choice(np.arange(1, n + 1), size=2, replace=False).tolist())
+            vout = NodeSet(rng.choice(np.arange(1, n + 1), size=3, replace=False).tolist()
+                           if n > 2 else [1])
+            seq = markov_sequence(WeightMatrix(g, entries), vin, vout, 8)
+            assert seq.data.shape == (9, len(vout), 2)
+            want = np.array(markov_blocks_oracle(entries, vin, vout, 8))
+            assert seq.data.tobytes() == want.tobytes()
+
+    def test_json_roundtrip_is_bit_identical(self):
+        g = Graph(5, random_connected_edges(np.random.default_rng(17), 5))
+        seq = markov_sequence(random_weights(g, seed=9), [1, 4], [2, 4, 5], 7)
+        again = MarkovSequence.from_json(json.loads(json.dumps(seq.to_json())))
+        assert (again.v_in, again.v_out, again.order) == (seq.v_in, seq.v_out, 7)
+        assert again.data.tobytes() == seq.data.tobytes()
+        assert again.to_json() == seq.to_json()
 
 
 class TestTransferEval:
@@ -401,7 +463,7 @@ class TestNonFinite:
     def test_markov_blocks(self):
         data = (np.eye(1), np.array([[1.0]]), np.array([[np.nan]]))
         with pytest.raises(InputError, match=r"Markov block 2 entry \(1,1\) is not finite"):
-            MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=2, data=data)
+            MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
 
     def test_overflowing_markov_sequence_raises(self):
         x = WeightMatrix(P2, X2)

@@ -50,7 +50,7 @@ def seq_from_raw(entries, v_in, v_out, order):
     """Markov sequence built straight from matrix powers (oracle path)."""
     blocks = markov_blocks_oracle(entries, v_in, v_out, order)
     return MarkovSequence(
-        v_in=NodeSet(v_in), v_out=NodeSet(v_out), order=order, data=tuple(blocks)
+        v_in=NodeSet(v_in), v_out=NodeSet(v_out), data=tuple(blocks)
     )
 
 
@@ -59,11 +59,12 @@ class TestRequiredOrder:
         assert required_order(ForcingChronicle(initial=NodeSet([1]))) == 2
 
     def test_three_forces(self):
-        chron = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (2, 3), (3, 4)))
+        chron = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (2, 3), (3, 4)),
+                                 rounds=(1, 1, 1))
         assert required_order(chron) == 8
 
-    def test_json_without_rounds_counts_every_force(self):
-        blob = {"initial": [1], "forces": [[1, 2], [2, 3], [3, 4]]}
+    def test_json_rounds_set_the_order(self):
+        blob = {"initial": [1], "forces": [[1, 2], [2, 3], [3, 4]], "rounds": [1, 1, 1]}
         assert required_order(ForcingChronicle.from_json(blob)) == 8
         assert required_order(ForcingChronicle.from_json({**blob, "rounds": [3]})) == 4
 
@@ -100,7 +101,7 @@ class TestForceStep:
     def test_negative_square_is_inconsistent(self):
         # Handcrafted data no symmetric matrix can produce: (X^2)_11 < X_11^2.
         data = tuple(np.array([[v]]) for v in (1.0, 2.0, 1.0, 0.0, 0.0))
-        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=4, data=data)
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
         with pytest.raises(InconsistentDataError, match="negative"):
             identify(markov, P2, [1, 2])
 
@@ -152,15 +153,14 @@ class TestIdentify:
     def test_blocks_must_match_the_node_sets(self):
         g = path(3)
         good = markov_sequence(random_weights(g, seed=3), [1], [1], 6)
-        wide = MarkovSequence(v_in=NodeSet([1, 2]), v_out=good.v_out, order=6,
-                              data=good.data)
+        wide = MarkovSequence(v_in=NodeSet([1, 2]), v_out=good.v_out, data=good.data)
         with pytest.raises(InputError, match="shape"):
             identify(wide, g, g.nodes)
 
     def test_data_beyond_float64_range_is_refused(self):
         # Finite data whose replay overflows: no NaN, inf or warning comes back.
         data = tuple(np.array([[v]]) for v in (1.0, 10.0) + (1e307,) * 7)
-        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=8, data=data)
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="not finite"):
@@ -169,7 +169,7 @@ class TestIdentify:
     def test_overflowing_overlap_is_refused_without_a_warning(self):
         # 0.5 * (1e308 + 1e308) overflows while the overlap is symmetrised.
         data = tuple(np.array([[v]]) for v in (1.0, 10.0, 1e308, 1.0, 1.0, 1.0, 1.0))
-        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), order=6, data=data)
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="beyond float64 range"):

@@ -123,7 +123,7 @@ class TestChronicle:
             assert chronicle.derived == derived
 
     def test_replay_rejects_bogus_force(self):
-        bad = ForcingChronicle(initial=NodeSet([2]), forces=((2, 1),))
+        bad = ForcingChronicle(initial=NodeSet([2]), forces=((2, 1),), rounds=(1,))
         with pytest.raises(InputError, match="step 1"):
             bad.replay(path(3))  # node 2 has two white neighbours
 
@@ -133,15 +133,16 @@ class TestChronicle:
         grouped = ForcingChronicle(initial=NodeSet([1]), forces=forces, rounds=(2,))
         with pytest.raises(InputError, match="forcing node 2 is not black"):
             grouped.replay(path(3))
-        ForcingChronicle(initial=NodeSet([1]), forces=forces).replay(path(3))
+        ForcingChronicle(initial=NodeSet([1]), forces=forces, rounds=(1, 1)).replay(path(3))
 
     def test_replay_rejects_non_black_forcer_and_non_neighbour(self):
         g = path(3)
         with pytest.raises(InputError, match="forcing node 3 is not black"):
-            ForcingChronicle(initial=NodeSet([1]), forces=((3, 2),)).replay(g)
+            ForcingChronicle(initial=NodeSet([1]), forces=((3, 2),), rounds=(1,)).replay(g)
         with pytest.raises(InputError, match="step 2"):
-            ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (1, 3))).replay(g)
-        done = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (2, 3)))
+            ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (1, 3)),
+                             rounds=(1, 1)).replay(g)
+        done = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (2, 3)), rounds=(1, 1))
         assert done.replay(g) == g.nodes
 
     def test_replay_rejects_node_forced_twice_in_a_round(self):
@@ -156,10 +157,12 @@ class TestChronicle:
         for rounds in ((0, 2), (1,), (1, 1, 1), (3, -1)):
             with pytest.raises(InputError, match="round sizes"):
                 ForcingChronicle(initial=NodeSet([1]), forces=forces, rounds=rounds)
-        blank = ForcingChronicle(initial=NodeSet([1]), forces=forces)
-        assert blank.rounds == (1, 1)
-        assert blank == ForcingChronicle(initial=NodeSet([1]), forces=forces,
-                                         rounds=(1, 1))
+        listed = ForcingChronicle(initial=NodeSet([1]), forces=forces, rounds=[1, 1])
+        assert listed.rounds == (1, 1)
+        assert listed == ForcingChronicle(initial=NodeSet([1]), forces=forces,
+                                          rounds=(1, 1))
+        with pytest.raises(InputError, match="round sizes"):
+            ForcingChronicle(initial=NodeSet([1]), forces=forces)
 
     def test_json_roundtrip(self):
         _, chronicle = derived_set(path(4), NodeSet([1]))
@@ -168,9 +171,10 @@ class TestChronicle:
         assert chronicle.to_json()["derived"] == [1, 2, 3, 4]
         assert chronicle.to_json()["rounds"] == [1, 1, 1]
 
-    def test_json_without_rounds_means_one_force_per_round(self):
+    def test_json_without_rounds_rejected(self):
         blob = {"initial": [1], "forces": [[1, 2], [2, 3]]}
-        assert ForcingChronicle.from_json(blob).rounds == (1, 1)
+        with pytest.raises(InputError, match="bad chronicle JSON.*rounds"):
+            ForcingChronicle.from_json(blob)
 
     @pytest.mark.parametrize("blob", [
         {"initial": [1], "forces": [[1.5, 2.9]]},

@@ -186,19 +186,6 @@ class Graph:
         ends.setflags(write=False)
         return ends
 
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Bitset adjacency rows: bit ``j-1`` of entry ``i`` marks edge {i,j}.
-
-        Entry 0 is unused. Built lazily; the subset-search code in
-        ``zero_forcing`` is the main consumer.
-        """
-        rows = [0] * (self.n + 1)
-        for i, j in self.edges:
-            rows[i] |= 1 << (j - 1)
-            rows[j] |= 1 << (i - 1)
-        return tuple(rows)
-
     def components(self) -> list[NodeSet]:
         """Connected components, each as a NodeSet, ordered by smallest member."""
         nbrs = self.neighbour_rows

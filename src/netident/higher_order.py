@@ -221,14 +221,19 @@ def _mixing_tables(dyn: NodeDynamics, order: int) -> np.ndarray:
     coupling letters; G recursion: G_{k,i} = A G_{k-1,i} + EK G_{k-1,i-1}.
 
     Shape ``(order+1, order+1, t, r)``; entries with i > k are zero.
+    The words are not rescaled, so a growing coupling can overflow
+    float64 at high order; every entry from then on may be inf or nan,
+    and :func:`deconvolve` reports the first such order, so the overflow
+    raises no warning here.
     """
     q = dyn.state_dim
     words = np.zeros((order + 1, order + 1, q, q))
     words[0, 0] = np.eye(q)
-    for k in range(1, order + 1):
-        words[k, :k] += dyn.A @ words[k - 1, :k]
-        words[k, 1 : k + 1] += dyn.coupling @ words[k - 1, :k]
-    return dyn.C @ words @ dyn.B
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            words[k, :k] += dyn.A @ words[k - 1, :k]
+            words[k, 1 : k + 1] += dyn.coupling @ words[k - 1, :k]
+        return dyn.C @ words @ dyn.B
 
 
 def deconvolve(
@@ -250,8 +255,9 @@ def deconvolve(
     ascending order, the whole peel makes O(K) numpy calls, and the
     blocks fill one ``(K+1, n_out, n_in)`` array. Raises
     DeconvolutionBlockedError at the first order whose coupling product
-    is zero by the test of :func:`coupling_condition`, and
-    InconsistentDataError when the data is not a Kronecker mixture.
+    is zero by the test of :func:`coupling_condition` or whose mixing
+    table overflows float64, and InconsistentDataError when the data is
+    not a Kronecker mixture.
 
     Conditioning caveat: the recoverable signal at order k sits a factor
     ``(norm(EK)/norm(A))**k`` below the data magnitude, so couplings much
@@ -268,9 +274,17 @@ def deconvolve(
         )
 
     mixing = _mixing_tables(dyn, lifted.order)
+    finite = np.isfinite(mixing).all(axis=(1, 2, 3))
+    stop = len(mixing) if finite.all() else int(finite.argmin())
     grids = lifted.data.reshape(-1, n_out, t, n_in, r).copy()
     base = np.empty((len(grids), n_out, n_in))
     for k, (grid, vanish) in enumerate(zip(grids, _vanishing_couplings(dyn))):
+        if k == stop:
+            raise DeconvolutionBlockedError(
+                f"coupling product C (EK)^{k} B overflows float64: "
+                f"deconvolution blocked at order {k}",
+                k=k,
+            )
         top = mixing[k, k]
         # The table's unscaled (EK)^k can underflow to zero where the test does not.
         if vanish.all() or not top.any():
@@ -296,7 +310,7 @@ def deconvolve(
                     f"mixture: block ratio mismatch {err:.3e}"
                 )
         base[k] = block
-        # Peel this order's term out of every higher order at once.
-        grids[k + 1 :] -= block[:, None, :, None] * mixing[k + 1 :, k, None, :, None, :]
+        # Peel this order's term out of every higher order with a finite table.
+        grids[k + 1 : stop] -= block[:, None, :, None] * mixing[k + 1 : stop, k, None, :, None, :]
 
     return MarkovSequence(v_in=lifted.v_in, v_out=lifted.v_out, data=base)

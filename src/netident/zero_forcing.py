@@ -13,13 +13,18 @@ time for zero forcing on a graph", Discrete Appl. Math. 2012).
 
 Finding a *minimum* zero forcing set is NP-hard, so the exact search is
 capped by a node budget and a verified heuristic is provided for larger
-graphs.
+graphs. The exact search goes level by level over the set size and
+closes a whole chunk of candidate sets at once, bit-sliced: one Python
+int per node, one bit per candidate. Its memory follows the two
+largest levels, at about n/8 + 5 bytes per set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+
+import numpy as np
 
 from .errors import InputError
 from .graph_core import Graph, NodeSet, _integral
@@ -230,67 +235,158 @@ def is_zero_forcing_set(g: Graph, z: NodeSet) -> bool:
 # -- exact minimum search ------------------------------------------------
 
 
-def _add_and_close(adj: tuple[int, ...], black: int, v: int) -> int:
-    """Closure of ``black | {v}``, where the bitmask ``black`` is already closed.
+# Candidate sets closed together, one bit (lane) each, per closure.
+_CHUNK = 4096
 
-    In a closed set no black node has exactly one white neighbour, so a
-    force can only come from a node whose white neighbours just shrank:
-    the newly black node itself or one of its black neighbours. Each node
-    that turns black is queued, and only it and its black neighbours are
-    checked, so the work follows the neighbourhoods of the new black nodes.
+
+def _close_lanes(nbrs, lanes: list[int], count: int) -> int:
+    """Close ``count`` lanes in place; the lowest lane black at every node, or -1.
+
+    ``lanes[v]`` has bit j set iff node v is black in lane j. A node u
+    keeps two accumulators over its neighbours' white lanes, ``one`` (at
+    least one white neighbour) and ``two`` (at least two), so ``one ^
+    two`` holds the lanes with exactly one; where u is also black it
+    forces, and those lanes are ORed into every neighbour (a no-op on the
+    black ones). Sweeps alternate between ascending and descending node
+    order, so a chain runs to its end in one sweep whichever way it
+    points, and stop at the first sweep that forces nothing. A derived
+    set does not depend on the order of forces, so updating in place is
+    exact.
     """
-    black |= 1 << (v - 1)
-    queue = [v]
-    while queue:
-        x = queue.pop()
-        check = (adj[x] & black) | (1 << (x - 1))
-        while check:
-            low = check & -check
-            check ^= low
-            w = adj[low.bit_length()] & ~black  # node id: bit j-1 <-> node j
-            if w and (w & (w - 1)) == 0:
-                black |= w
-                queue.append(w.bit_length())
-    return black
+    mask = (1 << count) - 1
+    order = range(1, len(lanes))
+    forced = True
+    while forced:
+        forced = False
+        for u in order:
+            black = lanes[u]
+            if not black:
+                continue
+            one = two = 0
+            for w in nbrs[u]:
+                white = mask ^ lanes[w]  # never ~lanes[w]: negative ints are slow
+                two |= one & white
+                one |= white
+            force = black & (one ^ two)
+            if force:
+                forced = True
+                for w in nbrs[u]:
+                    lanes[w] |= force
+        order = order[::-1]
+    full = mask
+    for lane in lanes[1:]:
+        full &= lane
+    return (full & -full).bit_length() - 1
+
+
+def _lanes_to_rows(lanes: list[int], count: int) -> np.ndarray:
+    """The ``(n, count)`` bool matrix of ``lanes[1:]``: row v-1 is node v."""
+    width = (count + 7) // 8
+    buf = b"".join(lane.to_bytes(width, "little") for lane in lanes[1:])
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(lanes) - 1, width)
+    return np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool)
+
+
+def _rows_to_lanes(rows: np.ndarray) -> list[int]:
+    """Lanes of an ``(n, count)`` bool matrix whose row v-1 is node v."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [0] + [int.from_bytes(row, "little") for row in packed]
+
+
+def _joined(pieces: list[tuple]) -> tuple:
+    """One ``(black, parent, node)`` chunk from its consecutive pieces."""
+    if len(pieces) == 1:
+        return pieces[0]
+    black, parent, node = zip(*pieces)
+    return np.concatenate(black, axis=1), np.concatenate(parent), np.concatenate(node)
+
+
+def _candidates(level: list[tuple], index: np.ndarray):
+    """The candidates of the level after ``level``, in lex order.
+
+    ``level`` lists the closed chunks of one level as ``(lanes, last)``:
+    the closed lanes and each state's last member (0-based). Every chunk
+    of a level but its last holds ``_CHUNK`` states, and so does every
+    chunk yielded: ``(black, parent, node)``, the ``(n, count)`` bool
+    matrix of the candidates' black sets before closure, the index in
+    ``level`` of the state each extends and the node it adds (0-based).
+    """
+    pieces, size = [], 0  # the next chunk so far
+    for k, (lanes, last) in enumerate(level):
+        rows = _lanes_to_rows(lanes, len(last))
+        state, node = np.nonzero((~rows & (index[:, None] > last)).T)
+        lo = 0
+        while lo < len(node):
+            hi = lo + _CHUNK - size
+            cols = state[lo:hi]
+            black = rows[:, cols]
+            black[node[lo:hi], np.arange(len(cols))] = True
+            pieces.append((black, k * _CHUNK + cols, node[lo:hi]))
+            size += len(cols)
+            lo = hi
+            if size == _CHUNK:
+                yield _joined(pieces)
+                pieces, size = [], 0
+    if pieces:
+        yield _joined(pieces)
 
 
 def _min_zfs_connected_mask(g: Graph) -> tuple[int, ...]:
-    """Lexicographically smallest minimum ZFS of a connected graph, n <= budget.
+    """Lexicographically smallest minimum ZFS of a connected graph.
 
-    Iterative deepening on the set size, DFS adding nodes in ascending
-    order. Two sound prunes: the size starts at the minimum degree (any
-    first force needs that many black nodes), and a new member is never
-    taken from the closure of the already-chosen ones (such a member
-    could be dropped, so no *minimum* set is skipped).
+    Level-synchronous search over the set size. Level j holds the
+    closure of every ascending j-subset none of whose members lies in
+    the closure of the members before it (such a member could be
+    dropped, so no *minimum* set is skipped), in lex order. The
+    candidates of level j+1 extend each state, in order, by every node
+    above its last member and outside its closure, in ascending order:
+    that is the lex order of the subsets, so the first candidate that
+    closes to the whole node set is the answer.
+
+    Candidates are closed ``_CHUNK`` at a time, bit-sliced, by
+    :func:`_close_lanes`, and a level stops at its first chunk with a
+    full lane. Level 1 is one lane per node, so a graph whose minimum is
+    one node never touches numpy. A level is kept in chunks of its
+    closed lanes, n bits per state, while the next one is built from it;
+    every state also keeps its parent (int32) and added node to rebuild
+    the answer. A state costs about n/8 + 5 bytes while its level is
+    read or built and 5 bytes after, plus one chunk in flight.
     """
     n = g.n
     if n == 0:
         return ()
-    adj = g.adjacency_masks
-    full = (1 << n) - 1
-
-    def dfs(chosen: list[int], black: int, budget: int) -> tuple[int, ...] | None:
-        if budget == 0:
-            return None
-        for v in range(chosen[-1] + 1 if chosen else 1, n + 1):
-            if (black >> (v - 1)) & 1:
-                continue
-            new_black = _add_and_close(adj, black, v)
-            chosen.append(v)
-            if new_black == full:
-                return tuple(chosen)
-            hit = dfs(chosen, new_black, budget - 1)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    lower = max(1, min(map(len, g.neighbour_rows[1:])))
-    for k in range(lower, n + 1):
-        hit = dfs([], 0, k)
-        if hit is not None:
-            return hit
-    return tuple(range(1, n + 1))  # unreachable: V itself always forces
+    nbrs = g.neighbour_rows
+    index = np.arange(n)
+    small = np.min_scalar_type(-n)  # holds every 0-based node
+    level = []
+    for start in range(0, n, _CHUNK):
+        count = min(_CHUNK, n - start)
+        lanes = [0] * (n + 1)
+        for j in range(count):
+            lanes[start + j + 1] = 1 << j
+        hit = _close_lanes(nbrs, lanes, count)
+        if hit >= 0:
+            return (start + hit + 1,)
+        level.append((lanes, index[start:start + count]))
+    history = []  # per level after the first, per chunk: (parent, node) of its states
+    while True:
+        closed, links = [], []
+        for black, parent, node in _candidates(level, index):
+            lanes = _rows_to_lanes(black)
+            hit = _close_lanes(nbrs, lanes, len(node))
+            if hit >= 0:
+                chosen, state = [node[hit]], parent[hit]
+                for chunks in reversed(history):
+                    parents, nodes = chunks[state // _CHUNK]
+                    chosen.append(nodes[state % _CHUNK])
+                    state = parents[state % _CHUNK]
+                chosen.append(state)  # state j of level 1 is node j+1
+                return tuple(int(v) + 1 for v in reversed(chosen))
+            node = node.astype(small)
+            closed.append((lanes, node))
+            links.append((parent.astype(np.int32), node))
+        history.append(links)
+        level = closed
 
 
 def _per_component(g: Graph, solve) -> NodeSet:
@@ -323,6 +419,13 @@ def minimum_zero_forcing_set(
     Among all minimum zero forcing sets, returns the one whose sorted
     member list is lexicographically smallest. Disconnected graphs are
     solved per component (forces never cross components).
+
+    Each component is searched level by level over the set size (see
+    :func:`_min_zfs_connected_mask`): every candidate set of one size is
+    closed before any larger one, ``_CHUNK`` candidates per bit-sliced
+    closure, and the search stops at the first chunk holding a zero
+    forcing set. Memory follows the two largest levels, at about
+    n/8 + 5 bytes per candidate set, plus one chunk.
 
     Raises InputError when the graph exceeds ``node_budget`` nodes: the
     problem is NP-hard, so exact search is only offered at desk scale.

@@ -2,10 +2,11 @@
 
 Everything here works on raw (n, edge list) data and plain numpy so it
 shares no code path with the library: forcing fixpoints by repeated
-full rescans, minimum sets by subset enumeration, Markov blocks by
-numpy matrix powers.
+full rescans, minimum sets by subset enumeration, by depth-first search
+or by a wavefront search, Markov blocks by numpy matrix powers.
 """
 
+import heapq
 import itertools
 
 import numpy as np
@@ -109,6 +110,102 @@ def exhaustive_min_zfs(n, edges):
             if is_zfs_naive(n, edges, cand):
                 return cand
     raise AssertionError("unreachable: V itself always forces")
+
+
+def dfs_min_zfs(n, edges):
+    """Lexicographically smallest minimum zero forcing set by iterative
+    deepening on the set size, a depth-first search adding nodes in
+    ascending order over bitmasks (bit v-1 is node v).
+
+    The size starts at the minimum degree, since a first force needs that
+    many black nodes, and a node already in the closure of the chosen
+    ones is never added, since a minimum set cannot hold it. Each closure
+    only rechecks the newly black nodes and their black neighbours.
+    Works on disconnected graphs too; it is much faster than
+    :func:`exhaustive_min_zfs` and reaches n = 25 in seconds.
+    """
+    if n == 0:
+        return ()
+    adj = [0] * (n + 1)
+    for i, j in edges:
+        adj[i] |= 1 << (j - 1)
+        adj[j] |= 1 << (i - 1)
+    full = (1 << n) - 1
+
+    def add_and_close(black, v):
+        black |= 1 << (v - 1)
+        queue = [v]
+        while queue:
+            x = queue.pop()
+            check = (adj[x] & black) | (1 << (x - 1))
+            while check:
+                low = check & -check
+                check ^= low
+                white = adj[low.bit_length()] & ~black
+                if white and (white & (white - 1)) == 0:
+                    black |= white
+                    queue.append(white.bit_length())
+        return black
+
+    def dfs(chosen, black, budget):
+        if budget == 0:
+            return None
+        for v in range(chosen[-1] + 1 if chosen else 1, n + 1):
+            if (black >> (v - 1)) & 1:
+                continue
+            grown = add_and_close(black, v)
+            chosen.append(v)
+            if grown == full:
+                return tuple(chosen)
+            hit = dfs(chosen, grown, budget - 1)
+            if hit is not None:
+                return hit
+            chosen.pop()
+        return None
+
+    lower = max(1, min(bin(row).count("1") for row in adj[1:]))
+    for k in range(lower, n + 1):
+        hit = dfs([], 0, k)
+        if hit is not None:
+            return hit
+    raise AssertionError("unreachable: V itself always forces")
+
+
+def wavefront_zf_number(n, edges):
+    """Zero forcing number by the wavefront search (Brimkov, Fast and
+    Hicks, EJOR 2019): Dijkstra over closed sets, from the empty set.
+
+    From closed S, a node v with at least one white neighbour can be made
+    to force: every node of its closed neighbourhood N[v] outside S but
+    one white neighbour joins the initial set, at cost |N[v] - S| - 1,
+    and the next state is the closure of S and N[v]. A v whose
+    neighbours are all black cannot force, and letting it in for free
+    would under-count. A white node with no white neighbour costs one.
+    """
+    adj = adjacency(n, edges)
+    nodes = frozenset(range(1, n + 1))
+    best = {frozenset(): 0}
+    heap = [(0, 0, frozenset())]
+    tie = itertools.count(1)
+    while heap:
+        cost, _, closed = heapq.heappop(heap)
+        if closed == nodes:
+            return cost
+        if cost > best[closed]:
+            continue
+        for v in range(1, n + 1):
+            white = (adj[v] | {v}) - closed
+            if adj[v] - closed:
+                step = len(white) - 1
+            elif white:
+                step = 1
+            else:
+                continue
+            grown = frozenset(naive_derived(n, edges, closed | white))
+            if cost + step < best.get(grown, n + 1):
+                best[grown] = cost + step
+                heapq.heappush(heap, (cost + step, next(tie), grown))
+    raise AssertionError("unreachable: the whole node set is a state")
 
 
 def bfs_ecc(n, edges, source):

@@ -13,6 +13,8 @@ import netident
 from netident import Graph, NodeSet, cli, markov_sequence, random_weights
 from netident.cli import main
 
+from oracles import dfs_min_zfs, random_connected_edges
+
 
 def write(tmp_path, name, payload):
     p = tmp_path / name
@@ -43,6 +45,13 @@ class TestZfs:
         code, out, _ = run(capsys, ["zfs", "min", "--graph", g])
         assert code == 0
         assert json.loads(out) == {"size": 2, "set": [1, 2]}
+
+    def test_min_on_a_20_node_graph_matches_the_dfs_reference(self, tmp_path, capsys):
+        edges = random_connected_edges(np.random.default_rng(71), 20, 0.15)
+        g = write(tmp_path, "g.json", {"n": 20, "edges": [list(e) for e in edges]})
+        code, out, _ = run(capsys, ["zfs", "min", "--graph", g])
+        expect = dfs_min_zfs(20, edges)
+        assert code == 0 and json.loads(out) == {"size": len(expect), "set": list(expect)}
 
     def test_check_and_derive(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", path_json(3))
@@ -330,6 +339,27 @@ class TestHod:
         )
         assert code == 1
         assert "blocked at order 2" in err
+
+
+    def test_recover_overflowing_coupling_exits_one(self, tmp_path, capsys):
+        import netident.higher_order as ho
+
+        doubling = {**self.DYN, "E": [[2.0]]}
+        one = NodeSet([1])
+        x = netident.WeightMatrix(Graph(1, []), [[0.5]])
+        system = ho.LiftedSystem(weights=x, dyn=ho.NodeDynamics.from_json(doubling),
+                                 v_in=one, v_out=one)
+        g = write(tmp_path, "g.json", {"n": 1, "edges": []})
+        m = write(tmp_path, "m.json", ho.lifted_markov(system, 1100).to_json())
+        d = write(tmp_path, "d.json", doubling)
+        t = write(tmp_path, "t.json", [1])
+        code, out, err = run(
+            capsys,
+            ["hod", "recover", "--graph", g, "--markov", m, "--dyn", d, "--target", t],
+        )
+        assert (code, out) == (1, "")
+        assert "C (EK)^1024 B overflows float64" in err
+        assert "blocked at order 1024" in err and "Warning" not in err
 
 
 class TestErrorsAndPlumbing:

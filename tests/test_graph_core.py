@@ -110,13 +110,6 @@ class TestGraph:
         assert path(4).components() == [path(4).nodes]
         assert Graph(0).components() == []
 
-    def test_adjacency_masks(self):
-        g = path(3)
-        masks = g.adjacency_masks
-        assert masks[1] == 0b010
-        assert masks[2] == 0b101
-        assert masks[3] == 0b010
-
 
 class TestSelectionMatrix:
     def test_single_column(self):

@@ -307,6 +307,27 @@ class TestDeconvolve:
         assert base.data.shape == (601, 1, 1) and base.order == 600
         np.testing.assert_array_equal(base.data[:, 0, 0], 0.5 ** np.arange(601))
 
+    def test_growing_coupling_is_exact_at_order_1000(self):
+        x = WeightMatrix(Graph(1, []), [[0.5]])
+        one = NodeSet([1])
+        lifted = lifted_markov(LiftedSystem(weights=x, dyn=DOUBLING, v_in=one, v_out=one), 1000)
+        base = deconvolve(lifted, DOUBLING)
+        np.testing.assert_array_equal(base.data[:, 0, 0], 0.5 ** np.arange(1001))
+
+    def test_overflowing_coupling_table_blocks_at_order_1024(self):
+        # C (EK)^k B = 2^k passes float64 range at k = 1024, though every
+        # lifted entry is 1 and every base block 0.5^k is representable.
+        x = WeightMatrix(Graph(1, []), [[0.5]])
+        one = NodeSet([1])
+        lifted = lifted_markov(LiftedSystem(weights=x, dyn=DOUBLING, v_in=one, v_out=one), 1100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeconvolutionBlockedError) as err:
+                deconvolve(lifted, DOUBLING)
+        assert err.value.k == 1024
+        assert str(err.value) == ("coupling product C (EK)^1024 B overflows float64: "
+                                  "deconvolution blocked at order 1024")
+
     def test_underflowing_coupling_product_blocks(self):
         # C (EK)^2 B = 1e-400 is zero in float64, so order 2 cannot be divided out.
         dyn = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[1e-200]], K=[[1.0]])

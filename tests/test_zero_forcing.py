@@ -22,6 +22,7 @@ from netident.zero_forcing import _diametral_path, _eccentricities, _repair_to_z
 from oracles import (
     adjacency,
     bfs_ecc,
+    dfs_min_zfs,
     diameter,
     exhaustive_min_zfs,
     is_zfs_naive,
@@ -33,6 +34,7 @@ from oracles import (
     relabelled_components,
     round_chronicle,
     shuffled_derived,
+    wavefront_zf_number,
 )
 
 
@@ -46,6 +48,12 @@ def cycle(n):
 
 def complete(n):
     return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+def grid(a):
+    edges = [(r * a + c + 1, r * a + c + 2) for r in range(a) for c in range(a - 1)]
+    edges += [(r * a + c + 1, (r + 1) * a + c + 1) for r in range(a - 1) for c in range(a)]
+    return Graph(a * a, edges)
 
 
 def star(leaves):
@@ -433,6 +441,97 @@ class TestMinimumZfs:
         assert minimum_zero_forcing_set(g) == NodeSet([1, 4, 5])
 
 
+class TestLevelSearch:
+    """The level-synchronous search against the depth-first reference."""
+
+    def test_random_connected_graphs_match_the_dfs_reference(self):
+        rng = np.random.default_rng(59)
+        for _ in range(320):
+            n = int(rng.integers(2, 21))
+            edges = random_connected_edges(rng, n, float(rng.uniform(0.0, 0.2)))
+            assert minimum_zero_forcing_set(Graph(n, edges)).members == dfs_min_zfs(n, edges)
+
+    @pytest.mark.parametrize(
+        "g",
+        [*(path(n) for n in (1, 2, 7, 25)), *(cycle(n) for n in (3, 8, 25)),
+         *(complete(n) for n in (2, 5, 9)), *(star(k) for k in (2, 6, 12)),
+         *(grid(a) for a in (2, 3, 4, 5))],
+        ids=repr,
+    )
+    def test_structured_families_match_the_dfs_reference(self, g):
+        assert minimum_zero_forcing_set(g).members == dfs_min_zfs(g.n, g.edges)
+
+    def test_random_trees_match_the_dfs_reference(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            n = int(rng.integers(2, 19))
+            edges = random_tree_edges(rng, n)
+            assert minimum_zero_forcing_set(Graph(n, edges)).members == dfs_min_zfs(n, edges)
+
+    def test_disconnected_unions_match_the_dfs_reference(self):
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            sizes = [int(k) for k in rng.integers(1, 7, size=int(rng.integers(2, 4)))]
+            g = disjoint_union([(k, random_connected_edges(rng, k, 0.3)) for k in sizes])
+            assert minimum_zero_forcing_set(g).members == dfs_min_zfs(g.n, g.edges)
+        g = Graph(12, random_graph_edges(rng, 12, p=0.15))  # isolated nodes too
+        assert minimum_zero_forcing_set(g).members == dfs_min_zfs(g.n, g.edges)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_answer_does_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        # misses[-1]: chunks of the answer's level closed before the one holding it.
+        misses, lanes = [], []
+        close_lanes, candidates = zero_forcing._close_lanes, zero_forcing._candidates
+
+        def spy_close(nbrs, lanes_, count):
+            hit = close_lanes(nbrs, lanes_, count)
+            if hit < 0:
+                misses[-1] += 1
+            else:
+                lanes.append(hit)
+            return hit
+
+        def spy_level(level, index):
+            misses[-1] = 0
+            return candidates(level, index)
+
+        monkeypatch.setattr(zero_forcing, "_CHUNK", chunk)
+        monkeypatch.setattr(zero_forcing, "_close_lanes", spy_close)
+        monkeypatch.setattr(zero_forcing, "_candidates", spy_level)
+        rng = np.random.default_rng(73)
+        graphs = [grid(4), cycle(9), complete(6), star(5), path(9)]
+        for _ in range(30):
+            n = int(rng.integers(2, 15))
+            graphs.append(Graph(n, random_connected_edges(rng, n, 0.2)))
+        for g in graphs:
+            misses.append(0)
+            assert minimum_zero_forcing_set(g).members == dfs_min_zfs(g.n, g.edges)
+        assert max(misses) >= 2  # answers past the first chunk of their level
+        if chunk > 1:
+            assert max(lanes) >= 1  # and past the first lane of their chunk
+
+
+class TestWavefrontOracle:
+    def test_oracle_matches_exhaustive_search(self):
+        rng = np.random.default_rng(79)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            edges = random_graph_edges(rng, n, p=float(rng.uniform(0.1, 0.7)))
+            assert wavefront_zf_number(n, edges) == len(exhaustive_min_zfs(n, edges))
+
+    def test_zero_forcing_number_of_random_graphs(self):
+        rng = np.random.default_rng(83)
+        for _ in range(60):
+            n = int(rng.integers(2, 21))
+            edges = random_connected_edges(rng, n, float(rng.uniform(0.0, 0.3)))
+            assert len(minimum_zero_forcing_set(Graph(n, edges))) == wavefront_zf_number(n, edges)
+
+    @pytest.mark.parametrize("a", [2, 3, 4, 5])
+    def test_zero_forcing_number_of_grids(self, a):
+        g = grid(a)
+        assert len(minimum_zero_forcing_set(g)) == wavefront_zf_number(g.n, g.edges) == a
+
+
 class TestHeuristic:
     def test_path(self):
         assert zfs_heuristic(path(5)) == NodeSet([1])
@@ -501,12 +600,6 @@ class TestHeuristic:
 
 
 # -- seed search: eccentricity sweep and diametral path ---------------------
-
-
-def grid(a):
-    edges = [(r * a + c + 1, r * a + c + 2) for r in range(a) for c in range(a - 1)]
-    edges += [(r * a + c + 1, (r + 1) * a + c + 1) for r in range(a - 1) for c in range(a)]
-    return Graph(a * a, edges)
 
 
 def _bfs_tree(adj, source):

@@ -6,6 +6,9 @@ Subcommand tree: ``zfs {check,derive,min,heuristic}``,
 parser declares only the flags that handler reads. Results go to
 stdout, diagnostics to stderr. Exit codes: 0 success, 1 domain errors
 (uncertified target, blocked deconvolution, ...), 2 input/format errors.
+Every file argument is read and checked before the command computes
+anything, so a malformed file exits 2 even where the computation would
+fail.
 
 Output: JSON is written compact, with sorted keys, one object per line.
 ``--format`` exists only where there is a choice: ``ident certify``
@@ -36,22 +39,11 @@ import numpy as np
 
 from . import higher_order, identifiability, netsim, reconstruct, zero_forcing
 from .errors import DomainError, InputError, NetidentError
-from .graph_core import Graph, NodeSet, graph_from_json, nodeset_from_json
+from .graph_core import NodeSet, graph_from_json, nodeset_from_json
 from .netsim import DirectedWeightMatrix, MarkovSequence, WeightMatrix
 
 MATRIX_FORMATS = ("csv", "json")
 REPORT_FORMATS = ("json", "human")
-
-# Required file arguments: dest -> (option strings, help).
-PATHS = {
-    "graph": (("--graph",), 'graph JSON: {"n": <int>, "edges": [[i,j], ...]}'),
-    "in_nodes": (("--in",), "node set JSON (array of ints)"),
-    "out_nodes": (("--out-nodes", "--out"), "node set JSON (array of ints)"),
-    "target": (("--target",), "node set JSON: nodes whose weights to recover"),
-    "markov": (("--markov",), 'Markov JSON: {"v_in":..,"v_out":..,"K":..,"data":..}'),
-    "dyn": (("--dyn",), 'node dynamics JSON with keys "A","B","C","E","K"'),
-    "matrix": (("--matrix",), 'matrix CSV: header "n,<count>" then rows'),
-}
 
 
 def _read_text(path: str) -> str:
@@ -71,20 +63,25 @@ def _load_json(path: str):
         ) from None
 
 
-def _load_graph(path: str) -> Graph:
-    return graph_from_json(_load_json(path))
-
-
-def _load_nodes(path: str) -> NodeSet:
-    return nodeset_from_json(_load_json(path))
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    return netsim.matrix_from_csv(_read_text(path))
-
-
-def _load_dyn(path: str) -> higher_order.NodeDynamics:
-    return higher_order.NodeDynamics.from_json(_load_json(path))
+# File arguments: dest -> (option strings, help, loader). :func:`main`
+# replaces each path the command was given by its loaded object, in this
+# order, before the handler runs.
+PATHS = {
+    "graph": (("--graph",), 'graph JSON: {"n": <int>, "edges": [[i,j], ...]}',
+              lambda path: graph_from_json(_load_json(path))),
+    "in_nodes": (("--in",), "node set JSON (array of ints)",
+                 lambda path: nodeset_from_json(_load_json(path))),
+    "out_nodes": (("--out-nodes", "--out"), "node set JSON (array of ints)",
+                  lambda path: nodeset_from_json(_load_json(path))),
+    "target": (("--target",), "node set JSON: nodes whose weights to recover",
+               lambda path: nodeset_from_json(_load_json(path))),
+    "markov": (("--markov",), 'Markov JSON: {"v_in":..,"v_out":..,"K":..,"data":..}',
+               lambda path: MarkovSequence.from_json(_load_json(path))),
+    "dyn": (("--dyn",), 'node dynamics JSON with keys "A","B","C","E","K"',
+            lambda path: higher_order.NodeDynamics.from_json(_load_json(path))),
+    "matrix": (("--matrix",), 'matrix CSV: header "n,<count>" then rows',
+               lambda path: netsim.matrix_from_csv(_read_text(path))),
+}
 
 
 def _emit_json(obj, file=None) -> None:
@@ -112,15 +109,12 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _zfs_check(args) -> None:
-    g = _load_graph(args.graph)
-    z = _load_nodes(args.in_nodes)
-    ok = zero_forcing.is_zero_forcing_set(g, g.check_nodes(z))
-    _emit_json({"is_zero_forcing_set": ok, "set": z.to_json()})
+    ok = zero_forcing.is_zero_forcing_set(args.graph, args.graph.check_nodes(args.in_nodes))
+    _emit_json({"is_zero_forcing_set": ok, "set": args.in_nodes.to_json()})
 
 
 def _zfs_derive(args) -> None:
-    g = _load_graph(args.graph)
-    _, chronicle = zero_forcing.derived_set(g, _load_nodes(args.in_nodes))
+    _, chronicle = zero_forcing.derived_set(args.graph, args.in_nodes)
     _emit_json(chronicle.to_json())
 
 
@@ -132,33 +126,29 @@ def _non_negative_int(text: str) -> int:
 
 
 def _zfs_min(args) -> None:
-    g = _load_graph(args.graph)
-    if g.n > args.budget:
+    if args.graph.n > args.budget:
         raise InputError(
-            f"exact minimum search refused for n={g.n} > --budget {args.budget} "
+            f"exact minimum search refused for n={args.graph.n} > --budget {args.budget} "
             "(NP-hard); use 'netident zfs heuristic' for a verified upper bound"
         )
-    _emit_set(zero_forcing.minimum_zero_forcing_set(g, node_budget=args.budget))
+    _emit_set(zero_forcing.minimum_zero_forcing_set(args.graph, node_budget=args.budget))
 
 
 def _zfs_heuristic(args) -> None:
-    _emit_set(zero_forcing.zfs_heuristic(_load_graph(args.graph)))
+    _emit_set(zero_forcing.zfs_heuristic(args.graph))
 
 
 def _ident_certify(args) -> None:
-    g = _load_graph(args.graph)
-    report = identifiability.certify(
-        g, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes)
-    )
+    report = identifiability.certify(args.graph, args.in_nodes, args.out_nodes)
     if args.format == "human":
         sys.stdout.write(str(report) + "\n")
     else:
         _emit_json(report.to_json())
 
 
-def _recover(args, g: Graph, markov: MarkovSequence) -> None:
+def _recover(args, markov: MarkovSequence) -> None:
     """Tail of both recover commands: weights to stdout, diagnostics to stderr."""
-    result = reconstruct.identify(markov, g, _load_nodes(args.target))
+    result = reconstruct.identify(markov, args.graph, args.target)
     _emit_matrix(result.recovered, args.format)
     diag = result.to_json()
     del diag["recovered"]
@@ -166,62 +156,50 @@ def _recover(args, g: Graph, markov: MarkovSequence) -> None:
 
 
 def _ident_recover(args) -> None:
-    g = _load_graph(args.graph)
-    _recover(args, g, MarkovSequence.from_json(_load_json(args.markov)))
+    _recover(args, args.markov)
 
 
 def _sim_random(args) -> None:
-    g = _load_graph(args.graph)
     weights = netsim.random_weights(
-        g, args.seed, _parse_range(args.weight_range), args.diagonal
+        args.graph, args.seed, _parse_range(args.weight_range), args.diagonal
     )
     _emit_matrix(weights.entries, args.format)
 
 
 def _sim_markov(args) -> None:
-    g = _load_graph(args.graph)
-    x = WeightMatrix(g, _load_matrix(args.matrix))
-    seq = netsim.markov_sequence(
-        x, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes), args.order
-    )
-    _emit_json(seq.to_json())
+    x = WeightMatrix(args.graph, args.matrix)
+    _emit_json(netsim.markov_sequence(x, args.in_nodes, args.out_nodes, args.order).to_json())
 
 
 def _sim_counterexample(args) -> None:
-    entries = _load_matrix(args.matrix)
     x: WeightMatrix | DirectedWeightMatrix
     if args.graph is not None:
-        x = WeightMatrix(_load_graph(args.graph), entries, sign_constrained=False)
+        x = WeightMatrix(args.graph, args.matrix, sign_constrained=False)
     else:
-        x = DirectedWeightMatrix(entries)
+        x = DirectedWeightMatrix(args.matrix)
     rescaled = netsim.scaling_counterexample(
-        x, _load_nodes(args.in_nodes), _load_nodes(args.out_nodes), epsilon=args.epsilon
+        x, args.in_nodes, args.out_nodes, epsilon=args.epsilon
     )
     _emit_matrix(rescaled.entries, args.format)
 
 
 def _hod_check(args) -> None:
-    report = higher_order.coupling_condition(_load_dyn(args.dyn), k_max=args.order)
+    report = higher_order.coupling_condition(args.dyn, k_max=args.order)
     _emit_json(report.to_json())
 
 
 def _hod_markov(args) -> None:
-    dyn = _load_dyn(args.dyn)
-    g = _load_graph(args.graph)
     system = higher_order.LiftedSystem(
-        weights=WeightMatrix(g, _load_matrix(args.matrix)),
-        dyn=dyn,
-        v_in=_load_nodes(args.in_nodes),
-        v_out=_load_nodes(args.out_nodes),
+        weights=WeightMatrix(args.graph, args.matrix),
+        dyn=args.dyn,
+        v_in=args.in_nodes,
+        v_out=args.out_nodes,
     )
     _emit_json(higher_order.lifted_markov(system, args.order).to_json())
 
 
 def _hod_recover(args) -> None:
-    dyn = _load_dyn(args.dyn)
-    g = _load_graph(args.graph)
-    lifted = MarkovSequence.from_json(_load_json(args.markov))
-    _recover(args, g, higher_order.deconvolve(lifted, dyn))
+    _recover(args, higher_order.deconvolve(args.markov, args.dyn))
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(sub, name, handler, help, paths=(), formats=None):
         p = sub.add_parser(name, help=help)
         for dest in paths:
-            flags, text = PATHS[dest]
+            flags, text, _ = PATHS[dest]
             p.add_argument(*flags, dest=dest, required=True, metavar="PATH", help=text)
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0],
@@ -320,6 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, (_, _, load) in PATHS.items():
+            path = getattr(args, dest, None)
+            if path is not None:
+                setattr(args, dest, load(path))
         args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class CouplingReport:
 
     verified_up_to: int
     first_failure: int | None
-    note: str = (
+    note: ClassVar[str] = (
         "finite-horizon verification only: orders beyond the checked range "
         "are not decided"
     )
@@ -276,7 +276,7 @@ def deconvolve(
     mixing = _mixing_tables(dyn, lifted.order)
     finite = np.isfinite(mixing).all(axis=(1, 2, 3))
     stop = len(mixing) if finite.all() else int(finite.argmin())
-    grids = lifted.data.reshape(-1, n_out, t, n_in, r).copy()
+    grids = lifted.data.reshape(len(lifted.data), n_out, t, n_in, r).copy()
     base = np.empty((len(grids), n_out, n_in))
     for k, (grid, vanish) in enumerate(zip(grids, _vanishing_couplings(dyn))):
         if k == stop:
@@ -303,8 +303,8 @@ def deconvolve(
             if vanish[a2, b2]:
                 break
             other = grid[:, a2, :, b2] / top[a2, b2]
-            err = np.abs(other - block).max()
-            if err > RATIO_TOL * max(1.0, np.abs(block).max()):
+            err = np.abs(other - block).max(initial=0.0)
+            if err > RATIO_TOL * max(1.0, np.abs(block).max(initial=0.0)):
                 raise InconsistentDataError(
                     f"lifted data at order {k} is not a consistent Kronecker "
                     f"mixture: block ratio mismatch {err:.3e}"

@@ -166,6 +166,8 @@ class MarkovSequence:
             raise InputError(
                 f"Markov data is not an array of equal-shape blocks: {exc}"
             ) from None
+        if data.ndim == 2 and not data.shape[1]:  # JSON writes a block with no rows as []
+            data = data.reshape(len(data), 0, len(self.v_in))
         if data.ndim != 3 or not len(data):
             raise InputError(
                 f"Markov data must stack at least one 2-d block, got shape {data.shape}"
@@ -272,9 +274,12 @@ def transfer_eval(
 ) -> np.ndarray:
     """Transfer matrix N (sI - X)^{-1} M at one complex sample point.
 
-    Uses a linear solve, never an explicit inverse. Raises
-    SingularShiftError when ``s`` is an eigenvalue of the state matrix.
+    Uses a linear solve, never an explicit inverse. Raises InputError for
+    a non-finite ``s`` and SingularShiftError when ``s`` is an eigenvalue
+    of the state matrix.
     """
+    if not np.isfinite(s):
+        raise InputError(f"sample point s must be finite, got {s}")
     n = x.entries.shape[0]
     v_in = _nodes_within(v_in, n)
     v_out = _nodes_within(v_out, n)

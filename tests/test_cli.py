@@ -717,6 +717,68 @@ class TestFlagSurface:
         assert err.startswith("usage: netident") and extra[0] in err
 
 
+FILE_FLAGS = {entry[0][0] for entry in cli.PATHS.values()}
+
+
+# E = 0 blocks the deconvolution at order 1, before the target is needed.
+BLOCKING_DYN = {**TestHod.DYN, "E": [[0.0]]}
+
+
+@pytest.mark.parametrize("group, command, flag, dyn", [
+    *[(group, command, flag, None) for (group, command), flags in FLAG_TABLE.items()
+      for flag in flags if flag in FILE_FLAGS],
+    ("hod", "recover", "--target", BLOCKING_DYN),
+], ids=lambda v: "blocking-dyn" if isinstance(v, dict) else v)
+def test_every_malformed_file_exits_two(tmp_path, capsys, group, command, flag, dyn):
+    """Each file is read before any computation, so a malformed one exits 2
+    even where the command would otherwise fail with exit 1."""
+    argv = next(argv for argv in TestOneParserPerProcess().commands(tmp_path)
+                if tuple(argv[:2]) == (group, command))
+    if dyn is not None:
+        argv[argv.index("--dyn") + 1] = write(tmp_path, "blocking.json", dyn)
+    code, _, err = run(capsys, argv)
+    assert code == (0 if dyn is None else 1)
+    assert dyn is None or "blocked at order 1" in err
+    bad = write(tmp_path, "bad", "n,2\n1,x\n0,1\n" if flag == "--matrix" else "not json")
+    argv[argv.index(flag) + 1] = bad
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:" if flag == "--matrix" else f"input error: {bad}")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_first_malformed_file_in_table_order_is_reported(tmp_path, capsys):
+    argv = next(argv for argv in TestOneParserPerProcess().commands(tmp_path)
+                if argv[:2] == ["hod", "markov"])
+    for flag in ("--dyn", "--graph"):  # the table lists --graph before --dyn
+        argv[argv.index(flag) + 1] = write(tmp_path, f"bad{flag}", "not json")
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.startswith(f"input error: {tmp_path / 'bad--graph'}:")
+
+
+def test_markov_file_without_outputs_round_trips(tmp_path, capsys):
+    g = write(tmp_path, "g.json", path_json(3))
+    _, x, _ = run(capsys, ["sim", "random", "--graph", g])
+    none = write(tmp_path, "none.json", [])
+    code, markov, _ = run(capsys, ["sim", "markov", "--graph", g,
+                                   "--matrix", write(tmp_path, "x.csv", x),
+                                   "--in", write(tmp_path, "in.json", [1]),
+                                   "--out-nodes", none, "--order", "3"])
+    assert code == 0 and json.loads(markov)["data"] == [[], [], [], []]
+    m = write(tmp_path, "m.json", markov)
+    code, out, _ = run(capsys, ["ident", "recover", "--graph", g, "--markov", m,
+                                "--target", none])
+    assert (code, out) == (0, "n,0\n")
+    # Lifted blocks with no rows carry no column count: r = 1 fits, r = 2 does not.
+    for dyn, want in ((TestHod.DYN, 0), (TestHod.DYN | {"B": [[1.0, 0.0]]}, 2)):
+        code, out, err = run(capsys, ["hod", "recover", "--graph", g, "--markov", m,
+                                      "--dyn", write(tmp_path, "d.json", dyn),
+                                      "--target", none])
+        assert code == want
+        assert out == ("n,0\n" if want == 0 else "")
+        assert want == 0 or err.startswith("input error: lifted blocks have shape (0, 1)")
+
+
 def test_readme_command_line_examples_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]

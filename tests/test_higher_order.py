@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from netident import (
+    CouplingReport,
     DeconvolutionBlockedError,
     Graph,
     InconsistentDataError,
@@ -117,6 +118,12 @@ class TestCouplingCondition:
         report = coupling_condition(random_dyn(np.random.default_rng(3), 3))
         assert report.verified_up_to <= 2 * 3
         assert "finite-horizon" in report.note
+
+    def test_note_is_a_class_constant(self):
+        report = coupling_condition(NILPOTENT)
+        assert report.note == CouplingReport.note == report.to_json()["note"]
+        with pytest.raises(TypeError):
+            CouplingReport(1, 2, "another note")
 
     def test_report_json(self):
         blob = coupling_condition(NILPOTENT).to_json()
@@ -287,6 +294,14 @@ class TestDeconvolve:
         base = deconvolve(lifted, SCALAR_IDENTITY)
         for got, ref in zip(base.data, lifted.data):
             np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("v_in, v_out", [([1], []), ([], [1, 3]), ([], [])])
+    def test_empty_node_sets_give_empty_blocks(self, v_in, v_out):
+        dyn = random_dyn(np.random.default_rng(4), 2)
+        system = LiftedSystem(weights=random_weights(path(3), seed=3), dyn=dyn,
+                              v_in=NodeSet(v_in), v_out=NodeSet(v_out))
+        base = deconvolve(lifted_markov(system, 4), dyn)
+        assert base.data.shape == (5, len(v_out), len(v_in))
 
     def test_nilpotent_blocks_at_predicted_order(self):
         g = path(3)

@@ -279,6 +279,14 @@ class TestMarkovSequence:
         assert again.data.tobytes() == seq.data.tobytes()
         assert again.to_json() == seq.to_json()
 
+    @pytest.mark.parametrize("v_in, v_out", [([1], []), ([], []), ([], [1])])
+    def test_json_roundtrip_without_outputs_or_inputs(self, v_in, v_out):
+        seq = markov_sequence(random_weights(path(3), seed=1), v_in, v_out, 3)
+        again = MarkovSequence.from_json(seq.to_json())
+        assert (again.v_in, again.v_out, again.order) == (seq.v_in, seq.v_out, 3)
+        assert again.data.shape == seq.data.shape == (4, len(v_out), len(v_in))
+        assert again.to_json() == seq.to_json()
+
 
 class TestTransferEval:
     def test_scalar(self):
@@ -295,6 +303,14 @@ class TestTransferEval:
         x = WeightMatrix(Graph(1, []), np.array([[2.0]]))
         with pytest.raises(SingularShiftError, match="s="):
             transfer_eval(x, [1], [1], 2.0)
+
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), complex(0, float("nan"))],
+                             ids=["nan", "inf", "nan-imaginary"])
+    def test_non_finite_sample_point_refused(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="sample point s must be finite"):
+                transfer_eval(WeightMatrix(P2, X2), [1], [1], s)
 
     def test_neumann_truncation_matches(self):
         # Partial sums of data[k] / s^(k+1) converge to the transfer

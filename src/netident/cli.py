@@ -20,7 +20,8 @@ tolerances are fixed library constants, not flags.
 File formats (also described in each subcommand's ``--help``):
 
 * graph JSON: ``{"n": <int>, "edges": [[i, j], ...]}``; a self-loop
-  ``[i, i]`` is stripped with a warning, and ``i`` must lie in ``1..n``
+  ``[i, i]`` is stripped with a ``warning:`` line on stderr, and ``i``
+  must lie in ``1..n``
 * node set JSON: array of ints, e.g. ``[1, 4, 7]``
 * matrix CSV: header line ``n,<count>`` then one comma-separated row per line
 * Markov sequence JSON: ``{"v_in": [...], "v_out": [...], "K": k, "data": [[[...]]]}``
@@ -33,6 +34,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,11 @@ PATHS = {
     "matrix": (("--matrix",), 'matrix CSV: header "n,<count>" then rows',
                lambda path: netsim.matrix_from_csv(_read_text(path))),
 }
+
+
+def _warning_line(message, *_) -> None:
+    """Write a warning raised while loading files as one stderr line."""
+    sys.stderr.write(f"warning: {message}\n")
 
 
 def _emit_json(obj, file=None) -> None:
@@ -298,10 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for dest, (_, _, load) in PATHS.items():
-            path = getattr(args, dest, None)
-            if path is not None:
-                setattr(args, dest, load(path))
+        with warnings.catch_warnings():
+            # Every run reports its warnings, not only a process's first.
+            warnings.simplefilter("always")
+            warnings.showwarning = _warning_line
+            for dest, (_, _, load) in PATHS.items():
+                path = getattr(args, dest, None)
+                if path is not None:
+                    setattr(args, dest, load(path))
         args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -217,13 +217,17 @@ def random_weights(
     one call in canonical edge order. The diagonal is either uniform on
     ``[-hi, hi]`` (``"free"``), drawn after the edges, or chosen so every
     row sums to zero (``"laplacian"``, the negated-Laplacian member).
-    Same graph and seed give the identical matrix.
+    Same graph and seed give the identical matrix. A range whose draws
+    (``2 * hi`` for the free diagonal) or row sums overflow float64 is
+    refused with InputError.
     """
     lo, hi = weight_range
     if not (0.0 < lo <= hi):
         raise InputError(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
     if diagonal_mode not in ("free", "laplacian"):
         raise InputError(f"diagonal_mode must be 'free' or 'laplacian', got {diagonal_mode!r}")
+    if not np.isfinite(2.0 * hi if diagonal_mode == "free" else hi):
+        raise InputError(f"weight range ({lo}, {hi}) is too wide to draw in float64")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -235,7 +239,11 @@ def random_weights(
     if diagonal_mode == "free":
         entries[np.diag_indices(n)] = rng.uniform(-hi, hi, size=n)
     else:
-        entries[np.diag_indices(n)] = -entries.sum(axis=1)
+        with np.errstate(over="ignore"):
+            sums = entries.sum(axis=1)
+        if not np.isfinite(sums).all():
+            raise InputError(f"weight range ({lo}, {hi}) overflows a laplacian row sum")
+        entries[np.diag_indices(n)] = -sums
     return WeightMatrix(g, entries)
 
 

@@ -13,18 +13,17 @@ time for zero forcing on a graph", Discrete Appl. Math. 2012).
 
 Finding a *minimum* zero forcing set is NP-hard, so the exact search is
 capped by a node budget and a verified heuristic is provided for larger
-graphs. The exact search goes level by level over the set size and
-closes a whole chunk of candidate sets at once, bit-sliced: one Python
-int per node, one bit per candidate. Its memory follows the two
-largest levels, at about n/8 + 5 bytes per set.
+graphs. The exact search is the wavefront of Brimkov, Fast and Hicks
+(EJOR 2019), Dijkstra over closed sets, bounded by the best zero forcing
+set found so far. Its memory follows the closed sets it reaches, not
+the number of candidate sets of a size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import compress
-
-import numpy as np
 
 from .errors import InputError
 from .graph_core import Graph, NodeSet, _integral
@@ -235,158 +234,99 @@ def is_zero_forcing_set(g: Graph, z: NodeSet) -> bool:
 # -- exact minimum search ------------------------------------------------
 
 
-# Candidate sets closed together, one bit (lane) each, per closure.
-_CHUNK = 4096
-
-
-def _close_lanes(nbrs, lanes: list[int], count: int) -> int:
-    """Close ``count`` lanes in place; the lowest lane black at every node, or -1.
-
-    ``lanes[v]`` has bit j set iff node v is black in lane j. A node u
-    keeps two accumulators over its neighbours' white lanes, ``one`` (at
-    least one white neighbour) and ``two`` (at least two), so ``one ^
-    two`` holds the lanes with exactly one; where u is also black it
-    forces, and those lanes are ORed into every neighbour (a no-op on the
-    black ones). Sweeps alternate between ascending and descending node
-    order, so a chain runs to its end in one sweep whichever way it
-    points, and stop at the first sweep that forces nothing. A derived
-    set does not depend on the order of forces, so updating in place is
-    exact.
-    """
-    mask = (1 << count) - 1
-    order = range(1, len(lanes))
-    forced = True
-    while forced:
-        forced = False
-        for u in order:
-            black = lanes[u]
-            if not black:
-                continue
-            one = two = 0
-            for w in nbrs[u]:
-                white = mask ^ lanes[w]  # never ~lanes[w]: negative ints are slow
-                two |= one & white
-                one |= white
-            force = black & (one ^ two)
-            if force:
-                forced = True
-                for w in nbrs[u]:
-                    lanes[w] |= force
-        order = order[::-1]
-    full = mask
-    for lane in lanes[1:]:
-        full &= lane
-    return (full & -full).bit_length() - 1
-
-
-def _lanes_to_rows(lanes: list[int], count: int) -> np.ndarray:
-    """The ``(n, count)`` bool matrix of ``lanes[1:]``: row v-1 is node v."""
-    width = (count + 7) // 8
-    buf = b"".join(lane.to_bytes(width, "little") for lane in lanes[1:])
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(lanes) - 1, width)
-    return np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool)
-
-
-def _rows_to_lanes(rows: np.ndarray) -> list[int]:
-    """Lanes of an ``(n, count)`` bool matrix whose row v-1 is node v."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [0] + [int.from_bytes(row, "little") for row in packed]
-
-
-def _joined(pieces: list[tuple]) -> tuple:
-    """One ``(black, parent, node)`` chunk from its consecutive pieces."""
-    if len(pieces) == 1:
-        return pieces[0]
-    black, parent, node = zip(*pieces)
-    return np.concatenate(black, axis=1), np.concatenate(parent), np.concatenate(node)
-
-
-def _candidates(level: list[tuple], index: np.ndarray):
-    """The candidates of the level after ``level``, in lex order.
-
-    ``level`` lists the closed chunks of one level as ``(lanes, last)``:
-    the closed lanes and each state's last member (0-based). Every chunk
-    of a level but its last holds ``_CHUNK`` states, and so does every
-    chunk yielded: ``(black, parent, node)``, the ``(n, count)`` bool
-    matrix of the candidates' black sets before closure, the index in
-    ``level`` of the state each extends and the node it adds (0-based).
-    """
-    pieces, size = [], 0  # the next chunk so far
-    for k, (lanes, last) in enumerate(level):
-        rows = _lanes_to_rows(lanes, len(last))
-        state, node = np.nonzero((~rows & (index[:, None] > last)).T)
-        lo = 0
-        while lo < len(node):
-            hi = lo + _CHUNK - size
-            cols = state[lo:hi]
-            black = rows[:, cols]
-            black[node[lo:hi], np.arange(len(cols))] = True
-            pieces.append((black, k * _CHUNK + cols, node[lo:hi]))
-            size += len(cols)
-            lo = hi
-            if size == _CHUNK:
-                yield _joined(pieces)
-                pieces, size = [], 0
-    if pieces:
-        yield _joined(pieces)
-
-
 def _min_zfs_connected_mask(g: Graph) -> tuple[int, ...]:
     """Lexicographically smallest minimum ZFS of a connected graph.
 
-    Level-synchronous search over the set size. Level j holds the
-    closure of every ascending j-subset none of whose members lies in
-    the closure of the members before it (such a member could be
-    dropped, so no *minimum* set is skipped), in lex order. The
-    candidates of level j+1 extend each state, in order, by every node
-    above its last member and outside its closure, in ascending order:
-    that is the lex order of the subsets, so the first candidate that
-    closes to the whole node set is the answer.
+    Wavefront search (Brimkov, Fast and Hicks, "Computational approaches
+    for zero forcing and related problems", EJOR 2019): Dijkstra over
+    closed sets, as ints with bit v-1 for node v, from the empty set.
+    From a closed set S, each node v whose closed neighbourhood N[v]
+    holds a white node gives a step: the white nodes of N[v] join the
+    seed, except v's largest white neighbour, which v then forces; a
+    white v with no white neighbour joins alone. The step costs the nodes
+    that join, at least one since S is closed, and leads to the closure
+    of S and N[v].
 
-    Candidates are closed ``_CHUNK`` at a time, bit-sliced, by
-    :func:`_close_lanes`, and a level stops at its first chunk with a
-    full lane. Level 1 is one lane per node, so a graph whose minimum is
-    one node never touches numpy. A level is kept in chunks of its
-    closed lanes, n bits per state, while the next one is built from it;
-    every state also keeps its parent (int32) and added node to rebuild
-    the answer. A state costs about n/8 + 5 bytes while its level is
-    read or built and 5 bytes after, plus one chunk in flight.
+    Each state keeps its cheapest seed and, at equal cost, the
+    lexicographically smallest: the one holding the lowest node of the
+    symmetric difference. Later steps add the same nodes to either seed,
+    so that order carries over to every extension, and forcing the
+    largest white neighbour makes each step's own addition the smallest.
+    Every step costs at least one, so a state's cheaper predecessors are
+    all expanded before it is popped.
+
+    The best full set found so far bounds the search and is never
+    pushed: a step costing more is dropped before its closure, a step
+    costing as much is closed only if its seed is smaller, and the search
+    stops at the first state that costs as much. Closures are cached by
+    the black set they start from, so a repeated addition costs one
+    lookup. Memory follows the states reached.
     """
     n = g.n
-    if n == 0:
-        return ()
-    nbrs = g.neighbour_rows
-    index = np.arange(n)
-    small = np.min_scalar_type(-n)  # holds every 0-based node
-    level = []
-    for start in range(0, n, _CHUNK):
-        count = min(_CHUNK, n - start)
-        lanes = [0] * (n + 1)
-        for j in range(count):
-            lanes[start + j + 1] = 1 << j
-        hit = _close_lanes(nbrs, lanes, count)
-        if hit >= 0:
-            return (start + hit + 1,)
-        level.append((lanes, index[start:start + count]))
-    history = []  # per level after the first, per chunk: (parent, node) of its states
-    while True:
-        closed, links = [], []
-        for black, parent, node in _candidates(level, index):
-            lanes = _rows_to_lanes(black)
-            hit = _close_lanes(nbrs, lanes, len(node))
-            if hit >= 0:
-                chosen, state = [node[hit]], parent[hit]
-                for chunks in reversed(history):
-                    parents, nodes = chunks[state // _CHUNK]
-                    chosen.append(nodes[state % _CHUNK])
-                    state = parents[state % _CHUNK]
-                chosen.append(state)  # state j of level 1 is node j+1
-                return tuple(int(v) + 1 for v in reversed(chosen))
-            node = node.astype(small)
-            closed.append((lanes, node))
-            links.append((parent.astype(np.int32), node))
-        history.append(links)
-        level = closed
+    full = (1 << n) - 1
+    adj = [0] * n
+    for i, j in g.edges:
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    rows = [(1 << v, row, row | 1 << v) for v, row in enumerate(adj)]
+
+    def close(black: int, new: int) -> int:
+        """Closure of ``black``, given that only ``new`` turned black since it was closed."""
+        while new:
+            x = new & -new
+            new ^= x
+            check = (adj[x.bit_length() - 1] & black) | x  # x and its black neighbours
+            while check:
+                u = check & -check
+                check ^= u
+                white = adj[u.bit_length() - 1] & ~black
+                if white and not white & (white - 1):
+                    black |= white
+                    new |= white
+        return black
+
+    def smaller(a: int, b: int) -> bool:
+        """True iff seed ``a`` is lexicographically smaller than ``b`` of its size."""
+        diff = a ^ b
+        return bool(a & diff & -diff)
+
+    best = {0: 0}  # closed set -> its seed; a seed's cost is its size
+    closures: dict[int, int] = {}
+    heap = [(0, 0, 0)]
+    bound, answer = n, full
+    while heap:
+        cost, closed, seed = heappop(heap)
+        if cost >= bound:
+            break
+        if best[closed] != seed:
+            continue  # superseded
+        white = full ^ closed
+        for bit, row, ball in rows:
+            around = row & white
+            if around:
+                top = 1 << (around.bit_length() - 1)
+                add = (ball & white) ^ top
+            elif white & bit:
+                top, add = 0, bit
+            else:
+                continue
+            step = cost + add.bit_count()
+            grown = seed | add
+            if step > bound or (step == bound and not smaller(grown, answer)):
+                continue
+            black = closed | add | top
+            state = closures.get(black)
+            if state is None:
+                state = closures[black] = close(black, add | top)
+            if state == full:
+                bound, answer = step, grown
+            elif step < bound:
+                old = best.get(state)
+                if old is None or step < old.bit_count() or (
+                        step == old.bit_count() and smaller(grown, old)):
+                    best[state] = grown
+                    heappush(heap, (step, state, grown))
+    return tuple(v + 1 for v in range(n) if answer >> v & 1)
 
 
 def _per_component(g: Graph, solve) -> NodeSet:
@@ -420,12 +360,12 @@ def minimum_zero_forcing_set(
     member list is lexicographically smallest. Disconnected graphs are
     solved per component (forces never cross components).
 
-    Each component is searched level by level over the set size (see
-    :func:`_min_zfs_connected_mask`): every candidate set of one size is
-    closed before any larger one, ``_CHUNK`` candidates per bit-sliced
-    closure, and the search stops at the first chunk holding a zero
-    forcing set. Memory follows the two largest levels, at about
-    n/8 + 5 bytes per candidate set, plus one chunk.
+    Each component is searched by a wavefront over closed sets (see
+    :func:`_min_zfs_connected_mask`): a closed set is reached by its
+    cheapest, then lexicographically smallest, seed, steps costing more
+    than the best zero forcing set found so far are dropped, and the
+    search stops once no cheaper set remains. Memory follows the closed
+    sets reached.
 
     Raises InputError when the graph exceeds ``node_budget`` nodes: the
     problem is NP-hard, so exact search is only offered at desk scale.

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,35 @@ class TestSim:
         assert out1 == out2
         mat = netident.matrix_from_csv(out1)
         assert mat.shape == (4, 4)
+
+    @pytest.mark.parametrize("diagonal, expect", [
+        ("free", "n,3\n1.102742760980774,1.4376431999070005,0.0\n"
+                 "1.4376431999070005,-1.0991712400376326,1.8458207014543633\n"
+                 "0.0,1.8458207014543633,-0.7993348603550983\n"),
+        ("laplacian", "n,3\n-1.4376431999070005,1.4376431999070005,0.0\n"
+                      "1.4376431999070005,-3.2834639013613636,1.8458207014543633\n"
+                      "0.0,1.8458207014543633,-1.8458207014543633\n"),
+    ])
+    def test_random_default_range_bytes_are_pinned(self, tmp_path, capsys, diagonal, expect):
+        g = write(tmp_path, "g.json", path_json(3))
+        for weight_range in ([], ["--weight-range", "0.5,2.0"]):
+            code, out, err = run(capsys, ["sim", "random", "--graph", g, "--seed", "7",
+                                          "--diagonal", diagonal, *weight_range])
+            assert (code, out, err) == (0, expect, "")
+
+    @pytest.mark.parametrize("weight_range, diagonal", [
+        ("1,inf", "free"), ("1,inf", "laplacian"), ("1,1e308", "free"),
+        ("1e308,1.7e308", "free"), ("1e308,1.7e308", "laplacian"),
+    ])
+    def test_weight_range_beyond_float64_exits_two(self, tmp_path, capsys, weight_range,
+                                                   diagonal):
+        g = write(tmp_path, "g.json", path_json(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            code, out, err = run(capsys, ["sim", "random", "--graph", g, "--weight-range",
+                                          weight_range, "--diagonal", diagonal])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: weight range (") and err.count("\n") == 1
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_malformed_seed_is_a_usage_error(self, tmp_path, capsys, seed):
@@ -403,6 +433,13 @@ class TestErrorsAndPlumbing:
         code, _, err = run(capsys, ["zfs", "check", "--graph", g, "--in", z])
         assert code == 2
         assert err.startswith("input error:")
+
+    def test_self_loop_warning_on_every_run_in_one_process(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", {"n": 3, "edges": [[1, 1], [1, 2], [2, 3]]})
+        for _ in range(2):
+            code, out, err = run(capsys, ["zfs", "heuristic", "--graph", g])
+            assert (code, out) == (0, '{"set": [1], "size": 1}\n')
+            assert err == "warning: stripped 1 self-loop(s); diagonal weights are free anyway\n"
 
     @pytest.mark.parametrize("loop", [[4, 4], [0, 0]])
     def test_self_loop_outside_the_graph_exits_two(self, tmp_path, capsys, loop):

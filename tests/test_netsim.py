@@ -129,6 +129,20 @@ class TestRandomWeights:
         with pytest.raises(InputError):
             random_weights(P2, seed=0, weight_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("weight_range, mode", [
+        ((1.0, np.inf), "free"), ((1.0, np.inf), "laplacian"), ((1.0, 1e308), "free"),
+        ((1e308, 1.7e308), "laplacian"),
+    ])
+    def test_range_beyond_float64_is_refused(self, weight_range, mode):
+        g = Graph(3, [(1, 2), (2, 3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="weight range"):
+                random_weights(g, seed=0, weight_range=weight_range, diagonal_mode=mode)
+            # Draws and row sums that stay finite are kept.
+            x = random_weights(g, seed=0, weight_range=(1.0, 1e308), diagonal_mode="laplacian")
+        assert np.isfinite(x.entries).all()
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", [1, -2]], ids=repr)
     def test_seed_the_generator_refuses_is_an_input_error(self, seed):
         with pytest.raises(InputError, match="bad random seed"):

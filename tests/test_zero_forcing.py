@@ -441,8 +441,8 @@ class TestMinimumZfs:
         assert minimum_zero_forcing_set(g) == NodeSet([1, 4, 5])
 
 
-class TestLevelSearch:
-    """The level-synchronous search against the depth-first reference."""
+class TestExactSearch:
+    """The wavefront search against the depth-first reference."""
 
     def test_random_connected_graphs_match_the_dfs_reference(self):
         rng = np.random.default_rng(59)
@@ -477,38 +477,20 @@ class TestLevelSearch:
         g = Graph(12, random_graph_edges(rng, 12, p=0.15))  # isolated nodes too
         assert minimum_zero_forcing_set(g).members == dfs_min_zfs(g.n, g.edges)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 64])
-    def test_answer_does_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
-        # misses[-1]: chunks of the answer's level closed before the one holding it.
-        misses, lanes = [], []
-        close_lanes, candidates = zero_forcing._close_lanes, zero_forcing._candidates
+    @pytest.mark.parametrize("a", [6, 7, 8])
+    def test_grids_beyond_the_references_take_their_first_row(self, a):
+        assert minimum_zero_forcing_set(grid(a), node_budget=a * a) == NodeSet(range(1, a + 1))
 
-        def spy_close(nbrs, lanes_, count):
-            hit = close_lanes(nbrs, lanes_, count)
-            if hit < 0:
-                misses[-1] += 1
-            else:
-                lanes.append(hit)
-            return hit
-
-        def spy_level(level, index):
-            misses[-1] = 0
-            return candidates(level, index)
-
-        monkeypatch.setattr(zero_forcing, "_CHUNK", chunk)
-        monkeypatch.setattr(zero_forcing, "_close_lanes", spy_close)
-        monkeypatch.setattr(zero_forcing, "_candidates", spy_level)
-        rng = np.random.default_rng(73)
-        graphs = [grid(4), cycle(9), complete(6), star(5), path(9)]
-        for _ in range(30):
-            n = int(rng.integers(2, 15))
-            graphs.append(Graph(n, random_connected_edges(rng, n, 0.2)))
-        for g in graphs:
-            misses.append(0)
-            assert minimum_zero_forcing_set(g).members == dfs_min_zfs(g.n, g.edges)
-        assert max(misses) >= 2  # answers past the first chunk of their level
-        if chunk > 1:
-            assert max(lanes) >= 1  # and past the first lane of their chunk
+    def test_pinned_graphs_beyond_the_references(self):
+        # Sets pinned from a level-synchronous exact search, beyond the reference tests' sizes.
+        edges = random_connected_edges(np.random.default_rng(3), 36, 0.03)
+        assert len(edges) == 52
+        assert minimum_zero_forcing_set(Graph(36, edges), node_budget=36) == NodeSet(
+            [2, 3, 4, 8, 15, 22, 26])
+        edges = random_graph_edges(np.random.default_rng(1), 25, p=0.5)
+        assert len(edges) == 153
+        assert minimum_zero_forcing_set(Graph(25, edges)) == NodeSet(
+            [1, 4, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 20, 21, 24])
 
 
 class TestWavefrontOracle:

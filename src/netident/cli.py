@@ -157,9 +157,7 @@ def _recover(args, markov: MarkovSequence) -> None:
     """Tail of both recover commands: weights to stdout, diagnostics to stderr."""
     result = reconstruct.identify(markov, args.graph, args.target)
     _emit_matrix(result.recovered, args.format)
-    diag = result.to_json()
-    del diag["recovered"]
-    _emit_json(diag, sys.stderr)
+    _emit_json(result.to_json(), sys.stderr)
 
 
 def _ident_recover(args) -> None:

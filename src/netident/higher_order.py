@@ -209,7 +209,10 @@ def lifted_markov(sys: LiftedSystem, order: int) -> MarkovSequence:
     state = sys.state_matrix
     cur = sys.input_matrix
     out = sys.output_matrix
-    data = np.empty((order + 1, out.shape[0], cur.shape[1]))
+    try:
+        data = np.empty((order + 1, out.shape[0], cur.shape[1]))
+    except (MemoryError, ValueError) as exc:  # numpy refuses the size outright
+        raise InputError(f"order {order} is too large: {exc}") from None
     for k in range(order + 1):
         data[k] = out @ cur
         cur = state @ cur

@@ -267,7 +267,10 @@ def markov_sequence(
     v_out = _nodes_within(v_out, n)
     cur = selection_matrix(n, v_in)
     out_rows = np.asarray([i - 1 for i in v_out], dtype=int)
-    data = np.empty((order + 1, len(v_out), len(v_in)))
+    try:
+        data = np.empty((order + 1, len(v_out), len(v_in)))
+    except (MemoryError, ValueError) as exc:  # numpy refuses the size outright
+        raise InputError(f"order {order} is too large: {exc}") from None
     for k in range(order + 1):
         data[k] = cur[out_rows]
         cur = x.entries @ cur

@@ -23,12 +23,15 @@ propagation round is applied at once. One round consumes two orders of
 the table, so a chronicle of R rounds needs measured orders up to
 ``2R + 2``; grouping forces into rounds also keeps the chain of
 divisions, and with it the error growth, as short as the graph allows.
+
+The graph is read once per call, into one sign pattern over positions
+(true where two nodes are equal or adjacent): it masks each round's P,
+marks the target's edges and gives the zeros of the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -93,15 +96,12 @@ class ReconstructionResult:
 
     nodes: NodeSet
     recovered: np.ndarray
-    residual_order: int
     diagnostics: tuple[ForceStepRecord, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json(self) -> dict:
         return {
             "nodes": self.nodes.to_json(),
-            "recovered": self.recovered.tolist(),
-            "residual_order": self.residual_order,
             "diagnostics": [d.to_json() for d in self.diagnostics],
             "notes": list(self.notes),
         }
@@ -121,8 +121,9 @@ def identify(
     records for the overlap round by round until the target nodes are
     covered, and reads the weights off the first power.
     Replaying R rounds reads only orders up to 2R + 2 of the data, so a
-    longer sequence gives the same result. Non-edges inside the target
-    are never written, so they are exactly zero in the result; edge
+    longer sequence gives the same result. One mask of equal or adjacent
+    nodes gives each round's P, the target's edges and the result's
+    zeros, so non-edges inside the target are exactly zero; edge
     entries are checked to be strictly positive. A recovered squared
     weight that vanishes raises DegenerateWeightError, a negative one
     InconsistentDataError.
@@ -166,7 +167,13 @@ def identify(
     # powers[k, pos[i], pos[j]] = (X^k)_{ij}: the overlap first, with its
     # (i, j) and (j, i) samples averaged, then each round's forced nodes.
     nodes = list(w) + [v for forces in prefix for _, v in forces]
-    pos = {node: a for a, node in enumerate(nodes)}
+    pos = np.full(g.n + 1, -1)
+    pos[nodes] = np.arange(len(nodes))
+    # pattern[a, c]: the nodes at positions a and c are equal or adjacent.
+    ends = pos[1:][g.edge_index]
+    ends = ends[(ends >= 0).all(axis=1)]
+    pattern = np.eye(len(nodes), dtype=bool)
+    pattern[ends[:, 0], ends[:, 1]] = pattern[ends[:, 1], ends[:, 0]] = True
     powers = np.zeros((needed + 1, len(nodes), len(nodes)))
     rows = np.searchsorted(markov.v_out.members, w.members)
     cols = np.searchsorted(markov.v_in.members, w.members)
@@ -178,19 +185,14 @@ def identify(
     powers[0, b:, b:] = np.eye(len(nodes) - b)
 
     records: list[ForceStepRecord] = []
-    nbrs = g.neighbour_rows
     for rnd, forces in enumerate(prefix, start=1):
         # Round rnd reads orders 1..k_max and writes orders 1..k_max-2 of
         # V = positions b..e-1, against the known block B = positions 0..b-1.
         k_max = needed - 2 * (rnd - 1)
         e = b + len(forces)
-        # P's nonzeros: each forcing node's own column and its known neighbours'.
-        ui = np.array([pos[u] for u, _ in forces])
-        known = [[pos[z] for z in nbrs[u] if z != v] + [pos[u]] for u, v in forces]
-        prow = [a for a, row in enumerate(known) for _ in row]
-        pcol = list(chain.from_iterable(known))
-        p = np.zeros((len(forces), b))
-        p[prow, pcol] = powers[1, ui[prow], pcol]
+        # Every neighbour of a forcing node but the one it forces is known.
+        ui = pos[[u for u, _ in forces]]
+        p = np.where(pattern[ui, :b], powers[1, ui, :b], 0.0)
 
         # Squared edge weights from the second power at the forcing nodes.
         power2 = powers[2, ui, ui]
@@ -236,18 +238,10 @@ def identify(
         raise InputError(f"{_BEYOND_RANGE}: the recovered first power is not finite")
 
     members = target.members
-    size = len(members)
-    at = np.array([pos[i] for i in members], dtype=np.intp)
+    at = pos[list(members)]
     block = powers[1, at[:, None], at]
-    # Upper-triangle edge mask of the target, by position in ``members``.
-    lookup = np.full(g.n + 1, -1)
-    lookup[list(members)] = np.arange(size)
-    ends = lookup[1:][g.edge_index]
-    ends = ends[(ends >= 0).all(axis=1)]
-    edge = np.zeros((size, size), dtype=bool)
-    edge[ends[:, 0], ends[:, 1]] = True
-
-    ea, eb = np.nonzero(edge)
+    mask = pattern[at[:, None], at]
+    ea, eb = np.nonzero(np.triu(mask, 1))
     vals = block[ea, eb]
     bad = np.flatnonzero(vals <= 0.0)
     if bad.size:
@@ -257,14 +251,13 @@ def identify(
             f"{vals[a]:.3e}; members of the positive class carry strictly "
             "positive edge weights"
         )
-    recovered = np.zeros((size, size))
-    recovered[ea, eb] = recovered[eb, ea] = vals
+    # powers[1] is exactly symmetric, so both triangles hold the same weights.
+    recovered = np.where(mask, block, 0.0)
     diagonal = np.diagonal(block)
-    recovered[np.diag_indices(size)] = diagonal
 
-    # Non-edges are never written: report where the table disagrees noticeably.
+    # Non-edges are masked to zero: report where the table disagrees noticeably.
     table_scale = max(float(np.abs(diagonal).max(initial=0.0)), 1.0)
-    na, nb = np.nonzero(np.triu(~edge, 1))
+    na, nb = np.nonzero(np.triu(~mask, 1))
     leaks = np.abs(block[na, nb])
     notes = [
         f"non-edge ({members[na[a]]},{members[nb[a]]}) carries weight "
@@ -275,7 +268,6 @@ def identify(
     return ReconstructionResult(
         nodes=target,
         recovered=recovered,
-        residual_order=markov.order - 2 * len(prefix),
         diagnostics=tuple(records),
         notes=tuple(notes),
     )

@@ -674,6 +674,20 @@ def test_markov_order_true_exits_two(tmp_path, capsys):
     assert err.startswith("input error:") and "Markov order K" in err
 
 
+@pytest.mark.parametrize("order", [10**17, 10**19])
+@pytest.mark.parametrize("group", ["sim", "hod"])
+def test_unallocatable_markov_order_exits_two(tmp_path, capsys, group, order):
+    g = write(tmp_path, "g.json", path_json(2))
+    x = write(tmp_path, "x.csv", "n,2\n1,2\n2,3\n")
+    z = write(tmp_path, "z.json", [1])
+    dyn = ["--dyn", write(tmp_path, "d.json", TestHod.DYN)] if group == "hod" else []
+    code, out, err = run(capsys, [group, "markov", "--graph", g, "--matrix", x, *dyn,
+                                  "--in", z, "--out-nodes", z, "--order", str(order)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: order {order} is too large: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_json_output_is_one_compact_sorted_line(tmp_path, capsys):
     graph = Graph(3, [(1, 2), (2, 3)])
     g = write(tmp_path, "g.json", path_json(3))

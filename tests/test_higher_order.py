@@ -171,6 +171,14 @@ class TestLiftedMarkov:
         nm = np.array([[0.0, 1.0]])  # N M for v_out={2}, v_in={1,2}
         np.testing.assert_allclose(lifted.data[0], np.kron(nm, dyn.C @ dyn.B))
 
+    @pytest.mark.parametrize("order", [10**17, 10**19])
+    def test_unallocatable_order_is_an_input_error(self, order):
+        # numpy refuses both sizes at once, without touching memory.
+        sys_ = LiftedSystem(weights=random_weights(path(2), seed=4), dyn=SCALAR_IDENTITY,
+                            v_in=NodeSet([1]), v_out=NodeSet([1]))
+        with pytest.raises(InputError, match=f"^order {order} is too large: "):
+            lifted_markov(sys_, order)
+
     def test_one_array_matching_the_oracle_bit_for_bit(self):
         # With B = C = I every lifted block is the state-power block of the
         # nodes' bands, and integer entries keep every product exact.

@@ -232,6 +232,12 @@ class TestMarkovSequence:
         with pytest.raises(InputError):
             markov_sequence(WeightMatrix(P2, X2), [1], [1], -1)
 
+    @pytest.mark.parametrize("order", [10**17, 10**19])
+    def test_unallocatable_order_is_an_input_error(self, order):
+        # numpy refuses both sizes at once, without touching memory.
+        with pytest.raises(InputError, match=f"^order {order} is too large: "):
+            markov_sequence(WeightMatrix(P2, X2), [1], [1], order)
+
     def test_data_is_one_read_only_array(self):
         seq = markov_sequence(WeightMatrix(P2, X2), [1], [1, 2], 3)
         assert seq.data.shape == (4, 2, 1) and seq.order == 3

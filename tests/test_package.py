@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import netident
@@ -32,3 +33,32 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_private_name_is_read():
+    """Each module-level ``_`` name is read somewhere in ``src/`` besides its definition."""
+    defined, trees = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        trees.append(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(f"{path.name}:{node.lineno}", name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+
+    def reads(tree):
+        return [node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute)]
+
+    everywhere = Counter(name for tree in trees for name in reads(tree))
+    unread = [f"{where}: {name}" for where, name, node in defined
+              if everywhere[name] <= reads(node).count(name)]
+    assert unread == []

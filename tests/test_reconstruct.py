@@ -84,7 +84,6 @@ class TestForceStep:
         assert result.recovered[0, 1] == pytest.approx(2.0)
         assert result.recovered[1, 1] == pytest.approx(3.0)
         assert result.diagnostics[0].weight == pytest.approx(2.0)
-        assert result.residual_order == 2
 
     def test_order_two_table_is_insufficient(self):
         markov = markov_sequence(WeightMatrix(P2, X2), [1], [1], 2)
@@ -132,7 +131,6 @@ class TestIdentify:
         result = identify(markov, P2, [1, 2])
         np.testing.assert_array_equal(result.recovered, markov.data[1])
         assert result.diagnostics == ()
-        assert result.residual_order == 2
 
     def test_non_edges_inside_target_stay_zero(self):
         g = path(3)
@@ -143,6 +141,16 @@ class TestIdentify:
         result = identify(markov, g, g.nodes)
         assert result.recovered[0, 2] == 0.0
         assert result.recovered[2, 0] == 0.0
+
+    @pytest.mark.parametrize("x13", [0.3, 1e-9])
+    def test_weight_on_a_non_edge_is_noted_and_omitted(self, x13):
+        # P3 with overlap {1, 3}; the data comes from a matrix that couples 1 and 3.
+        x = np.array([[1.0, 0.5, x13], [0.5, 2.0, 0.7], [x13, 0.7, 1.5]])
+        result = identify(seq_from_raw(x, [1, 3], [1, 3], 4), path(3), [1, 2, 3])
+        assert result.recovered[0, 2] == 0.0
+        expected = ("non-edge (1,3) carries weight 3.000e-01 in the measured data; "
+                    "entry omitted from the result",)
+        assert result.notes == (expected if x13 > 1e-6 else ())
 
     def test_uncertified_target(self):
         g = path(3)
@@ -192,6 +200,25 @@ class TestIdentify:
         expected = x.entries[:2, :2]
         assert np.abs(result.recovered - expected).max() <= 1e-9 * np.abs(x.entries).max()
         assert len(result.diagnostics) == 1
+
+    def test_partial_target_is_the_full_block_on_the_graph_pattern(self):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            n = int(rng.integers(5, 15))
+            edges = random_connected_edges(rng, n)
+            g = Graph(n, edges)
+            x = random_weights(g, seed=int(rng.integers(1 << 30)))
+            w = zfs_heuristic(g)
+            _, chron = derived_set(g, w)
+            markov = markov_sequence(x, w, w, required_order(chron))
+            full = identify(markov, g, g.nodes).recovered
+            target = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+            rec = identify(markov, g, (target + 1).tolist()).recovered
+            assert np.array_equal(rec, full[np.ix_(target, target)])
+            pattern = np.eye(n, dtype=bool)
+            for i, j in edges:
+                pattern[i - 1, j - 1] = pattern[j - 1, i - 1] = True
+            assert not rec[~pattern[np.ix_(target, target)]].any()
 
     def test_more_data_never_changes_values(self):
         rng = np.random.default_rng(51)

@@ -130,10 +130,12 @@ class Graph:
     Parameters
     ----------
     n : int
-        Number of nodes.
+        Number of nodes; InputError if its row table cannot be allocated.
     edges : iterable of (int, int)
         Unordered node pairs. Duplicates (in either orientation) collapse
-        to a single edge; self-loops are rejected.
+        to a single edge; self-loops are rejected. The build is linear for
+        sorted input and O(m log m) otherwise; an ascending ``tuple`` of
+        two ``int`` is kept as the stored edge, not copied.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -141,28 +143,33 @@ class Graph:
         if n < 0:
             raise InputError(f"node count must be non-negative, got {n}")
         self.n = n
+        try:  # one allocation for the whole row table, so a huge n fails at once
+            adj: list[list[int]] = [[] for _ in [None] * (n + 1)]
+        except (MemoryError, OverflowError):
+            raise InputError(f"node count n is too large: {n}") from None
 
-        canonical = set()
+        canonical = []
         for pair in edges:
             try:
                 i, j = pair
             except (TypeError, ValueError):
                 raise InputError(f"edge {pair!r} is not a pair of nodes") from None
-            if type(i) is not int:
+            if type(i) is not int or type(j) is not int:
                 i = _integral(i, "edge endpoint")
-            if type(j) is not int:
                 j = _integral(j, "edge endpoint")
+                pair = (i, j)
             if not (1 <= i <= n and 1 <= j <= n):
                 raise InputError(f"edge ({i},{j}) has an endpoint outside 1..{n}")
             if i == j:
                 raise InputError(f"self-loop ({i},{i}) not allowed in a simple graph")
-            canonical.add((i, j) if i < j else (j, i))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canonical))
+            if i > j or type(pair) is not tuple:
+                pair = (i, j) if i < j else (j, i)
+            canonical.append(pair)
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(dict.fromkeys(canonical)))
 
         # Row v gets its smaller neighbours from edges (i, v), then its
         # larger ones from edges (v, j); the sorted edge list yields both
         # runs ascending, so every row comes out ascending.
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)

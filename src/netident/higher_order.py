@@ -29,7 +29,7 @@ from .errors import (
     InputError,
 )
 from .graph_core import NodeSet, selection_matrix
-from .netsim import MarkovSequence, WeightMatrix, _check_finite
+from .netsim import MarkovSequence, WeightMatrix, _check_finite, _markov_blocks
 
 __all__ = [
     "NodeDynamics",
@@ -209,11 +209,8 @@ def lifted_markov(sys: LiftedSystem, order: int) -> MarkovSequence:
     state = sys.state_matrix
     cur = sys.input_matrix
     out = sys.output_matrix
-    try:
-        data = np.empty((order + 1, out.shape[0], cur.shape[1]))
-    except (MemoryError, ValueError) as exc:  # numpy refuses the size outright
-        raise InputError(f"order {order} is too large: {exc}") from None
-    for k in range(order + 1):
+    data = _markov_blocks(order, out.shape[0], cur.shape[1])
+    for k in range(order + 1 if data.size else 0):  # empty blocks need no powers
         data[k] = out @ cur
         cur = state @ cur
     return MarkovSequence(v_in=sys.v_in, v_out=sys.v_out, data=data)

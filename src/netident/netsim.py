@@ -41,6 +41,15 @@ __all__ = [
 DEFAULT_WEIGHT_RANGE = (0.5, 2.0)
 
 
+def _markov_blocks(order: int, p: int, m: int) -> np.ndarray:
+    """Uninitialised ``(order+1, p, m)`` floats, sized as if no block were empty
+    (each still costs a JSON ``[]``); InputError if numpy refuses that size."""
+    try:
+        return np.empty((order + 1, max(p, 1), max(m, 1)))[:, :p, :m]
+    except (MemoryError, ValueError) as exc:  # numpy refuses the size outright
+        raise InputError(f"order {order} is too large: {exc}") from None
+
+
 def _check_finite(entries: np.ndarray, what: str) -> None:
     """Raise InputError naming the first NaN or infinite entry of ``entries``."""
     bad = ~np.isfinite(entries)
@@ -172,9 +181,8 @@ class MarkovSequence:
             raise InputError(
                 f"Markov data must stack at least one 2-d block, got shape {data.shape}"
             )
-        finite = np.isfinite(data).all(axis=(1, 2))
-        if not finite.all():
-            k = int(finite.argmin())
+        if not np.isfinite(data).all():
+            k = int(np.isfinite(data).all(axis=(1, 2)).argmin())
             _check_finite(data[k], f"Markov block {k}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -267,11 +275,8 @@ def markov_sequence(
     v_out = _nodes_within(v_out, n)
     cur = selection_matrix(n, v_in)
     out_rows = np.asarray([i - 1 for i in v_out], dtype=int)
-    try:
-        data = np.empty((order + 1, len(v_out), len(v_in)))
-    except (MemoryError, ValueError) as exc:  # numpy refuses the size outright
-        raise InputError(f"order {order} is too large: {exc}") from None
-    for k in range(order + 1):
+    data = _markov_blocks(order, len(v_out), len(v_in))
+    for k in range(order + 1 if data.size else 0):  # empty blocks need no powers
         data[k] = cur[out_rows]
         cur = x.entries @ cur
     return MarkovSequence(v_in=v_in, v_out=v_out, data=data)

@@ -20,6 +20,17 @@ def adjacency(n, edges):
     return adj
 
 
+def reference_graph(n, edges):
+    """Edge tuple and neighbour rows of a simple graph, built by putting
+    every canonical pair in a set and sorting it; pairs must be valid."""
+    canonical = {(min(int(i), int(j)), max(int(i), int(j))) for i, j in edges}
+    rows = [[] for _ in range(n + 1)]
+    for i, j in canonical:
+        rows[i].append(j)
+        rows[j].append(i)
+    return tuple(sorted(canonical)), tuple(tuple(sorted(row)) for row in rows)
+
+
 def naive_derived(n, edges, black):
     """Forcing fixpoint by full rescans, deliberately scanning in
     descending node order (the library applies smallest-first)."""

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -681,11 +682,30 @@ def test_unallocatable_markov_order_exits_two(tmp_path, capsys, group, order):
     x = write(tmp_path, "x.csv", "n,2\n1,2\n2,3\n")
     z = write(tmp_path, "z.json", [1])
     dyn = ["--dyn", write(tmp_path, "d.json", TestHod.DYN)] if group == "hod" else []
-    code, out, err = run(capsys, [group, "markov", "--graph", g, "--matrix", x, *dyn,
-                                  "--in", z, "--out-nodes", z, "--order", str(order)])
-    assert (code, out) == (2, "")
-    assert err.startswith(f"input error: order {order} is too large: ")
-    assert "Traceback" not in err and err.count("\n") == 1
+    for empty in (None, "--in", "--out-nodes"):  # an empty node set is refused alike
+        argv = [group, "markov", "--graph", g, "--matrix", x, *dyn, "--in", z,
+                "--out-nodes", z, "--order", str(order)]
+        if empty:
+            argv[argv.index(empty) + 1] = write(tmp_path, "none.json", [])
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: order {order} is too large: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_a_node_count_that_cannot_be_held_exits_two(tmp_path):
+    # A child process under a 2 GB address-space cap and a timeout: a
+    # build that allocated its rows one at a time would take all memory.
+    root = Path(__file__).resolve().parent.parent
+    g = write(tmp_path, "g.json", {"n": 10**18, "edges": [[1, 2]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "netident", "zfs", "heuristic", "--graph", g],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"input error: node count n is too large: {10**18}\n"
 
 
 def test_json_output_is_one_compact_sorted_line(tmp_path, capsys):

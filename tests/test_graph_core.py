@@ -1,4 +1,10 @@
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +20,7 @@ from netident import (
     selection_matrix,
 )
 
-from oracles import adjacency, random_graph_edges
+from oracles import adjacency, random_graph_edges, reference_graph
 
 
 def path(n):
@@ -23,6 +29,16 @@ def path(n):
 
 def complete(n):
     return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+Pair = namedtuple("Pair", "i j")
+FORMS = {
+    "tuples": lambda edges: edges,
+    "generator": lambda edges: (e for e in edges),
+    "lists": lambda edges: [list(e) for e in edges],
+    "namedtuples": lambda edges: [Pair(*e) for e in edges],
+    "int64": lambda edges: [(np.int64(i), np.int64(j)) for i, j in edges],
+}
 
 
 class TestNodeSet:
@@ -109,6 +125,57 @@ class TestGraph:
         assert [c.members for c in g.components()] == [(1, 2), (3,), (4, 5)]
         assert path(4).components() == [path(4).nodes]
         assert Graph(0).components() == []
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(1, 2), (4, 1), (2, 2)], r"^edge \(4,1\) has an endpoint outside 1\.\.3$"),
+        ([(2, 1), (2, 2), (1, 4)], r"^self-loop \(2,2\) not allowed in a simple graph$"),
+    ], ids=["out-of-range-first", "self-loop-first"])
+    def test_the_first_invalid_pair_in_input_order_is_reported(self, edges, message):
+        for form in (tuple, list, lambda e: tuple(map(np.int64, e))):
+            with pytest.raises(InputError, match=message):
+                Graph(3, map(form, edges))
+
+    def test_ascending_int_tuples_are_kept_not_copied(self):
+        first, second, third = (2, 3), (1, 2), (1, 3)
+        g = Graph(3, [first, second, third, tuple([1, 2]), (3, 1), [2, 3]])
+        assert g.edges == ((1, 2), (1, 3), (2, 3))
+        assert g.edges[0] is second and g.edges[1] is third and g.edges[2] is first
+        for copied in ((3, 1), [1, 3], Pair(1, 3), (np.int64(1), 3), (1.0, 3)):
+            assert type(Graph(3, [copied]).edges[0]) is tuple
+            assert Graph(3, [copied]).edges[0] is not copied
+
+    @pytest.mark.parametrize("n", [10**18, 10**19])
+    def test_a_node_count_that_cannot_be_held_is_an_input_error(self, n):
+        # A child process under a 2 GB address-space cap and a timeout: a
+        # build that allocated its rows one at a time would take all memory.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"from netident import Graph; Graph({n})"],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f"InputError: node count n is too large: {n}\n")
+
+
+@settings(max_examples=150)
+@given(n=st.integers(min_value=0, max_value=14), data=st.data(),
+       form=st.sampled_from(sorted(FORMS)),
+       layout=st.sampled_from(["sorted", "shuffled", "reversed", "both-orientations"]))
+def test_build_matches_the_sorted_set_reference(n, data, form, layout):
+    pairs = st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1)))
+    drawn = [e for e in data.draw(st.lists(pairs, max_size=40)) if n and e[0] != e[1]]
+    edges = sorted({(min(e), max(e)) for e in drawn})
+    if layout == "shuffled":  # the draw's own orientations and repeats, reordered
+        edges = data.draw(st.permutations(drawn))
+    elif layout == "reversed":
+        edges = edges[::-1]
+    elif layout == "both-orientations":
+        edges = edges + [(j, i) for i, j in edges] + edges
+    g = Graph(n, FORMS[form](edges))
+    assert (g.edges, g.neighbour_rows) == reference_graph(n, edges)
+    assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int for e in g.edges)
 
 
 class TestSelectionMatrix:

@@ -173,11 +173,13 @@ class TestLiftedMarkov:
 
     @pytest.mark.parametrize("order", [10**17, 10**19])
     def test_unallocatable_order_is_an_input_error(self, order):
-        # numpy refuses both sizes at once, without touching memory.
-        sys_ = LiftedSystem(weights=random_weights(path(2), seed=4), dyn=SCALAR_IDENTITY,
-                            v_in=NodeSet([1]), v_out=NodeSet([1]))
-        with pytest.raises(InputError, match=f"^order {order} is too large: "):
-            lifted_markov(sys_, order)
+        # numpy refuses both sizes at once, without touching memory; empty
+        # node sets, whose blocks hold no entries, are refused alike.
+        for v_in, v_out in (([1], [1]), ([], [1]), ([1], []), ([], [])):
+            sys_ = LiftedSystem(weights=random_weights(path(2), seed=4),
+                                dyn=SCALAR_IDENTITY, v_in=NodeSet(v_in), v_out=NodeSet(v_out))
+            with pytest.raises(InputError, match=f"^order {order} is too large: "):
+                lifted_markov(sys_, order)
 
     def test_one_array_matching_the_oracle_bit_for_bit(self):
         # With B = C = I every lifted block is the state-power block of the

@@ -234,9 +234,11 @@ class TestMarkovSequence:
 
     @pytest.mark.parametrize("order", [10**17, 10**19])
     def test_unallocatable_order_is_an_input_error(self, order):
-        # numpy refuses both sizes at once, without touching memory.
-        with pytest.raises(InputError, match=f"^order {order} is too large: "):
-            markov_sequence(WeightMatrix(P2, X2), [1], [1], order)
+        # numpy refuses both sizes at once, without touching memory; empty
+        # node sets, whose blocks hold no entries, are refused alike.
+        for v_in, v_out in (([1], [1]), ([], [1]), ([1], []), ([], [])):
+            with pytest.raises(InputError, match=f"^order {order} is too large: "):
+                markov_sequence(WeightMatrix(P2, X2), v_in, v_out, order)
 
     def test_data_is_one_read_only_array(self):
         seq = markov_sequence(WeightMatrix(P2, X2), [1], [1, 2], 3)

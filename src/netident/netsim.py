@@ -393,9 +393,7 @@ def matrix_to_csv(entries: np.ndarray) -> str:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise InputError(f"expected a square matrix, got shape {entries.shape}")
     n = entries.shape[0]
-    lines = [f"n,{n}"]
-    for row in entries:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines = [f"n,{n}"] + [",".join(map(repr, row)) for row in entries.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -24,9 +24,12 @@ the table, so a chronicle of R rounds needs measured orders up to
 ``2R + 2``; grouping forces into rounds also keeps the chain of
 divisions, and with it the error growth, as short as the graph allows.
 
-The graph is read once per call, into one sign pattern over positions
-(true where two nodes are equal or adjacent): it masks each round's P,
-marks the target's edges and gives the zeros of the result.
+A call is a graph-only plan and a numeric replay. The plan reads the
+graph once, into one sign pattern over positions (true where two nodes
+are equal or adjacent): it gives every force's P mask in one gather,
+marks the target's edges and gives the zeros of the result. The replay
+takes a round of one force through slices, so its operands are views,
+and checks the squared weights after the loop; an overflow is an InputError.
 """
 
 from __future__ import annotations
@@ -107,13 +110,7 @@ class ReconstructionResult:
         }
 
 
-# Finite data can overflow float64 mid-replay; the finiteness checks report it.
-@np.errstate(over="ignore", invalid="ignore")
-def identify(
-    markov: MarkovSequence,
-    g: Graph,
-    target: Iterable[int],
-) -> ReconstructionResult:
+def identify(markov: MarkovSequence, g: Graph, target: Iterable[int]) -> ReconstructionResult:
     """Recover the weight submatrix over ``target`` from measured data.
 
     Seeds the power table with the input/output overlap block, replays
@@ -124,12 +121,22 @@ def identify(
     longer sequence gives the same result. One mask of equal or adjacent
     nodes gives each round's P, the target's edges and the result's
     zeros, so non-edges inside the target are exactly zero; edge
-    entries are checked to be strictly positive. A recovered squared
-    weight that vanishes raises DegenerateWeightError, a negative one
-    InconsistentDataError.
+    entries are checked to be strictly positive. A graph-only plan
+    (:func:`_plan`) is replayed on the data (:func:`_replay`), and the
+    squared edge weights are checked after the loop, first force first:
+    one that vanishes raises DegenerateWeightError, a negative one
+    InconsistentDataError, one past float64 range InputError.
     """
+    return _replay(markov, _plan(g, markov.v_in, markov.v_out, target))
+
+
+def _plan(g: Graph, v_in: NodeSet, v_out: NodeSet, target: Iterable[int]) -> tuple:
+    """What :func:`identify` reads from the graph: ``(target, w, sizes,
+    forces, pos, pattern, fpos, pmask)``, with the replayed rounds' sizes
+    and forces, and ``fpos`` and ``pmask`` the forcing nodes' positions
+    and P masks in chronicle order."""
     target = g.check_nodes(target)
-    report = certify(g, markov.v_in, markov.v_out)
+    report = certify(g, v_in, v_out)
     w, reachable, chronicle = report.w, report.certified_nodes, report.chronicle
     if not target.issubset(reachable):
         missing = target.difference(reachable)
@@ -149,12 +156,35 @@ def identify(
         prefix.append(forces)
         missing_nodes.difference_update(v for _, v in forces)
 
-    needed = 2 * len(prefix) + 2
+    # powers[k, pos[i], pos[j]] = (X^k)_{ij}: the overlap first, then each
+    # round's forced nodes, so force f forces the node at position |w| + f.
+    forces = [f for round_ in prefix for f in round_]
+    nodes = list(w) + [v for _, v in forces]
+    pos = np.full(g.n + 1, -1)
+    pos[nodes] = np.arange(len(nodes))
+    # pattern[a, c]: the nodes at positions a and c are equal or adjacent.
+    ends = pos[1:][g.edge_index]
+    ends = ends[(ends >= 0).all(axis=1)]
+    pattern = np.eye(len(nodes), dtype=bool)
+    pattern[ends[:, 0], ends[:, 1]] = pattern[ends[:, 1], ends[:, 0]] = True
+    # A forcing node knows every neighbour at its round's start but the forced one.
+    fpos = pos[[u for u, _ in forces]]
+    pmask = pattern[fpos]
+    pmask[np.arange(len(forces)), np.arange(len(w), len(nodes))] = False
+    return target, w, chronicle.rounds[: len(prefix)], forces, pos, pattern, fpos, pmask
+
+
+# Finite data can overflow float64 mid-replay, and a bad round turns the
+# later ones into NaN or inf; the checks after the loop report both.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
+    """Replay a :func:`_plan` on Markov data: the numeric part of :func:`identify`."""
+    target, w, sizes, forces, pos, pattern, fpos, pmask = plan
+    needed = 2 * len(sizes) + 2
     if markov.order < needed:
         raise InsufficientOrderError(
-            f"markov order {markov.order} is insufficient: replaying "
-            f"{len(prefix)} propagation round(s) "
-            f"({sum(map(len, prefix))} force(s)) needs order {needed}",
+            f"markov order {markov.order} is insufficient: replaying {len(sizes)} "
+            f"propagation round(s) ({len(forces)} force(s)) needs order {needed}",
             required=needed,
         )
     expected = (len(markov.v_out), len(markov.v_in))
@@ -164,76 +194,76 @@ def identify(
             f"{expected} = (|v_out|, |v_in|)"
         )
 
-    # powers[k, pos[i], pos[j]] = (X^k)_{ij}: the overlap first, with its
-    # (i, j) and (j, i) samples averaged, then each round's forced nodes.
-    nodes = list(w) + [v for forces in prefix for _, v in forces]
-    pos = np.full(g.n + 1, -1)
-    pos[nodes] = np.arange(len(nodes))
-    # pattern[a, c]: the nodes at positions a and c are equal or adjacent.
-    ends = pos[1:][g.edge_index]
-    ends = ends[(ends >= 0).all(axis=1)]
-    pattern = np.eye(len(nodes), dtype=bool)
-    pattern[ends[:, 0], ends[:, 1]] = pattern[ends[:, 1], ends[:, 0]] = True
-    powers = np.zeros((needed + 1, len(nodes), len(nodes)))
-    rows = np.searchsorted(markov.v_out.members, w.members)
-    cols = np.searchsorted(markov.v_in.members, w.members)
-    overlap = markov.data[: needed + 1, rows[:, None], cols]
+    # The overlap's (i, j) and (j, i) samples are averaged.
+    powers = np.zeros((needed + 1, *pattern.shape))
     b = len(w)
+    if b == len(markov.v_in) == len(markov.v_out):  # w is both node sets
+        overlap = markov.data[: needed + 1]
+    else:
+        rows = np.searchsorted(markov.v_out.members, w.members)
+        cols = np.searchsorted(markov.v_in.members, w.members)
+        overlap = markov.data[: needed + 1, rows[:, None], cols]
     powers[:, :b, :b] = 0.5 * (overlap + overlap.transpose(0, 2, 1))
     if not np.isfinite(powers[:, :b, :b]).all():
         raise InputError(f"{_BEYOND_RANGE}: the symmetrised overlap is not finite")
-    powers[0, b:, b:] = np.eye(len(nodes) - b)
+    powers[0, b:, b:] = np.eye(len(pattern) - b)
 
-    records: list[ForceStepRecord] = []
-    for rnd, forces in enumerate(prefix, start=1):
+    squared = np.empty(len(forces))
+    s = 0
+    for rnd, count in enumerate(sizes, start=1):
         # Round rnd reads orders 1..k_max and writes orders 1..k_max-2 of
-        # V = positions b..e-1, against the known block B = positions 0..b-1.
+        # V = positions b..e-1, against the known block B = positions 0..b-1;
+        # its forces are s..t-1. Rows ui of U, and U's diagonal at (ui, ud).
         k_max = needed - 2 * (rnd - 1)
-        e = b + len(forces)
-        # Every neighbour of a forcing node but the one it forces is known.
-        ui = pos[[u for u, _ in forces]]
-        p = np.where(pattern[ui, :b], powers[1, ui, :b], 0.0)
+        t, e = s + count, b + count
+        if count == 1:  # one force: basic indices give views, not gathers
+            ud = int(fpos[s])
+            ui = uu = slice(ud, ud + 1)
+        else:
+            ui = ud = fpos[s:t]
+            uu = ui[:, None]
+        p = np.where(pmask[s:t, :b], powers[1, ui, :b], 0.0)
 
         # Squared edge weights from the second power at the forcing nodes.
-        power2 = powers[2, ui, ui]
-        pp = p * p
-        squared = power2 - pp.sum(axis=1)
-        scale = np.maximum(np.maximum(1.0, np.abs(power2)), pp.max(axis=1, initial=0.0))
-        degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
-        bad = np.flatnonzero(degenerate | (squared < 0.0))
-        if bad.size:
-            a = bad[0]
-            u, v = forces[a]
-            if degenerate[a]:
-                raise DegenerateWeightError(
-                    f"forced edge ({u},{v}) has vanishing recovered weight: measured "
-                    "data is inconsistent with a positively-weighted matrix on this graph"
-                )
-            raise InconsistentDataError(
-                f"recovered squared weight of edge ({u},{v}) is negative "
-                f"({squared[a]:.3e}): data does not come from a symmetric "
-                "positively-patterned matrix on this graph"
-            )
-        d = np.sqrt(squared)
+        squared[s:t] = powers[2, ui, ud] - (p * p).sum(axis=1)
+        d = np.sqrt(squared[s:t])
 
         # X^k[V,B], then X^k[V,V], for k = 1..k_max-2. The powers are
         # symmetric, so one product over the stacked X^k gives every X^k P^T.
         tp = powers[1 : k_max - 1, :b, :b] @ p.T
         vb = (powers[2:k_max, ui, :b] - tp.transpose(0, 2, 1)) / d[:, None]
         m = vb @ p.T  # X^k[V,B] P^T
-        acc = powers[3 : k_max + 1, ui[:, None], ui] - p @ tp
+        acc = powers[3 : k_max + 1, uu, ui] - p @ tp
         acc -= m.transpose(0, 2, 1) * d + d[:, None] * m
         vv = acc / (d[:, None] * d)
         ks = slice(1, k_max - 1)
         powers[ks, b:e, :b] = vb
         powers[ks, :b, b:e] = vb.transpose(0, 2, 1)
         powers[ks, b:e, b:e] = 0.5 * (vv + vv.transpose(0, 2, 1))
-        weights = vb[0, np.arange(e - b), ui].tolist()  # X_{uv} = X^1[V,B][a, u]
-        records += [
-            ForceStepRecord(len(records) + a, rnd, u, v, weight)
-            for a, ((u, v), weight) in enumerate(zip(forces, weights), start=1)
-        ]
-        b = e
+        s, b = t, e
+
+    # The first bad squared weight in chronicle order; later ones follow from it.
+    power2 = powers[2, fpos, fpos]
+    p = np.where(pmask, powers[1, fpos], 0.0)
+    scale = np.maximum(np.maximum(1.0, np.abs(power2)), (p * p).max(axis=1, initial=0.0))
+    degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
+    overflow = ~np.isfinite(squared)
+    bad = np.flatnonzero(overflow | degenerate | (squared < 0.0))
+    if bad.size:
+        a = bad[0]
+        u, v = forces[a]
+        if overflow[a]:
+            raise InputError(f"{_BEYOND_RANGE}: squared weight of edge ({u},{v}) is not finite")
+        if degenerate[a]:
+            raise DegenerateWeightError(
+                f"forced edge ({u},{v}) has vanishing recovered weight: measured "
+                "data is inconsistent with a positively-weighted matrix on this graph"
+            )
+        raise InconsistentDataError(
+            f"recovered squared weight of edge ({u},{v}) is negative "
+            f"({squared[a]:.3e}): data does not come from a symmetric "
+            "positively-patterned matrix on this graph"
+        )
     if not np.isfinite(powers[1]).all():
         raise InputError(f"{_BEYOND_RANGE}: the recovered first power is not finite")
 
@@ -265,9 +295,11 @@ def identify(
         for a in np.flatnonzero(leaks > 1e-6 * table_scale)
     ]
 
-    return ReconstructionResult(
-        nodes=target,
-        recovered=recovered,
-        diagnostics=tuple(records),
-        notes=tuple(notes),
+    # X_{uv} = X^1[v, u]: force f's forced node sits at position |w| + f.
+    weights = powers[1, np.arange(len(w), len(pattern)), fpos].tolist()
+    rounds = [rnd for rnd, count in enumerate(sizes, start=1) for _ in range(count)]
+    records = tuple(
+        ForceStepRecord(step, rnd, u, v, weight)
+        for step, (rnd, (u, v), weight) in enumerate(zip(rounds, forces, weights), start=1)
     )
+    return ReconstructionResult(target, recovered, records, tuple(notes))

@@ -3,7 +3,9 @@
 Everything here works on raw (n, edge list) data and plain numpy so it
 shares no code path with the library: forcing fixpoints by repeated
 full rescans, minimum sets by subset enumeration, by depth-first search
-or by a wavefront search, Markov blocks by numpy matrix powers.
+or by a wavefront search, Markov blocks by numpy matrix powers. The one
+exception is ``reference_identify``, the previous round loop of
+``identify``, kept to pin the library's replay bit for bit.
 """
 
 import heapq
@@ -275,6 +277,157 @@ def markov_blocks_oracle(entries, v_in, v_out, order):
         power = np.linalg.matrix_power(entries, k)
         out.append(power[np.ix_(rows, cols)])
     return out
+
+
+def reference_identify(markov, g, target):
+    """The previous ``reconstruct.identify``: one loop that gathers every
+    round's operands and checks its squared weights before the next round.
+
+    It calls ``certify`` and returns the library's result and error
+    types. It includes the overflow fix: a squared weight that is not
+    finite is reported as data beyond float64 range, not as vanishing.
+    """
+    from netident.errors import (
+        DegenerateWeightError,
+        InconsistentDataError,
+        InputError,
+        InsufficientOrderError,
+        UncertifiedTargetError,
+    )
+    from netident.identifiability import certify
+    from netident.reconstruct import (
+        DEGENERACY_TOL,
+        ForceStepRecord,
+        ReconstructionResult,
+    )
+
+    beyond = "Markov data is beyond float64 range"
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = g.check_nodes(target)
+        report = certify(g, markov.v_in, markov.v_out)
+        w, reachable, chronicle = report.w, report.certified_nodes, report.chronicle
+        if not target.issubset(reachable):
+            missing = target.difference(reachable)
+            raise UncertifiedTargetError(
+                f"target nodes {list(missing)} are outside the derived set "
+                f"{list(reachable)} of the input/output overlap; certification is "
+                "sufficient only, so the instance may still be identifiable; "
+                "see identifiability.certify"
+            )
+        missing_nodes = set(target.difference(w))
+        prefix = []
+        for forces in chronicle.round_forces():
+            if not missing_nodes:
+                break
+            prefix.append(forces)
+            missing_nodes.difference_update(v for _, v in forces)
+        needed = 2 * len(prefix) + 2
+        if markov.order < needed:
+            raise InsufficientOrderError(
+                f"markov order {markov.order} is insufficient: replaying "
+                f"{len(prefix)} propagation round(s) "
+                f"({sum(map(len, prefix))} force(s)) needs order {needed}",
+                required=needed,
+            )
+        expected = (len(markov.v_out), len(markov.v_in))
+        if markov.data.shape[1:] != expected:
+            raise InputError(
+                f"Markov blocks have shape {markov.data.shape[1:]}, expected "
+                f"{expected} = (|v_out|, |v_in|)"
+            )
+        nodes = list(w) + [v for forces in prefix for _, v in forces]
+        pos = np.full(g.n + 1, -1)
+        pos[nodes] = np.arange(len(nodes))
+        ends = pos[1:][g.edge_index]
+        ends = ends[(ends >= 0).all(axis=1)]
+        pattern = np.eye(len(nodes), dtype=bool)
+        pattern[ends[:, 0], ends[:, 1]] = pattern[ends[:, 1], ends[:, 0]] = True
+        powers = np.zeros((needed + 1, len(nodes), len(nodes)))
+        rows = np.searchsorted(markov.v_out.members, w.members)
+        cols = np.searchsorted(markov.v_in.members, w.members)
+        overlap = markov.data[: needed + 1, rows[:, None], cols]
+        b = len(w)
+        powers[:, :b, :b] = 0.5 * (overlap + overlap.transpose(0, 2, 1))
+        if not np.isfinite(powers[:, :b, :b]).all():
+            raise InputError(f"{beyond}: the symmetrised overlap is not finite")
+        powers[0, b:, b:] = np.eye(len(nodes) - b)
+
+        records = []
+        for rnd, forces in enumerate(prefix, start=1):
+            k_max = needed - 2 * (rnd - 1)
+            e = b + len(forces)
+            ui = pos[[u for u, _ in forces]]
+            p = np.where(pattern[ui, :b], powers[1, ui, :b], 0.0)
+            power2 = powers[2, ui, ui]
+            pp = p * p
+            squared = power2 - pp.sum(axis=1)
+            scale = np.maximum(np.maximum(1.0, np.abs(power2)), pp.max(axis=1, initial=0.0))
+            overflow = ~np.isfinite(squared)
+            degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
+            bad = np.flatnonzero(overflow | degenerate | (squared < 0.0))
+            if bad.size:
+                a = bad[0]
+                u, v = forces[a]
+                if overflow[a]:
+                    raise InputError(
+                        f"{beyond}: squared weight of edge ({u},{v}) is not finite"
+                    )
+                if degenerate[a]:
+                    raise DegenerateWeightError(
+                        f"forced edge ({u},{v}) has vanishing recovered weight: measured "
+                        "data is inconsistent with a positively-weighted matrix on this graph"
+                    )
+                raise InconsistentDataError(
+                    f"recovered squared weight of edge ({u},{v}) is negative "
+                    f"({squared[a]:.3e}): data does not come from a symmetric "
+                    "positively-patterned matrix on this graph"
+                )
+            d = np.sqrt(squared)
+            tp = powers[1 : k_max - 1, :b, :b] @ p.T
+            vb = (powers[2:k_max, ui, :b] - tp.transpose(0, 2, 1)) / d[:, None]
+            m = vb @ p.T
+            acc = powers[3 : k_max + 1, ui[:, None], ui] - p @ tp
+            acc -= m.transpose(0, 2, 1) * d + d[:, None] * m
+            vv = acc / (d[:, None] * d)
+            ks = slice(1, k_max - 1)
+            powers[ks, b:e, :b] = vb
+            powers[ks, :b, b:e] = vb.transpose(0, 2, 1)
+            powers[ks, b:e, b:e] = 0.5 * (vv + vv.transpose(0, 2, 1))
+            weights = vb[0, np.arange(e - b), ui].tolist()
+            records += [
+                ForceStepRecord(len(records) + a, rnd, u, v, weight)
+                for a, ((u, v), weight) in enumerate(zip(forces, weights), start=1)
+            ]
+            b = e
+        if not np.isfinite(powers[1]).all():
+            raise InputError(f"{beyond}: the recovered first power is not finite")
+
+        members = target.members
+        at = pos[list(members)]
+        block = powers[1, at[:, None], at]
+        mask = pattern[at[:, None], at]
+        ea, eb = np.nonzero(np.triu(mask, 1))
+        vals = block[ea, eb]
+        bad = np.flatnonzero(vals <= 0.0)
+        if bad.size:
+            a = bad[0]
+            raise InconsistentDataError(
+                f"recovered weight of edge ({members[ea[a]]},{members[eb[a]]}) is "
+                f"{vals[a]:.3e}; members of the positive class carry strictly "
+                "positive edge weights"
+            )
+        recovered = np.where(mask, block, 0.0)
+        table_scale = max(float(np.abs(np.diagonal(block)).max(initial=0.0)), 1.0)
+        na, nb = np.nonzero(np.triu(~mask, 1))
+        leaks = np.abs(block[na, nb])
+        notes = [
+            f"non-edge ({members[na[a]]},{members[nb[a]]}) carries weight "
+            f"{leaks[a]:.3e} in the measured data; entry omitted from the result"
+            for a in np.flatnonzero(leaks > 1e-6 * table_scale)
+        ]
+    return ReconstructionResult(
+        nodes=target, recovered=recovered, diagnostics=tuple(records), notes=tuple(notes)
+    )
 
 
 # -- random instance generators -------------------------------------------

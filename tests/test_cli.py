@@ -497,6 +497,19 @@ def test_recover_overflowing_overlap_exits_two(tmp_path, capsys):
                    "symmetrised overlap is not finite\n")
 
 
+def test_recover_overflowing_replay_exits_two(tmp_path, capsys):
+    # Finite data whose first squared weight overflows: beyond range, not vanishing.
+    blob = {"v_in": [1], "v_out": [1], "K": 8, "data": [[[1e300]]] * 9}
+    g = write(tmp_path, "g.json", path_json(4))
+    m = write(tmp_path, "m.json", blob)
+    t = write(tmp_path, "t.json", [1, 2, 3, 4])
+    code, out, err = run(capsys, ["ident", "recover", "--graph", g, "--markov", m,
+                                  "--target", t])
+    assert (code, out) == (2, "")
+    assert err == ("input error: Markov data is beyond float64 range: squared "
+                   "weight of edge (1,2) is not finite\n")
+
+
 class TestMarkovArrayInput:
     """Markov JSON whose data is not one (K+1, p, m) array exits 2, prints nothing."""
 

@@ -471,6 +471,19 @@ class TestMatrixCsv:
         assert back.shape == (n, n)
         np.testing.assert_array_equal(back, entries)
 
+    def test_rows_are_the_reprs_of_their_floats(self):
+        tiny = np.nextafter(0.0, 1.0)
+        entries = np.array([[-0.0, tiny, 1e-300, 0.1], [1e300, -2.5e-310, 3.0, -1e-300],
+                            [np.inf, -np.inf, np.nan, 7.0], [1.0 / 3.0, -0.0, 2.0**-1074, 5e-324]])
+        old = "".join(
+            [f"n,{len(entries)}\n"]
+            + [",".join(repr(float(v)) for v in row) + "\n" for row in entries]
+        )
+        assert matrix_to_csv(entries) == old
+        finite = entries[[0, 1, 3]][:, [0, 1, 2]]
+        back = matrix_from_csv(matrix_to_csv(finite))
+        assert back.tobytes() == finite.tobytes()  # -0.0 and subnormals survive
+
     def test_ragged_rows(self):
         with pytest.raises(InputError, match="wrong length for n=2"):
             matrix_from_csv("n,2\n1.0,2.0\n3.0\n")

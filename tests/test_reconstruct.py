@@ -1,7 +1,11 @@
 import warnings
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netident import (
     DegenerateWeightError,
@@ -17,6 +21,7 @@ from netident import (
     derived_set,
     identify,
     markov_sequence,
+    minimum_zero_forcing_set,
     random_weights,
     required_order,
     zfs_heuristic,
@@ -26,6 +31,7 @@ from oracles import (
     markov_blocks_oracle,
     random_connected_edges,
     random_tree_edges,
+    reference_identify,
 )
 
 
@@ -289,3 +295,101 @@ class TestPastTheForceWall:
             d.round for d in result.diagnostics
         )
         assert result.diagnostics[-1].round == 3
+
+
+class TestChecksAfterTheLoop:
+    """The squared weights are checked once every round has run, first force first."""
+
+    # Two components replayed side by side: A = 1-2-3 from node 1 forces
+    # (1,2), (2,3) in rounds 1-2; B = 4-...-8 from node 4 forces
+    # (4,5), (5,6), (6,7), (7,8) in rounds 1-4.
+    G = Graph(8, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8)])
+    W = [1, 4]
+
+    def data(self, x23):
+        x = np.zeros((8, 8))
+        for (i, j), weight in zip(self.G.edges, (1.0, x23, 1.0, 0.9, 1.1, 0.8)):
+            x[i - 1, j - 1] = x[j - 1, i - 1] = weight
+        np.fill_diagonal(x, [0.3, -0.2, 0.1, 0.4, -0.1, 0.2, 0.3, -0.3])
+        blocks = np.array(markov_blocks_oracle(x, self.W, self.W, 10))
+        # Of the squared weights, only round 4's reads order 8 at node 4.
+        blocks[8, 1, 1] -= 10.0
+        return MarkovSequence(v_in=NodeSet(self.W), v_out=NodeSet(self.W), data=blocks)
+
+    def test_first_bad_force_wins_over_a_later_one(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # With a sound round 2, round 4's squared weight is negative...
+            with pytest.raises(InconsistentDataError, match=r"edge \(7,8\) is negative"):
+                identify(self.data(1.0), self.G, self.G.nodes)
+            # ...and a vanishing one in round 2 is reported first.
+            with pytest.raises(DegenerateWeightError, match=r"forced edge \(2,3\) has vanishing"):
+                identify(self.data(1e-7), self.G, self.G.nodes)
+
+    def test_negative_weight_in_round_one(self):
+        # (X^2)_{11} = 1 < X_{11}^2 = 4 on a path seeded at one end.
+        data = tuple(np.array([[v]]) for v in (1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistentDataError, match=r"edge \(1,2\) is negative"):
+                identify(markov, path(4), [1, 2, 3, 4])
+
+    def test_overflowing_square_is_beyond_range_not_vanishing(self):
+        # X_{12}^2 = 1e300 - 1e300**2 overflows to -inf in round 1.
+        data = tuple(np.array([[1e300]]) for _ in range(9))
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as err:
+                identify(markov, path(4), [1, 2, 3, 4])
+        assert str(err.value) == (
+            "Markov data is beyond float64 range: squared weight of edge (1,2) is not finite"
+        )
+
+
+def outcome(markov, g, target, fn):
+    try:
+        result = fn(markov, g, target)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.recovered.tobytes(), json.dumps(result.to_json())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    seed=st.integers(0, 2**31 - 1),
+    exact=st.booleans(),
+    diagonal=st.sampled_from(("laplacian", "free")),
+    partial=st.booleans(),
+    unequal=st.booleans(),
+    perturb=st.sampled_from((0.0, 1e-3, -1.0, 10.0)),
+)
+def test_replay_matches_the_reference_bit_for_bit(n, seed, exact, diagonal, partial,
+                                                   unequal, perturb):
+    rng = np.random.default_rng(seed)
+    g = Graph(n, random_connected_edges(rng, n))
+    w = minimum_zero_forcing_set(g) if exact else zfs_heuristic(g)
+    v_in = v_out = w
+    if unequal:  # extra input-only and output-only nodes, and a larger overlap
+        v_in = NodeSet(set(w) | set((rng.choice(n, 2) + 1).tolist()) | {1})
+        v_out = NodeSet(set(w) | set((rng.choice(n, 2) + 1).tolist()) | {n})
+    overlap = v_in.intersection(v_out)
+    _, chron = derived_set(g, overlap)
+    x = random_weights(g, seed=seed, diagonal_mode=diagonal)
+    order = required_order(chron)
+    markov = markov_sequence(x, v_in, v_out, order + int(rng.integers(0, 3)))
+    if perturb:  # one overlap entry that the replay reads is off: some rounds fail
+        data = markov.data.copy()
+        i, j = rng.choice(overlap.members, 2)
+        data[rng.integers(1, order + 1), v_out.members.index(i), v_in.members.index(j)] *= (
+            1.0 + perturb
+        )
+        markov = MarkovSequence(v_in=markov.v_in, v_out=markov.v_out, data=data)
+    target = g.nodes
+    if partial:
+        target = (rng.choice(n, int(rng.integers(1, n + 1)), replace=False) + 1).tolist()
+    assert outcome(markov, g, target, identify) == outcome(
+        markov, g, target, reference_identify
+    )

@@ -8,7 +8,8 @@ stdout, diagnostics to stderr. Exit codes: 0 success, 1 domain errors
 (uncertified target, blocked deconvolution, ...), 2 input/format errors.
 Every file argument is read and checked before the command computes
 anything, so a malformed file exits 2 even where the computation would
-fail.
+fail. A path given to two node-set flags (``--in s.json --out-nodes
+s.json``) is read once.
 
 Output: JSON is written compact, with sorted keys, one object per line.
 ``--format`` exists only where there is a choice: ``ident certify``
@@ -65,18 +66,21 @@ def _load_json(path: str):
         ) from None
 
 
+def _load_nodes(path: str) -> NodeSet:
+    return nodeset_from_json(_load_json(path))
+
+
 # File arguments: dest -> (option strings, help, loader). :func:`main`
 # replaces each path the command was given by its loaded object, in this
-# order, before the handler runs.
+# order, before the handler runs. The node-set flags share one loader, so
+# a path given to two of them is read once and both get the same object.
 PATHS = {
     "graph": (("--graph",), 'graph JSON: {"n": <int>, "edges": [[i,j], ...]}',
               lambda path: graph_from_json(_load_json(path))),
-    "in_nodes": (("--in",), "node set JSON (array of ints)",
-                 lambda path: nodeset_from_json(_load_json(path))),
-    "out_nodes": (("--out-nodes", "--out"), "node set JSON (array of ints)",
-                  lambda path: nodeset_from_json(_load_json(path))),
+    "in_nodes": (("--in",), "node set JSON (array of ints)", _load_nodes),
+    "out_nodes": (("--out-nodes", "--out"), "node set JSON (array of ints)", _load_nodes),
     "target": (("--target",), "node set JSON: nodes whose weights to recover",
-               lambda path: nodeset_from_json(_load_json(path))),
+               _load_nodes),
     "markov": (("--markov",), 'Markov JSON: {"v_in":..,"v_out":..,"K":..,"data":..}',
                lambda path: MarkovSequence.from_json(_load_json(path))),
     "dyn": (("--dyn",), 'node dynamics JSON with keys "A","B","C","E","K"',
@@ -307,10 +311,13 @@ def main(argv: list[str] | None = None) -> int:
             # Every run reports its warnings, not only a process's first.
             warnings.simplefilter("always")
             warnings.showwarning = _warning_line
+            loaded = {}  # (path, loader) -> object: each file is read once
             for dest, (_, _, load) in PATHS.items():
                 path = getattr(args, dest, None)
                 if path is not None:
-                    setattr(args, dest, load(path))
+                    if (path, load) not in loaded:
+                        loaded[path, load] = load(path)
+                    setattr(args, dest, loaded[path, load])
         args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")

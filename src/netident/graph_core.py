@@ -2,7 +2,9 @@
 
 Nodes are identified by the integers ``1..n`` in every public interface.
 Graphs are simple: no self-loops, no parallel edges. All types in this
-module are immutable after construction and safe to share across threads.
+module are immutable after construction and safe to share across threads;
+a NodeSet's closure memo is not part of its value, and a thread that
+replaces it leaves it valid.
 
 The JSON formats defined here are shared by every other module:
 graphs are ``{"n": <int>, "edges": [[i, j], ...]}``, node sets are plain
@@ -61,9 +63,15 @@ class NodeSet:
     a tuple without any check; it is only for ids that are valid by
     construction, such as a scan of ``range(1, n + 1)`` or a filter of an
     existing NodeSet.
+
+    ``_closure`` is a memo that :func:`~netident.zero_forcing.derived_set`
+    keeps on a seed: the graph object it last closed the seed on, with
+    that closure. A seed object is closed once per graph object. The memo
+    is not part of the value: equality, hashing and JSON read ``members``
+    alone, and an equal NodeSet built afresh has no memo.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "_closure")
 
     def __init__(self, members: Iterable[int] = ()):
         seen = set()
@@ -73,12 +81,14 @@ class NodeSet:
                 raise InputError(f"node identifiers are 1-based, got {node}")
             seen.add(node)
         self.members: tuple[int, ...] = tuple(sorted(seen))
+        self._closure = None
 
     @classmethod
     def _trusted(cls, members: tuple[int, ...]) -> "NodeSet":
         """Wrap ``members``, already ascending, distinct and 1-based, unchecked."""
         ns = object.__new__(cls)
         ns.members = members
+        ns._closure = None
         return ns
 
     def __iter__(self) -> Iterator[int]:

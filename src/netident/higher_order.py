@@ -213,7 +213,7 @@ def lifted_markov(sys: LiftedSystem, order: int) -> MarkovSequence:
     for k in range(order + 1 if data.size else 0):  # empty blocks need no powers
         data[k] = out @ cur
         cur = state @ cur
-    return MarkovSequence(v_in=sys.v_in, v_out=sys.v_out, data=data)
+    return MarkovSequence._built(sys.v_in, sys.v_out, data)
 
 
 def _mixing_tables(dyn: NodeDynamics, order: int) -> np.ndarray:
@@ -313,4 +313,4 @@ def deconvolve(
         # Peel this order's term out of every higher order with a finite table.
         grids[k + 1 : stop] -= block[:, None, :, None] * mixing[k + 1 : stop, k, None, :, None, :]
 
-    return MarkovSequence(v_in=lifted.v_in, v_out=lifted.v_out, data=base)
+    return MarkovSequence._built(lifted.v_in, lifted.v_out, base)

@@ -161,7 +161,8 @@ class MarkovSequence:
     ``order`` is K. Rows follow the ascending output nodes, columns the
     ascending input nodes, so ``(p, m) = (len(v_out), len(v_in))`` for
     plain network dynamics; the higher-order lift carries per-node
-    blocks, so its ``(p, m)`` are integer multiples of that.
+    blocks, so its ``(p, m)`` are integer multiples of that. The
+    constructor copies ``data``, so a caller's array stays the caller's.
     """
 
     v_in: NodeSet
@@ -175,6 +176,21 @@ class MarkovSequence:
             raise InputError(
                 f"Markov data is not an array of equal-shape blocks: {exc}"
             ) from None
+        self._keep(data)
+
+    @classmethod
+    def _built(cls, v_in: NodeSet, v_out: NodeSet, data: np.ndarray) -> "MarkovSequence":
+        """Wrap a float array that ``markov_sequence``, ``lifted_markov`` or
+        ``deconvolve`` has just filled and that nothing else holds: checked
+        and frozen like a caller's, but not copied."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "v_in", v_in)
+        object.__setattr__(seq, "v_out", v_out)
+        seq._keep(data)
+        return seq
+
+    def _keep(self, data: np.ndarray) -> None:
+        """Check the float array ``data``, freeze it and store it as ``data``."""
         if data.ndim == 2 and not data.shape[1]:  # JSON writes a block with no rows as []
             data = data.reshape(len(data), 0, len(self.v_in))
         if data.ndim != 3 or not len(data):
@@ -279,7 +295,7 @@ def markov_sequence(
     for k in range(order + 1 if data.size else 0):  # empty blocks need no powers
         data[k] = cur[out_rows]
         cur = x.entries @ cur
-    return MarkovSequence(v_in=v_in, v_out=v_out, data=data)
+    return MarkovSequence._built(v_in, v_out, data)
 
 
 def transfer_eval(

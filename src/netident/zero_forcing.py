@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
+from typing import Iterable
 
 from .errors import InputError
 from .graph_core import Graph, NodeSet, _integral
@@ -146,6 +147,14 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     start, in ascending forcing node, the smaller forcing node winning a
     shared target. The derived set itself is order-independent.
 
+    A seed object is closed once per graph object: the closure is kept
+    on ``z`` (see :class:`~netident.graph_core.NodeSet`) with a reference
+    to ``g``, and closing the same ``z`` on the same ``g`` again returns
+    the same derived set and forces in a new chronicle. The graph is
+    compared by identity, so an equal graph, or an equal NodeSet built
+    afresh, is closed again. The memo holds the chronicle's parts, not
+    the chronicle, whose ``initial`` is ``z``, so it makes no cycle.
+
     Each node keeps a count of its white neighbours, updated as nodes
     turn black. The counts start from the smaller side: a seed of at
     most n/2 nodes subtracts its own edges from the degrees, a larger
@@ -153,11 +162,17 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     O(n + vol(smaller side)). A black node whose count is one either
     forces in the next round or loses its last white neighbour to
     another forcer, so only black nodes next to a node coloured in the
-    last round can force in the next one. While a round has a single
-    candidate forcer, as along a chain, it forces one node and an inner
-    loop runs it with no per-round sets.
+    last round can force in the next one. A run of rounds with a single
+    candidate forcer, as along a chain, is walked by one loop that
+    tracks that candidate; a force that leaves two or more candidates
+    falls back to the general round. A closure that reaches every node is
+    ``1..n``, with no scan of the colours.
     """
     z = g.check_nodes(z)
+    memo = z._closure
+    if memo is not None and memo[0] is g:
+        _, derived, forces, rounds = memo
+        return derived, ForcingChronicle(initial=z, forces=forces, rounds=rounds)
     n = g.n
     nbrs = g.neighbour_rows
     # black[v]: 0 white, 1 black, 2 forced in the current round.
@@ -182,23 +197,28 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
 
     forces: list[tuple[int, int]] = []
     rounds: list[int] = []
+    force = forces.append
     while active:
-        while len(active) == 1:  # one forcer: its force is the whole round
-            u = active[0]
-            for v in nbrs[u]:
-                if not black[v]:
-                    break
-            black[v] = 1
-            forces.append((u, v))
-            rounds.append(1)
-            active = [v] if white_deg[v] == 1 else []
-            for w in nbrs[v]:
-                white_deg[w] -= 1
-                if white_deg[w] == 1 and black[w]:
-                    active.append(w)
-            active.sort()  # distinct candidates; v may exceed its neighbours
-        if not active:
-            break
+        if len(active) == 1:  # a chain: each round is one force by the one candidate
+            u, many, start = active[0], False, len(forces)
+            while u and not many:
+                for v in nbrs[u]:
+                    if not black[v]:
+                        break
+                black[v] = 1
+                force((u, v))
+                u = v if white_deg[v] == 1 else 0  # the next candidate, if any
+                for w in nbrs[v]:
+                    white_deg[w] -= 1
+                    if white_deg[w] == 1 and black[w]:
+                        many = many or u > 0  # u was a candidate already
+                        u = w
+            rounds.extend(repeat(1, len(forces) - start))
+            if not many:
+                break
+            # Candidates: v and its black neighbours whose count is now one.
+            active = [w for w in (v, *nbrs[v]) if black[w] and white_deg[w] == 1]
+            active.sort()  # v may exceed its neighbours
         new: list[int] = []
         for u in active:
             for v in nbrs[u]:
@@ -207,7 +227,7 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
             if not black[v]:  # else a smaller forcing node took it
                 black[v] = 2
                 new.append(v)
-                forces.append((u, v))
+                force((u, v))
         rounds.append(len(new))
         for v in new:
             black[v] = 1
@@ -221,8 +241,13 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
                     touched.append(w)
         active = sorted({w for w in touched if white_deg[w] == 1})
 
-    derived = NodeSet._trusted(tuple(compress(range(n + 1), black)))
-    return derived, ForcingChronicle(initial=z, forces=tuple(forces), rounds=tuple(rounds))
+    if len(z) + len(forces) == n:  # every node: no scan needed
+        derived = NodeSet._trusted(tuple(range(1, n + 1)))
+    else:
+        derived = NodeSet._trusted(tuple(compress(range(n + 1), black)))
+    forces, rounds = tuple(forces), tuple(rounds)
+    z._closure = (g, derived, forces, rounds)
+    return derived, ForcingChronicle(initial=z, forces=forces, rounds=rounds)
 
 
 def is_zero_forcing_set(g: Graph, z: NodeSet) -> bool:
@@ -481,7 +506,7 @@ def _diametral_path(g: Graph, d1: list[int] | None = None) -> list[int]:
     return path
 
 
-def _repair_to_zfs(g: Graph, candidate: set[int]) -> NodeSet:
+def _repair_to_zfs(g: Graph, candidate: Iterable[int]) -> NodeSet:
     """Greedily add lowest-id stuck white nodes until forcing completes."""
     black = NodeSet._trusted(tuple(sorted(candidate)))
     derived, _ = derived_set(g, black)
@@ -531,8 +556,10 @@ def _heuristic_connected(g: Graph, bfs1: tuple | None = None) -> NodeSet:
     """
     if len(g.edges) == g.n - 1:  # tree: the path cover is a minimum ZFS
         return _repair_to_zfs(g, _path_cover_initials(*(bfs1 or _bfs(g, 1))))
-    path = _diametral_path(g, bfs1 and bfs1[0])
-    return _repair_to_zfs(g, set(range(1, g.n + 1)) - set(path[1:]))
+    keep = [0] + [1] * g.n
+    for v in _diametral_path(g, bfs1 and bfs1[0])[1:]:
+        keep[v] = 0
+    return _repair_to_zfs(g, compress(range(g.n + 1), keep))
 
 
 def zfs_heuristic(g: Graph) -> NodeSet:

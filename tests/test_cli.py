@@ -474,6 +474,35 @@ class TestErrorsAndPlumbing:
         if code == 2:
             assert err.startswith("input error:")
 
+    def test_a_path_given_twice_is_read_once(self, tmp_path, capsys, monkeypatch):
+        g = write(tmp_path, "g.json", path_json(4))
+        s = write(tmp_path, "s.json", [1])
+        t = write(tmp_path, "t.json", [1])
+        reads, loaded = [], []
+        real_read, real_certify = cli._read_text, cli.identifiability.certify
+        monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or real_read(path))
+        monkeypatch.setattr(cli.identifiability, "certify",
+                            lambda g, i, o: loaded.append((i, o)) or real_certify(g, i, o))
+        code, out, err = run(capsys, ["ident", "certify", "--graph", g, "--in", s,
+                                      "--out-nodes", s])
+        assert (code, err) == (0, "") and json.loads(out)["verdict"] == "CERTIFIED_FULL"
+        assert sorted(reads) == sorted([g, s])
+        [(v_in, v_out)] = loaded
+        assert v_in is v_out
+        # Distinct paths with equal contents are still read one by one.
+        reads.clear()
+        code, _, _ = run(capsys, ["ident", "certify", "--graph", g, "--in", s,
+                                  "--out-nodes", t])
+        assert code == 0 and sorted(reads) == sorted([g, s, t])
+
+    def test_a_bad_path_given_twice_reports_once(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", path_json(3))
+        bad = write(tmp_path, "bad.json", [0])
+        code, out, err = run(capsys, ["ident", "certify", "--graph", g, "--in", bad,
+                                      "--out-nodes", bad])
+        assert (code, out) == (2, "")
+        assert err == "input error: node identifiers are 1-based, got 0\n"
+
     def test_out_nodes_alias(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", path_json(3))
         vin = write(tmp_path, "in.json", [1])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -10,11 +11,15 @@ from netident import (
     DirectedWeightMatrix,
     Graph,
     InputError,
+    LiftedSystem,
     MarkovSequence,
+    NodeDynamics,
     NodeSet,
     NoHiddenNodesError,
     SingularShiftError,
     WeightMatrix,
+    deconvolve,
+    lifted_markov,
     markov_sequence,
     matrix_from_csv,
     matrix_to_csv,
@@ -254,6 +259,49 @@ class TestMarkovSequence:
         seq = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
         data[1] = 5.0
         assert data.flags.writeable and seq.data[1, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_mutating_the_callers_float_array_leaves_data_unchanged(self, read_only_view):
+        # A read-only view is still the caller's: its base stays writable.
+        base = np.arange(6.0).reshape(3, 2, 1)
+        data = base.view() if read_only_view else base
+        data.flags.writeable = not read_only_view
+        seq = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1, 2]), data=data)
+        base[:] = -1.0
+        assert base.flags.writeable and not seq.data.flags.writeable
+        assert not np.shares_memory(seq.data, base)
+        assert seq.data.tolist() == [[[0.0], [1.0]], [[2.0], [3.0]], [[4.0], [5.0]]]
+
+    def test_sequence_functions_keep_their_bytes(self):
+        # Every entry is an integer far inside float64's exact range, so
+        # the bytes are the same under any BLAS; deconvolving the lift
+        # gives back the plain sequence exactly.
+        a = 3
+        edges = [(r * a + c + 1, r * a + c + 2) for r in range(a) for c in range(a - 1)]
+        edges += [(r * a + c + 1, (r + 1) * a + c + 1) for r in range(a - 1) for c in range(a)]
+        g = Graph(9, edges)
+        x = np.diag([-float(i % 4) for i in range(1, 10)])
+        for i, j in g.edges:
+            x[i - 1, j - 1] = x[j - 1, i - 1] = (i + j) % 3 + 1
+        w = WeightMatrix(g, x)
+        dyn = NodeDynamics(A=[[1, 0], [1, -1]], B=[[1], [0]], C=[[1, 1]], E=[[1], [1]],
+                           K=[[1, 1]])
+        v_in, v_out = [1, 5, 9], [1, 2, 5, 9]
+        seq = markov_sequence(w, v_in, v_out, 6)
+        lifted = lifted_markov(LiftedSystem(weights=w, dyn=dyn, v_in=v_in, v_out=v_out), 6)
+        base = deconvolve(lifted, dyn)
+        digests = {
+            "d4086dd3675c4ac6b2bba3a4548f190e1d2c0e16e279e1134fed1588e5f22bdc": (seq, base),
+            "99714afe8e856814cdf8999cd33fce9b1367a066cc6fbf687c3527ef9fbdf37f": (lifted,),
+        }
+        for digest, built in digests.items():
+            for out in built:
+                assert out.data.shape == (7, 4, 3) and out.data.dtype == np.float64
+                assert hashlib.sha256(out.data.tobytes()).hexdigest() == digest
+                assert not out.data.flags.writeable
+                with pytest.raises(ValueError):
+                    out.data[0, 0, 0] = 0.0
+        assert not np.shares_memory(base.data, lifted.data)
 
     @pytest.mark.parametrize("data", [
         [[[1.0]], [[1.0, 2.0]]],

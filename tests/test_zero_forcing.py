@@ -1,3 +1,4 @@
+import gc
 import heapq
 
 import numpy as np
@@ -10,9 +11,14 @@ from netident import (
     Graph,
     InputError,
     NodeSet,
+    certify,
     derived_set,
+    identify,
     is_zero_forcing_set,
+    markov_sequence,
     minimum_zero_forcing_set,
+    random_weights,
+    required_order,
     zfs_heuristic,
 )
 
@@ -328,6 +334,117 @@ def test_long_path_chain_from_either_end():
     assert chronicle.forces == tuple((i + 1, i) for i in range(n - 1, 0, -1))
     assert chronicle.rounds == (1,) * (n - 1)
     assert derived == g.nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(("tree", "caterpillar", "sparse", "path")),
+       n=st.integers(1, 80), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_chain_walk_matches_round_oracle(kind, n, seed, data):
+    # Long chains that end at branch points: one-node seeds on trees,
+    # caterpillars and sparse graphs, path-cover seeds on trees, and paths
+    # seeded at either end, in the middle, or at a middle pair whose two
+    # chains run side by side until the shorter one ends. Relabelling puts
+    # a chain's next node above and below its other candidates.
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        edges = random_tree_edges(rng, n)
+    elif kind == "caterpillar":
+        edges = caterpillar_edges(rng, n)
+    elif kind == "sparse":
+        edges = sparse_connected_edges(rng, n, n // 8)
+    else:
+        edges = [(i, i + 1) for i in range(1, n)]
+    perm = [0] + rng.permutation(np.arange(1, n + 1)).tolist()
+    if kind != "path":
+        edges = [(perm[i], perm[j]) for i, j in edges]
+    g = Graph(n, edges)
+    seeds = [[data.draw(st.integers(1, n), label="one-node seed")]]
+    if kind in ("tree", "caterpillar"):
+        seeds.append(list(zfs_heuristic(g)))
+    if kind == "path":
+        mid = (n + 1) // 2
+        seeds += [[1], [n], [mid], [mid, min(mid + 1, n)]]
+    for z in seeds:
+        derived, chronicle = derived_set(g, NodeSet(z))
+        forces, rounds = round_chronicle(n, edges, z)
+        assert list(chronicle.forces) == forces, z
+        assert list(chronicle.rounds) == rounds, z
+        assert set(derived) == naive_derived(n, edges, z), z
+
+
+class TestClosureMemo:
+    """derived_set closes a seed object once per graph object."""
+
+    def test_the_heuristic_closure_serves_certify_and_the_caller(self):
+        g = grid(6)
+        seed = zfs_heuristic(g)
+        report = certify(g, seed, seed)
+        derived, chronicle = derived_set(g, seed)
+        assert report.chronicle.forces is chronicle.forces
+        assert report.chronicle.rounds is chronicle.rounds
+        assert report.certified_nodes is derived
+        assert chronicle.initial is seed and len(chronicle.forces) > 0
+
+    def test_a_fresh_equal_seed_is_closed_again(self):
+        g = grid(6)
+        seed = zfs_heuristic(g)
+        _, first = derived_set(g, seed)
+        fresh = NodeSet(seed.members)
+        derived, again = derived_set(g, fresh)
+        assert again.forces is not first.forces
+        assert again.forces == first.forces and again.rounds == first.rounds
+        assert derived == g.nodes and again.initial is fresh
+
+    def test_a_seed_moved_to_another_graph_gets_that_graphs_closure(self):
+        g1 = path(6)
+        g2 = Graph(6, [(1, 3), (3, 2), (2, 5), (5, 4), (4, 6)])
+        seed = NodeSet([1])
+        for g in (g1, g2, g1):
+            derived, chronicle = derived_set(g, seed)
+            forces, rounds = round_chronicle(6, g.edges, [1])
+            assert list(chronicle.forces) == forces
+            assert list(chronicle.rounds) == rounds
+            assert set(derived) == naive_derived(6, g.edges, [1])
+        assert derived_set(g2, seed)[1].forces[0] == (1, 3)
+
+    def test_equal_graph_objects_give_equal_results(self):
+        seed = NodeSet([1, 2, 3])
+        g, twin = grid(5), grid(5)
+        derived, chronicle = derived_set(g, seed)
+        derived2, chronicle2 = derived_set(twin, seed)
+        assert derived2 == derived and chronicle2.forces is not chronicle.forces
+        assert (chronicle2.forces, chronicle2.rounds) == (chronicle.forces, chronicle.rounds)
+
+    def test_the_memo_is_not_part_of_the_value(self):
+        g = grid(4)
+        closed, fresh = NodeSet([1, 2, 3, 4]), NodeSet([1, 2, 3, 4])
+        derived_set(g, closed)
+        assert closed == fresh and hash(closed) == hash(fresh)
+        assert closed.to_json() == fresh.to_json() == [1, 2, 3, 4]
+        assert repr(closed) == repr(fresh)
+
+    def test_closures_leave_no_cyclic_garbage(self):
+        # A memo that held the chronicle would make a cycle: seed, memo,
+        # chronicle, its initial set, which is the seed.
+        g = grid(5)
+
+        def run():
+            seed = zfs_heuristic(g)
+            derived_set(g, seed)
+            report = certify(g, seed, seed)
+            x = random_weights(g, seed=3)
+            markov = markov_sequence(x, seed, seed, required_order(report.chronicle))
+            identify(markov, g, g.nodes)
+            derived_set(g, NodeSet([1, 2, 3, 4, 5]))
+
+        run()  # warm up any lazy state, such as the graph's edge index
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def assert_well_formed(ns, n):

@@ -120,7 +120,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _zfs_check(args) -> None:
-    ok = zero_forcing.is_zero_forcing_set(args.graph, args.graph.check_nodes(args.in_nodes))
+    ok = zero_forcing.is_zero_forcing_set(args.graph, args.in_nodes)
     _emit_json({"is_zero_forcing_set": ok, "set": args.in_nodes.to_json()})
 
 
@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     hod = group("hod", "higher-order node dynamics")
     p = command(hod, "check", _hod_check, "coupling products C (EK)^k B != 0", ("dyn",))
     p.add_argument("--order", type=int, default=None,
-                   help="highest order to check (default 2q)")
+                   help="highest order to check (default 2q, at most "
+                        f"{higher_order.COUPLING_MAX_ORDER})")
     p = command(hod, "markov", _hod_markov,
                 "Markov parameters of the lifted block system",
                 ("graph", "matrix", "dyn", "in_nodes", "out_nodes"))

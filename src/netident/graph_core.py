@@ -6,6 +6,10 @@ module are immutable after construction and safe to share across threads;
 a NodeSet's closure memo is not part of its value, and a thread that
 replaces it leaves it valid.
 
+Each value is checked once, where it enters from outside: public
+constructors check their fields, and a value the library has just built,
+valid by construction, goes through :func:`_built`, which checks nothing.
+
 The JSON formats defined here are shared by every other module:
 graphs are ``{"n": <int>, "edges": [[i, j], ...]}``, node sets are plain
 JSON arrays of ints.
@@ -44,6 +48,15 @@ def _integral(value, what: str) -> int:
     return i
 
 
+def _built(cls, **fields):
+    """A ``cls`` with ``fields`` set as given, through no constructor and no
+    check: only for values the library has built, valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _nodes_within(s: Iterable[int], n: int) -> NodeSet:
     """``s`` as a NodeSet; InputError unless every member is at most ``n``."""
     ns = s if isinstance(s, NodeSet) else NodeSet(s)
@@ -59,16 +72,15 @@ class NodeSet:
     initially-black sets, derived sets, reconstruction targets.
 
     ``NodeSet(iterable)`` validates: every member must be an integral id of
-    at least 1, and duplicates collapse. The private :meth:`_trusted` wraps
-    a tuple without any check; it is only for ids that are valid by
-    construction, such as a scan of ``range(1, n + 1)`` or a filter of an
-    existing NodeSet.
+    at least 1, and duplicates collapse. The library builds sets whose ids
+    are valid by construction, such as a scan of ``range(1, n + 1)`` or a
+    filter of an existing NodeSet, through :func:`_built`.
 
     ``_closure`` is a memo that :func:`~netident.zero_forcing.derived_set`
-    keeps on a seed: the graph object it last closed the seed on, with
+    sets on a seed: the graph object it last closed the seed on, with
     that closure. A seed object is closed once per graph object. The memo
     is not part of the value: equality, hashing and JSON read ``members``
-    alone, and an equal NodeSet built afresh has no memo.
+    alone, and an equal NodeSet built afresh has no memo (the slot is unset).
     """
 
     __slots__ = ("members", "_closure")
@@ -81,15 +93,6 @@ class NodeSet:
                 raise InputError(f"node identifiers are 1-based, got {node}")
             seen.add(node)
         self.members: tuple[int, ...] = tuple(sorted(seen))
-        self._closure = None
-
-    @classmethod
-    def _trusted(cls, members: tuple[int, ...]) -> "NodeSet":
-        """Wrap ``members``, already ascending, distinct and 1-based, unchecked."""
-        ns = object.__new__(cls)
-        ns.members = members
-        ns._closure = None
-        return ns
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -120,12 +123,11 @@ class NodeSet:
         return NodeSet(self.members + tuple(other))
 
     def intersection(self, other: Iterable[int]) -> "NodeSet":
-        keep = frozenset(other)
-        return NodeSet._trusted(tuple(filter(keep.__contains__, self.members)))
+        return _built(NodeSet, members=tuple(filter(frozenset(other).__contains__, self.members)))
 
     def difference(self, other: Iterable[int]) -> "NodeSet":
         drop = frozenset(other)
-        return NodeSet._trusted(tuple(filterfalse(drop.__contains__, self.members)))
+        return _built(NodeSet, members=tuple(filterfalse(drop.__contains__, self.members)))
 
     def issubset(self, other: Iterable[int]) -> bool:
         return frozenset(self.members) <= frozenset(other)
@@ -148,7 +150,8 @@ class Graph:
         two ``int`` is kept as the stored edge, not copied.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), *,
+                 _loops: list[int] | None = None):
         n = _integral(n, "node count")
         if n < 0:
             raise InputError(f"node count must be non-negative, got {n}")
@@ -171,7 +174,10 @@ class Graph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise InputError(f"edge ({i},{j}) has an endpoint outside 1..{n}")
             if i == j:
-                raise InputError(f"self-loop ({i},{i}) not allowed in a simple graph")
+                if _loops is None:
+                    raise InputError(f"self-loop ({i},{i}) not allowed in a simple graph")
+                _loops.append(i)  # graph_from_json strips loops
+                continue
             if i > j or type(pair) is not tuple:
                 pair = (i, j) if i < j else (j, i)
             canonical.append(pair)
@@ -194,7 +200,7 @@ class Graph:
 
     @property
     def nodes(self) -> NodeSet:
-        return NodeSet._trusted(tuple(range(1, self.n + 1)))
+        return _built(NodeSet, members=tuple(range(1, self.n + 1)))
 
     @cached_property
     def edge_index(self) -> np.ndarray:
@@ -218,7 +224,7 @@ class Graph:
                         seen[w] = 1
                         comp.append(w)
             comp.sort()
-            out.append(NodeSet._trusted(tuple(comp)))
+            out.append(_built(NodeSet, members=tuple(comp)))
             start = seen.find(0, start + 1)
         return out
 
@@ -253,33 +259,20 @@ def graph_from_json(obj: dict) -> Graph:
 
     Self-loops in the input are stripped with a warning rather than
     rejected: diagonal entries of network matrices are unconstrained, so
-    a loop carries no extra information. A loop's node must still lie in
-    ``1..n``. Every other pair is validated once, by :class:`Graph`.
+    a loop carries no extra information. :class:`Graph` checks every
+    pair once, loops included, and reports the first invalid one in
+    input order.
     """
     if not isinstance(obj, dict) or "n" not in obj:
         raise InputError('graph JSON must be an object with keys "n" and "edges"')
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_edges, (list, tuple)):
         raise InputError(f'graph JSON "edges" must be an array of pairs, got {raw_edges!r}')
-    edges = []
-    loops = []
-    for pair in raw_edges:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise InputError(f"edge entry {pair!r} is not a pair of ints")
-        if pair[0] == pair[1]:  # [1, true] compares equal too; _integral refuses it
-            loops.append(_integral(pair[0], "edge endpoint"))
-            _integral(pair[1], "edge endpoint")
-        else:
-            edges.append(pair)
-    g = Graph(obj["n"], edges)
-    for i in loops:
-        if not 1 <= i <= g.n:
-            raise InputError(f"edge ({i},{i}) has an endpoint outside 1..{g.n}")
+    loops: list[int] = []
+    g = Graph(obj["n"], raw_edges, _loops=loops)
     if loops:
-        warnings.warn(
-            f"stripped {len(loops)} self-loop(s); diagonal weights are free anyway",
-            stacklevel=2,
-        )
+        warnings.warn(f"stripped {len(loops)} self-loop(s); diagonal weights are free anyway",
+                      stacklevel=2)
     return g
 
 

@@ -44,6 +44,9 @@ __all__ = [
 COUPLING_TOL = 1e-10
 # Largest relative mismatch between two deconvolved copies of one block.
 RATIO_TOL = 1e-6
+# Highest order coupling_condition checks. No lower cap is sound: the orders
+# where C (EK)^k B vanishes are the zeros of a linear recurrence (Skolem's problem).
+COUPLING_MAX_ORDER = 10**5
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +189,15 @@ def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingR
 
     "Nonzero" is scale-aware: the max-abs entry must exceed
     ``COUPLING_TOL`` times the norm product of the factors. Reports the
-    first failing order, if any.
+    first failing order, if any; refuses ``k_max`` above ``COUPLING_MAX_ORDER``.
     """
     if k_max is None:
         k_max = 2 * dyn.state_dim
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")
+    if k_max > COUPLING_MAX_ORDER:
+        raise InputError("k_max must be at most COUPLING_MAX_ORDER = "
+                         f"{COUPLING_MAX_ORDER}, got {k_max}")
     for k, vanish in zip(range(k_max + 1), _vanishing_couplings(dyn)):
         if vanish.all():
             return CouplingReport(verified_up_to=k - 1, first_failure=k)

@@ -22,7 +22,7 @@ from .errors import (
     NoHiddenNodesError,
     SingularShiftError,
 )
-from .graph_core import Graph, NodeSet, _integral, _nodes_within, selection_matrix
+from .graph_core import Graph, NodeSet, _built, _integral, _nodes_within, selection_matrix
 
 __all__ = [
     "WeightMatrix",
@@ -181,11 +181,10 @@ class MarkovSequence:
     @classmethod
     def _built(cls, v_in: NodeSet, v_out: NodeSet, data: np.ndarray) -> "MarkovSequence":
         """Wrap a float array that ``markov_sequence``, ``lifted_markov`` or
-        ``deconvolve`` has just filled and that nothing else holds: checked
-        and frozen like a caller's, but not copied."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "v_in", v_in)
-        object.__setattr__(seq, "v_out", v_out)
+        ``deconvolve`` has just filled and that nothing else holds, frozen but
+        not copied. Unlike :func:`~netident.graph_core._built` it checks shape
+        and finiteness, because matrix powers can overflow float64."""
+        seq = _built(cls, v_in=v_in, v_out=v_out)
         seq._keep(data)
         return seq
 
@@ -243,7 +242,7 @@ def random_weights(
     row sums to zero (``"laplacian"``, the negated-Laplacian member).
     Same graph and seed give the identical matrix. A range whose draws
     (``2 * hi`` for the free diagonal) or row sums overflow float64 is
-    refused with InputError.
+    refused with InputError. The matrix is frozen in place and not checked again.
     """
     lo, hi = weight_range
     if not (0.0 < lo <= hi):
@@ -268,7 +267,8 @@ def random_weights(
         if not np.isfinite(sums).all():
             raise InputError(f"weight range ({lo}, {hi}) overflows a laplacian row sum")
         entries[np.diag_indices(n)] = -sums
-    return WeightMatrix(g, entries)
+    entries.setflags(write=False)
+    return _built(WeightMatrix, graph=g, entries=entries, sign_constrained=True)
 
 
 def markov_sequence(

@@ -27,7 +27,7 @@ from itertools import compress, repeat
 from typing import Iterable
 
 from .errors import InputError
-from .graph_core import Graph, NodeSet, _integral
+from .graph_core import Graph, NodeSet, _built, _integral
 
 __all__ = [
     "ForcingChronicle",
@@ -117,7 +117,7 @@ class ForcingChronicle:
                         f"chronicle invalid in round {r}: node {v} is forced twice"
                     )
                 black[v] = 1
-        return NodeSet._trusted(tuple(compress(range(1, n + 1), black[1:])))
+        return _built(NodeSet, members=tuple(compress(range(1, n + 1), black[1:])))
 
     def to_json(self) -> dict:
         return {
@@ -169,10 +169,10 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     ``1..n``, with no scan of the colours.
     """
     z = g.check_nodes(z)
-    memo = z._closure
+    memo = getattr(z, "_closure", None)  # unset until z is first closed
     if memo is not None and memo[0] is g:
         _, derived, forces, rounds = memo
-        return derived, ForcingChronicle(initial=z, forces=forces, rounds=rounds)
+        return derived, _built(ForcingChronicle, initial=z, forces=forces, rounds=rounds)
     n = g.n
     nbrs = g.neighbour_rows
     # black[v]: 0 white, 1 black, 2 forced in the current round.
@@ -241,13 +241,12 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
                     touched.append(w)
         active = sorted({w for w in touched if white_deg[w] == 1})
 
-    if len(z) + len(forces) == n:  # every node: no scan needed
-        derived = NodeSet._trusted(tuple(range(1, n + 1)))
-    else:
-        derived = NodeSet._trusted(tuple(compress(range(n + 1), black)))
+    # A closure of every node needs no scan of the colours.
+    members = range(1, n + 1) if len(z) + len(forces) == n else compress(range(n + 1), black)
+    derived = _built(NodeSet, members=tuple(members))
     forces, rounds = tuple(forces), tuple(rounds)
     z._closure = (g, derived, forces, rounds)
-    return derived, ForcingChronicle(initial=z, forces=forces, rounds=rounds)
+    return derived, _built(ForcingChronicle, initial=z, forces=forces, rounds=rounds)
 
 
 def is_zero_forcing_set(g: Graph, z: NodeSet) -> bool:
@@ -365,7 +364,7 @@ def _per_component(g: Graph, solve) -> NodeSet:
     """
     comps = g.components()
     if len(comps) == 1:
-        return NodeSet._trusted(tuple(solve(g)))
+        return _built(NodeSet, members=tuple(solve(g)))
     nbrs = g.neighbour_rows
     members: list[int] = []
     for comp in comps:
@@ -373,7 +372,7 @@ def _per_component(g: Graph, solve) -> NodeSet:
         local = {v: k for k, v in enumerate(ids, start=1)}
         edges = [(local[i], local[j]) for i in ids for j in nbrs[i] if j > i]
         members.extend(ids[v - 1] for v in solve(Graph(len(ids), edges)))
-    return NodeSet._trusted(tuple(sorted(members)))
+    return _built(NodeSet, members=tuple(sorted(members)))
 
 
 def minimum_zero_forcing_set(
@@ -508,7 +507,7 @@ def _diametral_path(g: Graph, d1: list[int] | None = None) -> list[int]:
 
 def _repair_to_zfs(g: Graph, candidate: Iterable[int]) -> NodeSet:
     """Greedily add lowest-id stuck white nodes until forcing completes."""
-    black = NodeSet._trusted(tuple(sorted(candidate)))
+    black = _built(NodeSet, members=tuple(sorted(candidate)))
     derived, _ = derived_set(g, black)
     while len(derived) < g.n:
         stuck = next(u for u in range(1, g.n + 1) if u not in derived)

@@ -735,6 +735,21 @@ def test_unallocatable_markov_order_exits_two(tmp_path, capsys, group, order):
         assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_hod_check_refuses_an_order_above_the_cap(tmp_path):
+    # Without the cap this order would run for days; the timeout fails it.
+    root = Path(__file__).resolve().parent.parent
+    d = write(tmp_path, "d.json", TestHod.DYN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "netident", "hod", "check", "--dyn", d,
+         "--order", "100000000000"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("input error: k_max must be at most COUPLING_MAX_ORDER = "
+                           "100000, got 100000000000\n")
+
+
 def test_a_node_count_that_cannot_be_held_exits_two(tmp_path):
     # A child process under a 2 GB address-space cap and a timeout: a
     # build that allocated its rows one at a time would take all memory.

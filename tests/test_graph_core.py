@@ -12,15 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netident import (
+    ForcingChronicle,
     Graph,
     InputError,
+    MarkovSequence,
     NodeSet,
+    WeightMatrix,
+    derived_set,
     graph_from_json,
     nodeset_from_json,
+    random_weights,
     selection_matrix,
+    zfs_heuristic,
 )
+from netident.netsim import check_pattern
 
-from oracles import adjacency, random_graph_edges, reference_graph
+from oracles import adjacency, random_connected_edges, random_graph_edges, reference_graph
 
 
 def path(n):
@@ -275,6 +282,29 @@ class TestGraphJson:
             g = graph_from_json({"n": 3, "edges": [[2.0, 2.0], [3, 3.0], [3, 2.0]]})
         assert g == Graph(3, [(2, 3)])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([[5, 5], [1, "a"]], r"^edge \(5,5\) has an endpoint outside 1\.\.3$"),
+        ([[1, 2], [3, 3], [4, 1], [2, 2]], r"^edge \(4,1\) has an endpoint outside 1\.\.3$"),
+        ([[2, 1], [1, 1], [1, "a"], [0, 0]], r"^edge endpoint must be an integer, got 'a'$"),
+        ([[1, 2, 3], [5, 5]], r"^edge \[1, 2, 3\] is not a pair of nodes$"),
+    ], ids=["loop-out-of-range-first", "out-of-range-after-a-loop", "bad-endpoint-first",
+            "non-pair-first"])
+    def test_the_first_invalid_pair_in_input_order_is_reported(self, edges, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any strip warning
+            with pytest.raises(InputError, match=message):
+                graph_from_json({"n": 3, "edges": edges})
+
+    @pytest.mark.parametrize("entry", [[1, 2, 3], [1], [], 7, None],
+                             ids=["triple", "single", "empty", "number", "null"])
+    def test_a_non_pair_entry_gets_the_graph_wording(self, entry):
+        message = f"edge {entry!r} is not a pair of nodes"
+        for build in (lambda: graph_from_json({"n": 3, "edges": [[1, 2], entry]}),
+                      lambda: Graph(3, [(1, 2), entry])):
+            with pytest.raises(InputError) as err:
+                build()
+            assert str(err.value) == message
+
     def test_malformed(self):
         with pytest.raises(InputError):
             graph_from_json({"edges": []})
@@ -301,3 +331,70 @@ def test_booleans_are_not_integers(flag):
         graph_from_json({"n": 3, "edges": [[flag, 2]]})
     with pytest.raises(InputError, match="node id"):
         nodeset_from_json([flag])
+
+
+@pytest.mark.parametrize("python, blob, message", [
+    (lambda: Graph(-1), lambda: graph_from_json({"n": -1, "edges": []}),
+     "node count must be non-negative, got -1"),
+    (lambda: Graph(3, [(1, 4)]), lambda: graph_from_json({"n": 3, "edges": [[1, 4]]}),
+     "edge (1,4) has an endpoint outside 1..3"),
+    (lambda: Graph(3, [(1, 1.5)]), lambda: graph_from_json({"n": 3, "edges": [[1, 1.5]]}),
+     "edge endpoint must be an integer, got 1.5"),
+    (lambda: NodeSet([0]), lambda: nodeset_from_json([0]),
+     "node identifiers are 1-based, got 0"),
+    (lambda: NodeSet(["2"]), lambda: nodeset_from_json(["2"]),
+     "node id must be an integer, got '2'"),
+    (lambda: ForcingChronicle(NodeSet([1]), ((1, 2),), (2,)),
+     lambda: ForcingChronicle.from_json({"initial": [1], "forces": [[1, 2]], "rounds": [2]}),
+     "round sizes [2] must be positive and sum to the 1 force(s)"),
+    (lambda: MarkovSequence(NodeSet([1]), NodeSet([1]), [[[float("nan")]]]),
+     lambda: MarkovSequence.from_json({"v_in": [1], "v_out": [1], "K": 0,
+                                       "data": [[[float("nan")]]]}),
+     "Markov block 0 entry (1,1) is not finite: nan"),
+], ids=["node-count", "endpoint-range", "endpoint-type", "node-base", "node-type",
+        "round-sizes", "markov-finite"])
+def test_python_and_json_entry_points_give_one_message(python, blob, message):
+    for build in (python, blob):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 14), connected=st.booleans(), p=st.sampled_from((0.1, 0.3, 0.6)),
+       seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_values_built_unchecked_equal_the_checked_constructors(n, connected, p, seed, data):
+    # Library-built values skip their constructors; each must equal what
+    # the checking constructor makes of the same fields.
+    rng = np.random.default_rng(seed)
+    edges = random_connected_edges(rng, n) if connected else random_graph_edges(rng, n, p=p)
+    g = Graph(n, edges)
+    size = data.draw(st.integers(0, n), label="seed size")
+    z = NodeSet(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
+
+    def same_set(built, fresh=True):
+        assert all(type(m) is int for m in built.members)
+        assert built.members == NodeSet(built.members).members
+        assert not hasattr(built, "_closure") or not fresh  # the heuristic may close its seed
+
+    for seed_set in (z, z, zfs_heuristic(g)):  # the second call of z hits the memo
+        derived, chronicle = derived_set(g, seed_set)
+        same_set(derived)
+        checked = ForcingChronicle(chronicle.initial, chronicle.forces, chronicle.rounds)
+        assert chronicle == checked and chronicle.initial is seed_set
+        assert type(chronicle.forces) is tuple and type(chronicle.rounds) is tuple
+        same_set(chronicle.replay(g))
+        same_set(derived.intersection(z))
+        same_set(derived.difference(z))
+    same_set(zfs_heuristic(g), fresh=False)
+    same_set(g.nodes)
+    for comp in g.components():
+        same_set(comp)
+    for mode in ("free", "laplacian"):
+        x = random_weights(g, seed, diagonal_mode=mode)
+        check_pattern(g, x.entries)
+        checked = WeightMatrix(g, x.entries)
+        assert x.entries.dtype == checked.entries.dtype and x.entries.shape == (n, n)
+        assert x.entries.tobytes() == checked.entries.tobytes()
+        assert not x.entries.flags.writeable
+        assert x.graph is g and x.sign_constrained is True

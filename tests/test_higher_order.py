@@ -25,7 +25,7 @@ from netident import (
     required_order,
     zfs_heuristic,
 )
-from netident.higher_order import _mixing_tables
+from netident.higher_order import COUPLING_MAX_ORDER, _mixing_tables
 
 from oracles import markov_blocks_oracle, random_connected_edges
 
@@ -135,6 +135,16 @@ class TestCouplingCondition:
             warnings.simplefilter("error")
             report = coupling_condition(DOUBLING, k_max=1000)
         assert report.ok and report.verified_up_to == 1000
+
+    def test_order_is_capped(self):
+        # The cap itself is accepted; a nilpotent coupling fails early, so
+        # this does not walk all the orders.
+        assert coupling_condition(NILPOTENT, k_max=COUPLING_MAX_ORDER).first_failure == 2
+        for k_max in (COUPLING_MAX_ORDER + 1, 10**11):
+            with pytest.raises(InputError) as err:
+                coupling_condition(NILPOTENT, k_max=k_max)
+            assert str(err.value) == ("k_max must be at most COUPLING_MAX_ORDER = "
+                                      f"{COUPLING_MAX_ORDER}, got {k_max}")
 
     def test_tiny_coupling_is_not_zero(self):
         # (EK)^2 = 1e-400 underflows, but the test is scale-invariant.

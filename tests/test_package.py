@@ -36,13 +36,17 @@ def test_every_import_is_used():
 
 
 def test_every_private_name_is_read():
-    """Each module-level ``_`` name is read somewhere in ``src/`` besides its definition."""
+    """Each module-level ``_`` name, and each ``_`` method of a module-level
+    class, is read somewhere in ``src/`` besides its definition."""
     defined, trees = [], []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         trees.append(tree)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, functions)]
+        for node in tree.body + methods:
+            if isinstance(node, (*functions, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]

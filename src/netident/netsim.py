@@ -395,8 +395,9 @@ def scaling_counterexample(
         raise InputError(
             f"epsilon {epsilon} rescales the matrix beyond float64 range"
         )
-    if symmetric:
-        return WeightMatrix(x.graph, rescaled, sign_constrained=False)
+    if symmetric:  # a +-1 rescaling keeps symmetry and the nonzero pattern
+        rescaled.setflags(write=False)
+        return _built(WeightMatrix, graph=x.graph, entries=rescaled, sign_constrained=False)
     return DirectedWeightMatrix(rescaled)
 
 

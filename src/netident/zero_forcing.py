@@ -83,9 +83,13 @@ class ForcingChronicle:
         """Re-apply every round on ``g``, checking each force's precondition.
 
         Each force is checked against the black set at its round's start,
-        so a round that groups dependent forces is rejected. Runs in time
-        linear in the chronicle plus the forcing nodes' degrees. Returns
-        the final black set; raises InputError at the first invalid force.
+        so a round that groups dependent forces is rejected. Returns the
+        final black set; raises InputError at the first invalid force.
+        Runs in time linear in the chronicle plus the forcing nodes'
+        degrees, plus O(n) to set up the colours. Once every force has
+        passed, the forced nodes are distinct and white at the start, so
+        when the seed and the forces number ``n`` together the result is
+        ``1..n`` with no scan of the colours.
         """
         n = g.n
         nbrs = g.neighbour_rows
@@ -117,7 +121,9 @@ class ForcingChronicle:
                         f"chronicle invalid in round {r}: node {v} is forced twice"
                     )
                 black[v] = 1
-        return _built(NodeSet, members=tuple(compress(range(1, n + 1), black[1:])))
+        members = (range(1, n + 1) if len(self.initial) + len(self.forces) == n
+                   else compress(range(n + 1), black))
+        return _built(NodeSet, members=tuple(members))
 
     def to_json(self) -> dict:
         return {
@@ -157,16 +163,19 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
 
     Each node keeps a count of its white neighbours, updated as nodes
     turn black. The counts start from the smaller side: a seed of at
-    most n/2 nodes subtracts its own edges from the degrees, a larger
-    one counts up over the white nodes' edges, so set-up costs
-    O(n + vol(smaller side)). A black node whose count is one either
-    forces in the next round or loses its last white neighbour to
-    another forcer, so only black nodes next to a node coloured in the
-    last round can force in the next one. A run of rounds with a single
-    candidate forcer, as along a chain, is walked by one loop that
-    tracks that candidate; a force that leaves two or more candidates
-    falls back to the general round. A closure that reaches every node is
-    ``1..n``, with no scan of the colours.
+    most n/2 nodes subtracts its own edges from the degrees; a larger one
+    counts up over the white nodes' edges, finding the white nodes by
+    hopping from zero to zero (``list.index``) in the colour list once
+    the seed is marked there. A black node whose count is one either
+    forces in the next round or loses its last white neighbour to another
+    forcer, so only black nodes next to a node coloured in the last round
+    can force in the next one. A run of rounds with a single candidate
+    forcer, as along a chain, is walked by one loop that tracks that
+    candidate; a force that leaves two or more candidates falls back to
+    the general round. A closure that reaches every node is ``1..n``,
+    with no scan of the colours. So past allocating its lists and marking
+    the seed, a closure costs O(vol(smaller side)) plus the forced nodes'
+    degrees: on a seed of nearly every node, only the white side's edges.
     """
     z = g.check_nodes(z)
     memo = getattr(z, "_closure", None)  # unset until z is first closed
@@ -175,21 +184,22 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
         return derived, _built(ForcingChronicle, initial=z, forces=forces, rounds=rounds)
     n = g.n
     nbrs = g.neighbour_rows
-    # black[v]: 0 white, 1 black, 2 forced in the current round.
+    black = [0] * (n + 1)  # 0 white, 1 black, 2 forced in the current round
+    for u in z:
+        black[u] = 1
     if 2 * len(z) <= n:  # count down: degrees minus the seed's edges
-        black = [0] * (n + 1)
         white_deg = list(map(len, nbrs))
         for u in z:
-            black[u] = 1
             for w in nbrs[u]:
                 white_deg[w] -= 1
         active = [u for u in z if white_deg[u] == 1]  # ascending: z is sorted
     else:  # count up over the white nodes' edges
-        black = [0] + [1] * n
-        whites = set(range(1, n + 1)).difference(z.members)
+        whites, v = [], 0
+        for _ in range(n - len(z)):  # hop from zero to zero
+            v = black.index(0, v + 1)
+            whites.append(v)
         white_deg = [0] * (n + 1)
         for v in whites:
-            black[v] = 0
             for w in nbrs[v]:
                 white_deg[w] += 1
         active = sorted({w for v in whites for w in nbrs[v]
@@ -406,15 +416,22 @@ def minimum_zero_forcing_set(
 # -- heuristic -----------------------------------------------------------
 
 
-def _bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
-    """Distances and BFS parents from ``source`` (-1 where unreachable)."""
+def _bfs(g: Graph, source: int) -> tuple[list[int], list[int], int, int]:
+    """BFS from ``source``: ``(dist, parent, reached, far)``.
+
+    ``dist`` and ``parent`` are indexed by node (-1 where unreachable),
+    ``reached`` counts the nodes reached, ``source`` included, and ``far``
+    is the smallest node of the last non-empty frontier, the smallest of
+    the farthest nodes (``dist.index(max(dist))``). The edge scan is the
+    cost, O(n + m) over the component of ``source``; the count and the
+    farthest node come from the frontiers, with no pass over the lists.
+    """
     nbrs = g.neighbour_rows
     dist = [-1] * (g.n + 1)
     parent = [-1] * (g.n + 1)
     dist[source] = 0
-    frontier = [source]
-    level = 0
-    while frontier:
+    frontier, reached, level = [source], 1, 0
+    while True:
         level += 1
         nxt = []
         for u in frontier:
@@ -423,8 +440,10 @@ def _bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
                     dist[w] = level
                     parent[w] = u
                     nxt.append(w)
+        if not nxt:
+            return dist, parent, reached, min(frontier)
+        reached += len(nxt)
         frontier = nxt
-    return dist, parent
 
 
 def _eccentricities(g: Graph) -> list[int]:
@@ -473,8 +492,8 @@ def _eccentricities(g: Graph) -> list[int]:
     return ecc
 
 
-def _diametral_path(g: Graph, d1: list[int] | None = None) -> list[int]:
-    """A shortest path realising the diameter (connected graph).
+def _diametral_path(g: Graph, bfs1: tuple | None = None) -> list[int]:
+    """A shortest path realising the diameter (connected graph), ``s`` to ``t``.
 
     Up to ``_EXACT_DIAMETER_MAX_NODES`` nodes the path is exact: its
     source ``s`` is the smallest node of maximum eccentricity, taken from
@@ -483,9 +502,11 @@ def _diametral_path(g: Graph, d1: list[int] | None = None) -> list[int]:
     (a double BFS sweep), which is exact on trees and a lower-bound
     approximation in general; the candidate set only gets larger, and it
     is verified downstream regardless. :func:`zfs_heuristic` passes as
-    ``d1`` the BFS from node 1 that was its connectivity test, so one BFS
-    is both that test and the first sweep. Either way one BFS from ``s``
-    gives the sink, its farthest node (smallest id on ties), and the path.
+    ``bfs1`` the :func:`_bfs` from node 1 that was its connectivity test,
+    so one BFS is both that test and the first sweep. Either way one BFS
+    from ``s`` gives the sink ``t``, its farthest node (smallest id on
+    ties), and the parents the path is read from. On a large graph the
+    cost is the two sweeps' edge scans plus O(diam) for the path.
     """
     if g.n == 1:
         return [1]
@@ -493,11 +514,8 @@ def _diametral_path(g: Graph, d1: list[int] | None = None) -> list[int]:
         ecc = _eccentricities(g)
         s = ecc.index(max(ecc))
     else:
-        if d1 is None:
-            d1, _ = _bfs(g, 1)
-        s = d1.index(max(d1))
-    dist, par = _bfs(g, s)
-    t = dist.index(max(dist))
+        _, _, _, s = bfs1 or _bfs(g, 1)
+    _, par, _, t = _bfs(g, s)
     path = [t]
     while path[-1] != s:
         path.append(par[path[-1]])
@@ -547,16 +565,17 @@ def _path_cover_initials(dist: list[int], parent: list[int]) -> set[int]:
 def _heuristic_connected(g: Graph, bfs1: tuple | None = None) -> NodeSet:
     """Verified ZFS of one connected graph from its single candidate.
 
-    Trees take the path cover of ``bfs1``, the ``(dist, parent)`` of the
-    BFS from node 1; other graphs the diametral candidate, ``n - diam``
-    nodes up to ``_EXACT_DIAMETER_MAX_NODES`` nodes.
-    ``bfs1`` is computed here only if missing and read: on a tree, or
-    beyond ``_EXACT_DIAMETER_MAX_NODES`` nodes.
+    Trees take the path cover of the BFS tree ``(dist, parent)`` of
+    ``bfs1``, the :func:`_bfs` from node 1; other graphs the diametral
+    candidate, ``n - diam`` nodes up to ``_EXACT_DIAMETER_MAX_NODES``
+    nodes. ``bfs1`` is computed here only if missing and read: on a tree,
+    or beyond ``_EXACT_DIAMETER_MAX_NODES`` nodes.
     """
     if len(g.edges) == g.n - 1:  # tree: the path cover is a minimum ZFS
-        return _repair_to_zfs(g, _path_cover_initials(*(bfs1 or _bfs(g, 1))))
+        dist, parent, _, _ = bfs1 or _bfs(g, 1)
+        return _repair_to_zfs(g, _path_cover_initials(dist, parent))
     keep = [0] + [1] * g.n
-    for v in _diametral_path(g, bfs1 and bfs1[0])[1:]:
+    for v in _diametral_path(g, bfs1)[1:]:
         keep[v] = 0
     return _repair_to_zfs(g, compress(range(g.n + 1), keep))
 
@@ -577,13 +596,17 @@ def zfs_heuristic(g: Graph) -> NodeSet:
     with the lowest-id stuck node until it forces, so the result is
     always valid.
 
-    The BFS from node 1 that tests connectivity is reused: on a tree it
-    is the BFS tree of the cover, and beyond 512 nodes it is the first
-    leg of the double sweep for the diametral path.
+    The BFS from node 1 that tests connectivity, by the number of nodes
+    it reached, is reused: on a tree it is the BFS tree of the cover, and
+    beyond 512 nodes its farthest node starts the second leg of the
+    double sweep for the diametral path. On a connected graph beyond 512
+    nodes the cost is those two sweeps' edge scans, the O(n) candidate,
+    and one :func:`derived_set` of it, whose count-up set-up reads only
+    the white nodes' edges.
     """
     if g.n == 0:
         return NodeSet()
     bfs1 = _bfs(g, 1)
-    if bfs1[0].count(-1) > 1:  # entry 0 is always -1
+    if bfs1[2] < g.n:  # node 1 does not reach every node
         return _per_component(g, _heuristic_connected)
     return _heuristic_connected(g, bfs1)

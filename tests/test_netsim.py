@@ -424,6 +424,28 @@ class TestScalingCounterexample:
         for a, b in zip(before, after):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_sign_free_result_equals_the_checked_construction(self):
+        rng = np.random.default_rng(79)
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            g = Graph(n, random_connected_edges(rng, n, float(rng.uniform(0.0, 0.5))))
+            entries = random_weights(g, seed=int(rng.integers(1 << 30))).entries.copy()
+            signs = np.triu(rng.choice((-1.0, 1.0), size=(n, n)))
+            x = WeightMatrix(g, entries * (signs + signs.T - np.diag(np.diag(signs))),
+                             sign_constrained=False)
+            nodes = rng.permutation(np.arange(1, n + 1)).tolist()
+            visible = nodes[:int(rng.integers(1, n))]
+            vin = visible[:int(rng.integers(1, len(visible) + 1))]
+            vout = visible[len(vin) - 1:]  # inputs and outputs cover the visible nodes
+            got = scaling_counterexample(x, vin, vout)
+            scale = np.array([1.0 if v in visible else -1.0 for v in range(1, n + 1)])
+            checked = WeightMatrix(g, x.entries * np.outer(scale, scale),
+                                   sign_constrained=False)
+            assert got.entries.tobytes() == checked.entries.tobytes()
+            assert got.sign_constrained is checked.sign_constrained is False
+            assert got.graph == checked.graph and got.graph is x.graph
+            assert not got.entries.flags.writeable
+
     def test_markov_match_to_double_order(self):
         rng = np.random.default_rng(77)
         for _ in range(10):

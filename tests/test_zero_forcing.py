@@ -3,7 +3,7 @@ import heapq
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netident import (
@@ -126,15 +126,36 @@ class TestIsZeroForcingSet:
 
 class TestChronicle:
     def test_replay_reproduces_derived(self):
+        # Two-node seeds, and seeds beyond n/2 up to every node: replay
+        # returns 1..n unscanned when the seed and forces number n.
         rng = np.random.default_rng(5)
+        forced_to_all = 0
         for _ in range(40):
             n = int(rng.integers(2, 10))
             edges = random_graph_edges(rng, n, p=0.5)
             g = Graph(n, edges)
-            z = NodeSet(rng.choice(np.arange(1, n + 1), size=2, replace=False).tolist())
-            derived, chronicle = derived_set(g, z)
-            assert chronicle.replay(g) == derived
-            assert chronicle.derived == derived
+            for size in (2, int(rng.integers(n // 2 + 1, n + 1)), n - 1, n):
+                z = NodeSet(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
+                derived, chronicle = derived_set(g, z)
+                assert chronicle.replay(g) == derived
+                assert chronicle.derived == derived
+                forced_to_all += len(derived) == n and len(chronicle) > 0
+        assert forced_to_all > 40
+
+    def test_replay_of_n_nodes_in_all_still_checks_every_force(self):
+        # The seed and the forces number n, but a force is invalid, so the
+        # result is not 1..n: the checks run before the count is trusted.
+        g = path(4)
+        initial_forced = ForcingChronicle(initial=NodeSet([1, 2]), forces=((2, 3), (1, 2)),
+                                          rounds=(1, 1))
+        with pytest.raises(InputError, match=r"step 2 \(round 2\): force \(1,2\): "
+                                             r"white neighbours of 1 are \[\]"):
+            initial_forced.replay(g)
+        twice = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (2, 3), (2, 3)),
+                                 rounds=(1, 1, 1))
+        with pytest.raises(InputError, match=r"step 3 \(round 3\): force \(2,3\): "
+                                             r"white neighbours of 2 are \[\]"):
+            twice.replay(g)
 
     def test_replay_rejects_bogus_force(self):
         bad = ForcingChronicle(initial=NodeSet([2]), forces=((2, 1),), rounds=(1,))
@@ -243,12 +264,12 @@ def test_rounds_match_parallel_oracle(n, seed):
 @given(n=st.integers(1, 14), p=st.sampled_from((0.1, 0.25, 0.5)),
        seed=st.integers(0, 2**31 - 1), data=st.data())
 def test_chronicle_matches_round_oracle(n, p, seed, data):
-    # Seeds from empty to all but one node: derived_set counts white
-    # neighbours from the seed up to n/2 nodes and from the white side
-    # beyond, and both must give this exact chronicle.
+    # Seeds from empty to every node: derived_set counts white neighbours
+    # from the seed up to n/2 nodes and from the white side beyond, and
+    # both must give this exact chronicle, also with no white node.
     rng = np.random.default_rng(seed)
     edges = random_graph_edges(rng, n, p=p)
-    size = data.draw(st.integers(0, max(0, n - 1)), label="seed size")
+    size = data.draw(st.integers(0, n), label="seed size")
     z = rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist()
     _, chronicle = derived_set(Graph(n, edges), NodeSet(z))
     forces, rounds = round_chronicle(n, edges, z)
@@ -259,7 +280,7 @@ def test_chronicle_matches_round_oracle(n, p, seed, data):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 200])
 def test_path_chronicles_match_round_oracle(n):
     edges = [(i, i + 1) for i in range(1, n)]
-    for z in ([1], [n], list(range(1, n)), list(range(2, n + 1))):
+    for z in ([1], [n], list(range(1, n)), list(range(2, n + 1)), list(range(1, n + 1))):
         _, chronicle = derived_set(path(n), NodeSet(z))
         forces, rounds = round_chronicle(n, edges, z)
         assert list(chronicle.forces) == forces
@@ -767,6 +788,29 @@ def assert_eccentricities(g):
 def test_eccentricities_match_bfs_oracle(n, extra, seed):
     rng = np.random.default_rng(seed)
     assert_eccentricities(Graph(n, random_connected_edges(rng, n, extra)))
+
+
+def assert_bfs_matches_tree_oracle(g):
+    adj = adjacency(g.n, g.edges)
+    for s in range(1, g.n + 1):
+        dist, _, reached, far = zero_forcing._bfs(g, s)
+        want, _ = _bfs_tree(adj, s)
+        farthest = max(want.values())
+        assert reached == len(want), (g, s)
+        assert far == min(v for v, d in want.items() if d == farthest), (g, s)
+        assert far == dist.index(max(dist)), (g, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), connected=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@example(n=1, connected=True, seed=0)  # path(1)
+def test_bfs_count_and_farthest_node_match_bfs_oracle(n, connected, seed):
+    # Every source of the graph; a disconnected graph's sources reach
+    # their own component only.
+    rng = np.random.default_rng(seed)
+    edges = (random_connected_edges(rng, n, float(rng.uniform(0.0, 0.3))) if connected
+             else random_graph_edges(rng, n, float(rng.choice((0.02, 0.05, 0.1)))))
+    assert_bfs_matches_tree_oracle(Graph(n, edges))
 
 
 class TestSeedSearch:

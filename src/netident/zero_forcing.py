@@ -83,13 +83,10 @@ class ForcingChronicle:
         """Re-apply every round on ``g``, checking each force's precondition.
 
         Each force is checked against the black set at its round's start,
-        so a round that groups dependent forces is rejected. Returns the
-        final black set; raises InputError at the first invalid force.
-        Runs in time linear in the chronicle plus the forcing nodes'
-        degrees, plus O(n) to set up the colours. Once every force has
-        passed, the forced nodes are distinct and white at the start, so
-        when the seed and the forces number ``n`` together the result is
-        ``1..n`` with no scan of the colours.
+        so a round that groups dependent forces is rejected. Runs in time
+        linear in the chronicle plus the forcing nodes' degrees, plus O(n)
+        to set up and read the colours. Returns the final black set;
+        raises InputError at the first invalid force.
         """
         n = g.n
         nbrs = g.neighbour_rows
@@ -121,9 +118,7 @@ class ForcingChronicle:
                         f"chronicle invalid in round {r}: node {v} is forced twice"
                     )
                 black[v] = 1
-        members = (range(1, n + 1) if len(self.initial) + len(self.forces) == n
-                   else compress(range(n + 1), black))
-        return _built(NodeSet, members=tuple(members))
+        return _built(NodeSet, members=tuple(compress(range(n + 1), black)))
 
     def to_json(self) -> dict:
         return {
@@ -163,19 +158,18 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
 
     Each node keeps a count of its white neighbours, updated as nodes
     turn black. The counts start from the smaller side: a seed of at
-    most n/2 nodes subtracts its own edges from the degrees; a larger one
-    counts up over the white nodes' edges, finding the white nodes by
-    hopping from zero to zero (``list.index``) in the colour list once
-    the seed is marked there. A black node whose count is one either
-    forces in the next round or loses its last white neighbour to another
-    forcer, so only black nodes next to a node coloured in the last round
-    can force in the next one. A run of rounds with a single candidate
-    forcer, as along a chain, is walked by one loop that tracks that
-    candidate; a force that leaves two or more candidates falls back to
-    the general round. A closure that reaches every node is ``1..n``,
-    with no scan of the colours. So past allocating its lists and marking
-    the seed, a closure costs O(vol(smaller side)) plus the forced nodes'
-    degrees: on a seed of nearly every node, only the white side's edges.
+    most n/2 nodes subtracts its own edges from the degrees, a larger
+    one counts up over the edges of the white nodes, found by hopping
+    from zero to zero in the colour list once the seed is marked there,
+    so set-up costs O(n + vol(smaller side)), where the O(n) is only
+    allocating the lists and marking the seed. A black node whose count
+    is one either forces in the next round or loses its last white
+    neighbour to another forcer, so only black nodes next to a node
+    coloured in the last round can force in the next one. A run of rounds
+    with a single candidate forcer, as along a chain, is walked by one
+    loop that tracks that candidate; a force that leaves two or more
+    candidates falls back to the general round. A closure that reaches
+    every node is ``1..n``, with no scan of the colours.
     """
     z = g.check_nodes(z)
     memo = getattr(z, "_closure", None)  # unset until z is first closed
@@ -493,7 +487,7 @@ def _eccentricities(g: Graph) -> list[int]:
 
 
 def _diametral_path(g: Graph, bfs1: tuple | None = None) -> list[int]:
-    """A shortest path realising the diameter (connected graph), ``s`` to ``t``.
+    """A shortest path realising the diameter (connected graph).
 
     Up to ``_EXACT_DIAMETER_MAX_NODES`` nodes the path is exact: its
     source ``s`` is the smallest node of maximum eccentricity, taken from
@@ -504,9 +498,9 @@ def _diametral_path(g: Graph, bfs1: tuple | None = None) -> list[int]:
     is verified downstream regardless. :func:`zfs_heuristic` passes as
     ``bfs1`` the :func:`_bfs` from node 1 that was its connectivity test,
     so one BFS is both that test and the first sweep. Either way one BFS
-    from ``s`` gives the sink ``t``, its farthest node (smallest id on
-    ties), and the parents the path is read from. On a large graph the
-    cost is the two sweeps' edge scans plus O(diam) for the path.
+    from ``s`` gives the sink, its farthest node (smallest id on ties),
+    and the path. On a large graph the cost is the two sweeps' edge
+    scans plus O(diam) for the path.
     """
     if g.n == 1:
         return [1]
@@ -565,11 +559,11 @@ def _path_cover_initials(dist: list[int], parent: list[int]) -> set[int]:
 def _heuristic_connected(g: Graph, bfs1: tuple | None = None) -> NodeSet:
     """Verified ZFS of one connected graph from its single candidate.
 
-    Trees take the path cover of the BFS tree ``(dist, parent)`` of
-    ``bfs1``, the :func:`_bfs` from node 1; other graphs the diametral
-    candidate, ``n - diam`` nodes up to ``_EXACT_DIAMETER_MAX_NODES``
-    nodes. ``bfs1`` is computed here only if missing and read: on a tree,
-    or beyond ``_EXACT_DIAMETER_MAX_NODES`` nodes.
+    Trees take the path cover of ``bfs1``, the :func:`_bfs` from node 1;
+    other graphs the diametral candidate, ``n - diam`` nodes up to
+    ``_EXACT_DIAMETER_MAX_NODES`` nodes.
+    ``bfs1`` is computed here only if missing and read: on a tree, or
+    beyond ``_EXACT_DIAMETER_MAX_NODES`` nodes.
     """
     if len(g.edges) == g.n - 1:  # tree: the path cover is a minimum ZFS
         dist, parent, _, _ = bfs1 or _bfs(g, 1)
@@ -596,13 +590,11 @@ def zfs_heuristic(g: Graph) -> NodeSet:
     with the lowest-id stuck node until it forces, so the result is
     always valid.
 
-    The BFS from node 1 that tests connectivity, by the number of nodes
-    it reached, is reused: on a tree it is the BFS tree of the cover, and
-    beyond 512 nodes its farthest node starts the second leg of the
-    double sweep for the diametral path. On a connected graph beyond 512
-    nodes the cost is those two sweeps' edge scans, the O(n) candidate,
-    and one :func:`derived_set` of it, whose count-up set-up reads only
-    the white nodes' edges.
+    The BFS from node 1 that tests connectivity is reused: on a tree it
+    is the BFS tree of the cover, and beyond 512 nodes it is the first
+    leg of the double sweep for the diametral path. On a connected graph
+    beyond 512 nodes the cost is those two sweeps' edge scans, the O(n)
+    candidate, and one :func:`derived_set` of it.
     """
     if g.n == 0:
         return NodeSet()

@@ -159,17 +159,17 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     Each node keeps a count of its white neighbours, updated as nodes
     turn black. The counts start from the smaller side: a seed of at
     most n/2 nodes subtracts its own edges from the degrees, a larger
-    one counts up over the edges of the white nodes, found by hopping
+    one counts up over the white nodes' edges, finding them by hopping
     from zero to zero in the colour list once the seed is marked there,
-    so set-up costs O(n + vol(smaller side)), where the O(n) is only
-    allocating the lists and marking the seed. A black node whose count
-    is one either forces in the next round or loses its last white
-    neighbour to another forcer, so only black nodes next to a node
-    coloured in the last round can force in the next one. A run of rounds
-    with a single candidate forcer, as along a chain, is walked by one
-    loop that tracks that candidate; a force that leaves two or more
-    candidates falls back to the general round. A closure that reaches
-    every node is ``1..n``, with no scan of the colours.
+    so set-up costs O(n + vol(smaller side)), the O(n) only to allocate
+    the lists and mark the seed. A black node whose count is one either
+    forces in the next round or loses its last white neighbour to
+    another forcer, so only black nodes next to a node coloured in the
+    last round can force in the next one. A run of rounds with a single
+    candidate forcer, as along a chain, is walked by one loop that
+    tracks that candidate; a force that leaves two or more candidates
+    falls back to the general round. A closure that reaches every node is
+    ``1..n``, with no scan of the colours.
     """
     z = g.check_nodes(z)
     memo = getattr(z, "_closure", None)  # unset until z is first closed

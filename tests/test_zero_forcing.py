@@ -126,8 +126,8 @@ class TestIsZeroForcingSet:
 
 class TestChronicle:
     def test_replay_reproduces_derived(self):
-        # Two-node seeds, and seeds beyond n/2 up to every node: replay
-        # returns 1..n unscanned when the seed and forces number n.
+        # Two-node seeds, and seeds beyond n/2 up to every node, many of
+        # whose closures reach every node.
         rng = np.random.default_rng(5)
         forced_to_all = 0
         for _ in range(40):
@@ -143,8 +143,8 @@ class TestChronicle:
         assert forced_to_all > 40
 
     def test_replay_of_n_nodes_in_all_still_checks_every_force(self):
-        # The seed and the forces number n, but a force is invalid, so the
-        # result is not 1..n: the checks run before the count is trusted.
+        # The seed and the forces number n, but a force is invalid: replay
+        # raises rather than returning 1..n.
         g = path(4)
         initial_forced = ForcingChronicle(initial=NodeSet([1, 2]), forces=((2, 3), (1, 2)),
                                           rounds=(1, 1))

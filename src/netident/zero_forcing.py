@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import compress, repeat
+from itertools import chain, compress, pairwise, repeat
 from typing import Iterable
 
 from .errors import InputError
@@ -448,10 +448,11 @@ def _eccentricities(g: Graph) -> list[int]:
     Traversal", PVLDB 2014). ``reach[v]`` is an int with bit ``s-1`` set
     once the BFS from ``s`` has reached ``v``; each level ORs the reach
     sets of a node's neighbours into its own, so level ``d`` adds exactly
-    the sources at distance ``d``. A source's eccentricity is the level at
-    which its bit has reached every node, and a node whose reach set is
-    complete leaves the sweep. Costs O(diam * m * n/64) word operations.
-    Raises InputError on a disconnected graph.
+    the sources at distance ``d``. Distances are symmetric, so ``v``'s
+    reach set is also its own ball, the nodes within ``d`` of ``v``: it
+    becomes complete exactly at level ecc(v), and ``v`` leaves the sweep
+    then with that level as its eccentricity. Costs O(sum_v deg(v) *
+    ecc(v)) big-int ORs. Raises InputError on a disconnected graph.
     """
     n = g.n
     nbrs = g.neighbour_rows
@@ -459,30 +460,23 @@ def _eccentricities(g: Graph) -> list[int]:
     reach = [0] + [1 << (v - 1) for v in range(1, n + 1)]
     ecc = [0] * (n + 1)
     active = [v for v in range(1, n + 1) if reach[v] != full]
-    done = 0  # sources whose BFS has reached every node
     level = 0
     while active:
         level += 1
         if level >= n:
             raise InputError("eccentricities need a connected graph")
         nxt = reach[:]  # levels update synchronously
-        complete = full
         still = []
         for v in active:
             r = reach[v]
             for w in nbrs[v]:
                 r |= reach[w]
             nxt[v] = r
-            if r != full:
+            if r == full:
+                ecc[v] = level
+            else:
                 still.append(v)
-                complete &= r
         reach, active = nxt, still
-        newly = complete & ~done
-        done = complete
-        while newly:
-            low = newly & -newly
-            ecc[low.bit_length()] = level
-            newly ^= low
     return ecc
 
 
@@ -491,8 +485,8 @@ def _diametral_path(g: Graph, bfs1: tuple | None = None) -> list[int]:
 
     Up to ``_EXACT_DIAMETER_MAX_NODES`` nodes the path is exact: its
     source ``s`` is the smallest node of maximum eccentricity, taken from
-    one bit-parallel sweep (:func:`_eccentricities`, O(diam * m * n/64)
-    word operations). Beyond that ``s`` is the node farthest from node 1
+    one bit-parallel sweep (:func:`_eccentricities`, O(sum_v deg(v) *
+    ecc(v)) big-int ORs). Beyond that ``s`` is the node farthest from node 1
     (a double BFS sweep), which is exact on trees and a lower-bound
     approximation in general; the candidate set only gets larger, and it
     is verified downstream regardless. :func:`zfs_heuristic` passes as
@@ -518,8 +512,11 @@ def _diametral_path(g: Graph, bfs1: tuple | None = None) -> list[int]:
 
 
 def _repair_to_zfs(g: Graph, candidate: Iterable[int]) -> NodeSet:
-    """Greedily add lowest-id stuck white nodes until forcing completes."""
-    black = _built(NodeSet, members=tuple(sorted(candidate)))
+    """Greedily add lowest-id stuck white nodes until forcing completes.
+
+    ``candidate`` must be ascending: it becomes the seed's members as is.
+    """
+    black = _built(NodeSet, members=tuple(candidate))
     derived, _ = derived_set(g, black)
     while len(derived) < g.n:
         stuck = next(u for u in range(1, g.n + 1) if u not in derived)
@@ -567,11 +564,10 @@ def _heuristic_connected(g: Graph, bfs1: tuple | None = None) -> NodeSet:
     """
     if len(g.edges) == g.n - 1:  # tree: the path cover is a minimum ZFS
         dist, parent, _, _ = bfs1 or _bfs(g, 1)
-        return _repair_to_zfs(g, _path_cover_initials(dist, parent))
-    keep = [0] + [1] * g.n
-    for v in _diametral_path(g, bfs1)[1:]:
-        keep[v] = 0
-    return _repair_to_zfs(g, compress(range(g.n + 1), keep))
+        return _repair_to_zfs(g, sorted(_path_cover_initials(dist, parent)))
+    cuts = sorted(_diametral_path(g, bfs1)[1:])  # the candidate fills the gaps
+    return _repair_to_zfs(g, chain.from_iterable(
+        range(a + 1, b) for a, b in pairwise([0, *cuts, g.n + 1])))
 
 
 def zfs_heuristic(g: Graph) -> NodeSet:

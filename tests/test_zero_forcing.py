@@ -1,5 +1,6 @@
 import gc
 import heapq
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -816,7 +817,10 @@ def test_bfs_count_and_farthest_node_match_bfs_oracle(n, connected, seed):
 class TestSeedSearch:
     @pytest.mark.parametrize("g", [path(1), path(2), path(64), path(130), cycle(3),
                                    cycle(64), cycle(65), grid(2), grid(7), grid(12),
-                                   complete(9)],
+                                   complete(9), grid(22),
+                                   *(Graph(n, sparse_connected_edges(np.random.default_rng(n),
+                                                                     n, n // 2))
+                                     for n in (500, 512))],
                              ids=repr)
     def test_eccentricities_structured(self, g):
         assert_eccentricities(g)
@@ -833,6 +837,25 @@ class TestSeedSearch:
             assert _diametral_path(Graph(n, edges)) == per_source_diametral_path(n, edges)
         for g in (path(9), cycle(10), grid(6), star(5)):
             assert _diametral_path(g) == per_source_diametral_path(g.n, g.edges)
+
+    def test_diametral_candidate_is_every_node_off_the_path(self):
+        # The candidate is built as the gaps between the sorted path nodes:
+        # a path through node n, or through consecutive ids, leaves empty gaps.
+        rng = np.random.default_rng(67)
+        graphs = [cycle(10), complete(9), grid(6)]
+        while len(graphs) < 63:
+            n = int(rng.integers(3, 41))
+            edges = random_connected_edges(rng, n, float(rng.uniform(0.02, 0.4)))
+            if len(edges) > n - 1:
+                graphs.append(Graph(n, edges))
+        ends = runs = 0
+        for g in graphs:
+            cuts = _diametral_path(g)[1:]
+            off_path = sorted(set(range(1, g.n + 1)) - set(cuts))
+            assert zero_forcing._heuristic_connected(g) == _repair_to_zfs(g, off_path), g
+            ends += g.n in cuts
+            runs += any(b - a == 1 for a, b in pairwise(sorted(cuts)))
+        assert ends and runs
 
     def test_diametral_path_at_the_exact_cutoff(self):
         rng = np.random.default_rng(43)
@@ -1000,7 +1023,7 @@ def diametral_candidate(g):
     size = 0
     for members, sub_edges in relabelled_components(g.n, g.edges):
         sub = Graph(len(members), sub_edges)
-        off_path = set(range(1, sub.n + 1)) - set(_diametral_path(sub)[1:])
+        off_path = sorted(set(range(1, sub.n + 1)) - set(_diametral_path(sub)[1:]))
         size += len(_repair_to_zfs(sub, off_path))
     return size
 

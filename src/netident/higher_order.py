@@ -218,7 +218,8 @@ def lifted_markov(sys: LiftedSystem, order: int) -> MarkovSequence:
     data = _markov_blocks(order, out.shape[0], cur.shape[1])
     for k in range(order + 1 if data.size else 0):  # empty blocks need no powers
         data[k] = out @ cur
-        cur = state @ cur
+        if k < order:
+            cur = state @ cur
     return MarkovSequence._built(sys.v_in, sys.v_out, data)
 
 

@@ -294,7 +294,8 @@ def markov_sequence(
     data = _markov_blocks(order, len(v_out), len(v_in))
     for k in range(order + 1 if data.size else 0):  # empty blocks need no powers
         data[k] = cur[out_rows]
-        cur = x.entries @ cur
+        if k < order:  # the last stored order needs no further product
+            cur = x.entries @ cur
     return MarkovSequence._built(v_in, v_out, data)
 
 

@@ -28,8 +28,13 @@ A call is a graph-only plan and a numeric replay. The plan reads the
 graph once, into one sign pattern over positions (true where two nodes
 are equal or adjacent): it gives every force's P mask in one gather,
 marks the target's edges and gives the zeros of the result. The replay
-takes a round of one force through slices, so its operands are views,
-and checks the squared weights after the loop; an overflow is an InputError.
+fills the table in place: the overlap at every order, then each round's
+rows and columns of V at orders 1..k-2 from orders up to k of B (k falls
+by two a round); order 0 past the overlap is never read or written. A
+round of one force takes slices, so its operands are views, and its
+weight as a scalar. The squared weights are checked after the loop (an
+overflow is an InputError), the target block with whole-array masks
+whose entries are located only when a mask fires.
 """
 
 from __future__ import annotations
@@ -200,8 +205,8 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
             f"{expected} = (|v_out|, |v_in|)"
         )
 
-    # The overlap's (i, j) and (j, i) samples are averaged.
-    powers = np.zeros((needed + 1, *pattern.shape))
+    # The overlap's (i, j) and (j, i) samples are averaged, order 0 included.
+    powers = np.empty((needed + 1, *pattern.shape))
     b = len(w)
     if b == len(markov.v_in) == len(markov.v_out):  # w is both node sets
         overlap = markov.data[: needed + 1]
@@ -209,10 +214,10 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
         rows = np.searchsorted(markov.v_out.members, w.members)
         cols = np.searchsorted(markov.v_in.members, w.members)
         overlap = markov.data[: needed + 1, rows[:, None], cols]
-    powers[:, :b, :b] = 0.5 * (overlap + overlap.transpose(0, 2, 1))
-    if not np.isfinite(powers[:, :b, :b]).all():
+    top = np.add(overlap, overlap.transpose(0, 2, 1), out=powers[:, :b, :b])
+    top *= 0.5
+    if not np.isfinite(top).all():
         raise InputError(f"{_BEYOND_RANGE}: the symmetrised overlap is not finite")
-    powers[0, b:, b:] = np.eye(len(pattern) - b)
 
     squared = np.empty(len(forces))
     s = 0
@@ -230,18 +235,19 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
             uu = ui[:, None]
         p = np.where(pmask[s:t, :b], powers[1, ui, :b], 0.0)
 
-        # Squared edge weights from the second power at the forcing nodes.
+        # Squared edge weights from the second power; one force's d is a scalar.
         squared[s:t] = powers[2, ui, ud] - (p * p).sum(axis=1)
         d = np.sqrt(squared[s:t])
+        d, dc = (d[0], d[0]) if count == 1 else (d, d[:, None])
 
         # X^k[V,B], then X^k[V,V], for k = 1..k_max-2. The powers are
         # symmetric, so one product over the stacked X^k gives every X^k P^T.
         tp = powers[1 : k_max - 1, :b, :b] @ p.T
-        vb = (powers[2:k_max, ui, :b] - tp.transpose(0, 2, 1)) / d[:, None]
+        vb = (powers[2:k_max, ui, :b] - tp.transpose(0, 2, 1)) / dc
         m = vb @ p.T  # X^k[V,B] P^T
         acc = powers[3 : k_max + 1, uu, ui] - p @ tp
-        acc -= m.transpose(0, 2, 1) * d + d[:, None] * m
-        vv = acc / (d[:, None] * d)
+        acc -= m.transpose(0, 2, 1) * d + dc * m
+        vv = acc / (dc * d)
         ks = slice(1, k_max - 1)
         powers[ks, b:e, :b] = vb
         powers[ks, :b, b:e] = vb.transpose(0, 2, 1)
@@ -273,32 +279,32 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
     if not np.isfinite(powers[1]).all():
         raise InputError(f"{_BEYOND_RANGE}: the recovered first power is not finite")
 
+    # powers[1] is exactly symmetric, so each mask below is too, and its
+    # upper triangle, row by row, names the entries when one fires.
     members = target.members
     at = pos[list(members)]
-    block = powers[1, at[:, None], at]
-    mask = pattern[at[:, None], at]
-    ea, eb = np.nonzero(np.triu(mask, 1))
-    vals = block[ea, eb]
-    bad = np.flatnonzero(vals <= 0.0)
-    if bad.size:
-        a = bad[0]
+    block = powers[1].take(at, 0).take(at, 1)
+    mask = pattern.take(at, 0).take(at, 1)
+    nonpositive = mask & (block <= 0.0)
+    np.fill_diagonal(nonpositive, False)
+    if nonpositive.any():
+        i, j = np.argwhere(np.triu(nonpositive, 1))[0]
         raise InconsistentDataError(
-            f"recovered weight of edge ({members[ea[a]]},{members[eb[a]]}) is "
-            f"{vals[a]:.3e}; members of the positive class carry strictly "
+            f"recovered weight of edge ({members[i]},{members[j]}) is "
+            f"{block[i, j]:.3e}; members of the positive class carry strictly "
             "positive edge weights"
         )
-    # powers[1] is exactly symmetric, so both triangles hold the same weights.
     recovered = np.where(mask, block, 0.0)
     diagonal = np.diagonal(block)
 
     # Non-edges are masked to zero: report where the table disagrees noticeably.
     table_scale = max(float(np.abs(diagonal).max(initial=0.0)), 1.0)
-    na, nb = np.nonzero(np.triu(~mask, 1))
-    leaks = np.abs(block[na, nb])
+    leaks = np.abs(block)
+    leaking = ~mask & (leaks > 1e-6 * table_scale)
     notes = [
-        f"non-edge ({members[na[a]]},{members[nb[a]]}) carries weight "
-        f"{leaks[a]:.3e} in the measured data; entry omitted from the result"
-        for a in np.flatnonzero(leaks > 1e-6 * table_scale)
+        f"non-edge ({members[i]},{members[j]}) carries weight "
+        f"{leaks[i, j]:.3e} in the measured data; entry omitted from the result"
+        for i, j in (np.argwhere(np.triu(leaking, 1)) if leaking.any() else ())
     ]
 
     # X_{uv} = X^1[v, u]: force f's forced node sits at position |w| + f.

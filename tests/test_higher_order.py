@@ -172,6 +172,16 @@ class TestLiftedMarkov:
         for a, b in zip(lifted.data, base.data):
             np.testing.assert_allclose(a, b, atol=1e-13)
 
+    def test_no_power_past_the_last_stored_order(self):
+        # The lift of SCALAR_IDENTITY is X itself: X^3 e1 is finite, X^4 e1 is not.
+        x = WeightMatrix(path(2), np.array([[1e100, 1.0], [1.0, 1.0]]))
+        sys_ = LiftedSystem(weights=x, dyn=SCALAR_IDENTITY,
+                            v_in=NodeSet([1]), v_out=NodeSet([1, 2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lifted = lifted_markov(sys_, 3)
+        assert lifted.data[3, 0, 0] == 1e300
+
     def test_order_zero_is_selection_kron(self):
         g = path(2)
         x = WeightMatrix(g, np.array([[1.0, 2.0], [2.0, 3.0]]))

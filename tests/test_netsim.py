@@ -165,6 +165,15 @@ class TestMarkovSequence:
         got = [float(b[0, 0]) for b in seq.data]
         assert got == [1.0, 1.0, 5.0, 21.0]
 
+    def test_no_power_past_the_last_stored_order(self):
+        # X^3 e1 is finite, X^4 e1 is not: a product after the last order
+        # would overflow and warn.
+        x = WeightMatrix(P2, np.array([[1e100, 1.0], [1.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = markov_sequence(x, [1], [1, 2], 3)
+        assert seq.data[3, 0, 0] == 1e300
+
     def test_order_zero_full_selection_is_identity(self):
         g = path(3)
         x = random_weights(g, seed=2)

@@ -1,4 +1,5 @@
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,23 @@ SRC = Path(netident.__file__).resolve().parent
 def test_every_export_resolves():
     for name in netident.__all__:
         assert getattr(netident, name) is not None, name
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every import in ``src/`` names the standard library, numpy or the package."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "netident"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # a relative import stays inside the package
+            foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
 
 
 def test_every_import_is_used():

@@ -1,6 +1,6 @@
-import warnings
-
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +346,75 @@ class TestChecksAfterTheLoop:
         assert str(err.value) == (
             "Markov data is beyond float64 range: squared weight of edge (1,2) is not finite"
         )
+
+
+def weights_on(g, edge_weights, diagonal):
+    x = np.diag(np.asarray(diagonal, dtype=float))
+    for (i, j), weight in zip(g.edges, edge_weights):
+        x[i - 1, j - 1] = x[j - 1, i - 1] = weight
+    return x
+
+
+class TestLocatedOnlyOnFailure:
+    """The checks on the target block name the same entries as the reference."""
+
+    def test_every_leaking_non_edge_is_noted_in_order(self):
+        # P5 seeded at {1, 2, 3}; the data couples the non-edges (1,3) and (2,4).
+        g = path(5)
+        x = weights_on(g, (0.9, 0.8, 1.1, 0.7), (0.3, -0.2, 0.1, 0.4, -0.1))
+        x[0, 2] = x[2, 0] = 0.3
+        x[1, 3] = x[3, 1] = 0.2
+        markov = seq_from_raw(x, [1, 2, 3], [1, 2, 3], 6)
+        result = identify(markov, g, g.nodes)
+        assert len(result.diagnostics) == 2
+        assert [note.split(" carries")[0] for note in result.notes] == [
+            "non-edge (1,3)", "non-edge (1,4)", "non-edge (1,5)",
+            "non-edge (2,4)", "non-edge (2,5)", "non-edge (3,5)",
+        ]
+        assert outcome(markov, g, g.nodes, identify) == outcome(
+            markov, g, g.nodes, reference_identify
+        )
+
+    @pytest.mark.parametrize("target, edge", [
+        ([1, 2, 3, 4, 5], "(1,3) is -3.000e-01"),
+        ([4, 3, 2], "(2,3) is 0.000e+00"),
+    ])
+    def test_first_non_positive_edge_is_named(self, target, edge):
+        # Edges (1,3) and (2,3) of the seed block are -0.3 and 0; the forced
+        # edges (3,4) and (4,5) are positive.
+        g = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+        x = weights_on(g, (0.5, -0.3, 0.0, 0.8, 0.7), (0.3, -0.2, 0.1, 0.4, -0.1))
+        markov = seq_from_raw(x, [1, 2, 3], [1, 2, 3], 6)
+        with pytest.raises(InconsistentDataError, match=rf"edge {re.escape(edge)};"):
+            identify(markov, g, target)
+        assert outcome(markov, g, target, identify) == outcome(
+            markov, g, target, reference_identify
+        )
+
+
+BENCHMARK_SIZED = (
+    [(f"grid{a}", grid(a), None, "free", False) for a in (8, 10, 12)]
+    + [(f"path{n}-one-end", path(n), [1], "laplacian", n == 14) for n in (8, 11, 14)]
+    + [(f"path{n}-both-ends", path(n), [1, n], "laplacian", False) for n in (16, 24)]
+)
+
+
+@pytest.mark.parametrize("name, g, seed, diagonal, past_the_wall", BENCHMARK_SIZED,
+                         ids=[case[0] for case in BENCHMARK_SIZED])
+def test_replay_matches_the_reference_at_benchmark_sizes(name, g, seed, diagonal,
+                                                         past_the_wall):
+    # Heuristic-seeded grids put 50-122 nodes in the overlap; a path seeded
+    # at one end loses precision with length and is refused by n = 14.
+    w = zfs_heuristic(g) if seed is None else NodeSet(seed)
+    _, chron = derived_set(g, w)
+    refused = []
+    for weight_seed in (1, 2, 3):
+        x = random_weights(g, seed=weight_seed, diagonal_mode=diagonal)
+        markov = markov_sequence(x, w, w, required_order(chron))
+        got = outcome(markov, g, g.nodes, identify)
+        assert got == outcome(markov, g, g.nodes, reference_identify)
+        refused.append(isinstance(got[0], type))
+    assert any(refused) == past_the_wall
 
 
 def outcome(markov, g, target, fn):

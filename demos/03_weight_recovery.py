@@ -27,7 +27,7 @@ x = random_weights(g, seed=2024, diagonal_mode="laplacian")
 print("true weights (negated Laplacian member):")
 print(np.round(x.entries, 3))
 
-# Measure at a verified zero forcing set only.
+# Measure at the heuristic's zero forcing set only.
 w = zfs_heuristic(g)
 _, chronicle = derived_set(g, w)
 order = required_order(chronicle)

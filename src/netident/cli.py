@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_non_negative_int,
                    default=zero_forcing.EXACT_SEARCH_DEFAULT_BUDGET,
                    help="largest node count accepted by the exact search")
-    command(zfs, "heuristic", _zfs_heuristic, "verified heuristic zero forcing set",
-            ("graph",))
+    command(zfs, "heuristic", _zfs_heuristic,
+            "heuristic zero forcing set (forces by construction)", ("graph",))
 
     ident = group("ident", "identifiability")
     command(ident, "certify", _ident_certify, "certify (graph, inputs, outputs)",

@@ -77,9 +77,9 @@ def certify(g: Graph, v_in: Iterable[int], v_out: Iterable[int]) -> Identifiabil
 
     Equal node sets make ``v_in`` itself the seed, and :func:`derived_set`
     closes a seed object once per graph object, so a seed already closed
-    on ``g`` (as :func:`~netident.zero_forcing.zfs_heuristic` closes its
-    result) is not closed again. The memo does not change the seed's
-    equality, hashing or JSON.
+    on ``g`` is not closed again; a ``zfs_heuristic`` seed is first
+    closed here. The memo does not change the seed's equality, hashing
+    or JSON.
     """
     v_in = g.check_nodes(v_in)
     v_out = g.check_nodes(v_out)

@@ -12,11 +12,11 @@ the propagation time of the initial set (Hogben et al., "Propagation
 time for zero forcing on a graph", Discrete Appl. Math. 2012).
 
 Finding a *minimum* zero forcing set is NP-hard, so the exact search is
-capped by a node budget and a verified heuristic is provided for larger
-graphs. The exact search is the wavefront of Brimkov, Fast and Hicks
-(EJOR 2019), Dijkstra over closed sets, bounded by the best zero forcing
-set found so far. Its memory follows the closed sets it reaches, not
-the number of candidate sets of a size.
+capped by a node budget, and larger graphs take a heuristic whose seed
+forces by construction. The exact search is the wavefront of Brimkov,
+Fast and Hicks (EJOR 2019), Dijkstra over closed sets, bounded by the
+best zero forcing set found so far. Its memory follows the closed sets
+it reaches, not the number of candidate sets of a size.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, compress, pairwise, repeat
-from typing import Iterable
 
 from .errors import InputError
 from .graph_core import Graph, NodeSet, _built, _integral
@@ -489,11 +488,11 @@ def _diametral_path(g: Graph, bfs1: tuple | None = None) -> list[int]:
     ecc(v)) big-int ORs). Beyond that ``s`` is the node farthest from node 1
     (a double BFS sweep), which is exact on trees and a lower-bound
     approximation in general; the candidate set only gets larger, and it
-    is verified downstream regardless. :func:`zfs_heuristic` passes as
-    ``bfs1`` the :func:`_bfs` from node 1 that was its connectivity test,
-    so one BFS is both that test and the first sweep. Either way one BFS
-    from ``s`` gives the sink, its farthest node (smallest id on ties),
-    and the path. On a large graph the cost is the two sweeps' edge
+    still forces, as every shortest path is chordless. :func:`zfs_heuristic`
+    passes as ``bfs1`` the :func:`_bfs` from node 1 that was its
+    connectivity test, so one BFS is both that test and the first sweep.
+    Either way one BFS from ``s`` gives the sink, its farthest node
+    (smallest id on ties), and the path. On a large graph the cost is the two sweeps' edge
     scans plus O(diam) for the path.
     """
     if g.n == 1:
@@ -511,21 +510,7 @@ def _diametral_path(g: Graph, bfs1: tuple | None = None) -> list[int]:
     return path
 
 
-def _repair_to_zfs(g: Graph, candidate: Iterable[int]) -> NodeSet:
-    """Greedily add lowest-id stuck white nodes until forcing completes.
-
-    ``candidate`` must be ascending: it becomes the seed's members as is.
-    """
-    black = _built(NodeSet, members=tuple(candidate))
-    derived, _ = derived_set(g, black)
-    while len(derived) < g.n:
-        stuck = next(u for u in range(1, g.n + 1) if u not in derived)
-        black = black.union((stuck,))
-        derived, _ = derived_set(g, black)
-    return black
-
-
-def _path_cover_initials(dist: list[int], parent: list[int]) -> set[int]:
+def _path_cover_initials(dist: list[int], parent: list[int]) -> list[int]:
     """The smaller end of each path of a minimum path cover of a tree.
 
     Greedy over the BFS tree ``(dist, parent)``: nodes are visited deepest
@@ -533,7 +518,7 @@ def _path_cover_initials(dist: list[int], parent: list[int]) -> set[int]:
     two cover edges. On a tree this keeps the most edges of any subgraph
     of maximum degree 2, so it leaves the fewest paths. An ascending scan
     then takes each unseen path end as an initial and walks its chain to
-    mark the far end.
+    mark the far end, so the initials come out ascending.
     """
     n = len(dist) - 1
     link: list[list[int]] = [[] for _ in range(n + 1)]
@@ -542,10 +527,10 @@ def _path_cover_initials(dist: list[int], parent: list[int]) -> set[int]:
         if len(link[v]) < 2 and len(link[p]) < 2:
             link[v].append(p)
             link[p].append(v)
-    initials, seen = set(), [False] * (n + 1)
+    initials, seen = [], [False] * (n + 1)
     for u in range(1, n + 1):
         if len(link[u]) < 2 and not seen[u]:
-            initials.add(u)
+            initials.append(u)
             prev, cur = u, link[u][0] if link[u] else u
             while len(link[cur]) == 2:
                 prev, cur = cur, link[cur][link[cur][0] == prev]
@@ -554,24 +539,24 @@ def _path_cover_initials(dist: list[int], parent: list[int]) -> set[int]:
 
 
 def _heuristic_connected(g: Graph, bfs1: tuple | None = None) -> NodeSet:
-    """Verified ZFS of one connected graph from its single candidate.
+    """The single candidate of one connected graph, a ZFS by construction.
 
     Trees take the path cover of ``bfs1``, the :func:`_bfs` from node 1;
     other graphs the diametral candidate, ``n - diam`` nodes up to
-    ``_EXACT_DIAMETER_MAX_NODES`` nodes.
+    ``_EXACT_DIAMETER_MAX_NODES`` nodes. Both come out ascending.
     ``bfs1`` is computed here only if missing and read: on a tree, or
     beyond ``_EXACT_DIAMETER_MAX_NODES`` nodes.
     """
     if len(g.edges) == g.n - 1:  # tree: the path cover is a minimum ZFS
         dist, parent, _, _ = bfs1 or _bfs(g, 1)
-        return _repair_to_zfs(g, sorted(_path_cover_initials(dist, parent)))
+        return _built(NodeSet, members=tuple(_path_cover_initials(dist, parent)))
     cuts = sorted(_diametral_path(g, bfs1)[1:])  # the candidate fills the gaps
-    return _repair_to_zfs(g, chain.from_iterable(
-        range(a + 1, b) for a, b in pairwise([0, *cuts, g.n + 1])))
+    return _built(NodeSet, members=tuple(chain.from_iterable(
+        range(a + 1, b) for a, b in pairwise([0, *cuts, g.n + 1]))))
 
 
 def zfs_heuristic(g: Graph) -> NodeSet:
-    """A valid zero forcing set without the exact-search size cap.
+    """A zero forcing set without the exact-search size cap.
 
     Each connected graph gets one candidate. A tree takes one end of each
     path of a minimum path cover, built leaves-up over the BFS tree from
@@ -582,15 +567,24 @@ def zfs_heuristic(g: Graph) -> NodeSet:
     nodes; beyond that the double sweep can find a shorter path than the
     diameter, and the candidate grows by the difference. A disconnected
     graph is solved per component and the union is returned. The
-    candidate is verified with :func:`derived_set` and repaired greedily
-    with the lowest-id stuck node until it forces, so the result is
-    always valid.
+    candidate is returned unclosed, as it forces by construction (one
+    forcing order that reaches every node is enough):
+
+    - Off a tree, a shortest path has no chords, so every neighbour of
+      ``path[i]`` but ``path[i-1]`` and ``path[i+1]`` is black, and
+      ``path[0]`` forces along the path; this holds for the double sweep.
+    - On a tree, let only each path's front force along its path. If this
+      stalls, each unfinished front waits on a white node of another
+      unfinished path. Following the waits in the tree of contracted
+      paths gives a closed walk, which must turn back: a path A waits on
+      B and B on A. One edge (a, b) at most joins them, a on A; A's wait
+      needs b white, and B's needs b black, as B's front.
 
     The BFS from node 1 that tests connectivity is reused: on a tree it
     is the BFS tree of the cover, and beyond 512 nodes it is the first
     leg of the double sweep for the diametral path. On a connected graph
-    beyond 512 nodes the cost is those two sweeps' edge scans, the O(n)
-    candidate, and one :func:`derived_set` of it.
+    beyond 512 nodes the cost is those two sweeps' edge scans and the
+    O(n) candidate; no closure is run.
     """
     if g.n == 0:
         return NodeSet()

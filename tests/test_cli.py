@@ -215,6 +215,14 @@ class TestSim:
         assert (code, out) == (2, "")
         assert err.startswith("input error: weight range (") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("weight_range", ["abc", "1", "1,2,3"])
+    def test_malformed_weight_range_exits_two(self, tmp_path, capsys, weight_range):
+        g = write(tmp_path, "g.json", path_json(3))
+        code, out, err = run(capsys, ["sim", "random", "--graph", g,
+                                      "--weight-range", weight_range])
+        assert (code, out) == (2, "")
+        assert err == f"input error: weight range must be 'lo,hi', got {weight_range!r}\n"
+
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_malformed_seed_is_a_usage_error(self, tmp_path, capsys, seed):
         g = write(tmp_path, "g.json", cycle_json(4))
@@ -537,6 +545,20 @@ def test_recover_overflowing_replay_exits_two(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("input error: Markov data is beyond float64 range: squared "
                    "weight of edge (1,2) is not finite\n")
+
+
+def test_recover_overflowing_first_power_exits_two(tmp_path, capsys):
+    # The squared weight is finite; the weight's own entry of X^1 is not.
+    blob = {"v_in": [1], "v_out": [1], "K": 4,
+            "data": [[[v]] for v in (1.0, 1.0, 1.0 + 1e-6, 1e304, 1.0)]}
+    g = write(tmp_path, "g.json", path_json(2))
+    m = write(tmp_path, "m.json", blob)
+    t = write(tmp_path, "t.json", [1, 2])
+    code, out, err = run(capsys, ["ident", "recover", "--graph", g, "--markov", m,
+                                  "--target", t])
+    assert (code, out) == (2, "")
+    assert err == ("input error: Markov data is beyond float64 range: the "
+                   "recovered first power is not finite\n")
 
 
 class TestMarkovArrayInput:

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -84,3 +86,30 @@ def test_every_private_name_is_read():
     unread = [f"{where}: {name}" for where, name, node in defined
               if everywhere[name] <= reads(node).count(name)]
     assert unread == []
+
+
+def test_docstring_references_resolve():
+    """Each ``:func:``, ``:class:`` or ``:meth:`` target in a docstring names
+    an object: a bare name on its own module, ``~netident.mod.name`` through
+    the package. ``__main__`` is skipped, as importing it runs the CLI."""
+    role = re.compile(r":(?:func|class|meth):`~?([\w.]+)`")
+    docstring_owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    dangling, seen = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(
+            "netident" if path.stem == "__init__" else f"netident.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            doc = ast.get_docstring(node) if isinstance(node, docstring_owners) else None
+            for target in role.findall(doc or ""):
+                seen += 1
+                parts = target.split(".")
+                obj = module
+                if parts[0] == "netident":
+                    obj, parts = netident, parts[1:]
+                for part in parts:
+                    obj = getattr(obj, part, None)
+                if obj is None:
+                    dangling.append(f"{path.name}: {target}")
+    assert seen and dangling == []

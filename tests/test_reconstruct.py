@@ -347,6 +347,20 @@ class TestChecksAfterTheLoop:
             "Markov data is beyond float64 range: squared weight of edge (1,2) is not finite"
         )
 
+    def test_overflowing_first_power_is_refused_like_the_reference(self):
+        # X_{12}^2 = 1e-6 is finite and positive, but X^1[2,2] = 1e304 / 1e-6
+        # overflows.
+        data = tuple(np.array([[v]]) for v in (1.0, 1.0, 1.0 + 1e-6, 1e304, 1.0))
+        markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
+        for solve in (identify, reference_identify):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InputError) as err:
+                    solve(markov, P2, [1, 2])
+            assert str(err.value) == (
+                "Markov data is beyond float64 range: the recovered first power is not finite"
+            ), solve.__name__
+
 
 def weights_on(g, edge_weights, diagonal):
     x = np.diag(np.asarray(diagonal, dtype=float))

@@ -1,6 +1,6 @@
 import gc
 import heapq
-from itertools import pairwise
+from itertools import pairwise, product
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from netident import (
 )
 
 from netident import zero_forcing
-from netident.zero_forcing import _diametral_path, _eccentricities, _repair_to_zfs
+from netident.zero_forcing import _diametral_path, _eccentricities
 
 from oracles import (
     adjacency,
@@ -180,6 +180,14 @@ class TestChronicle:
                              rounds=(1, 1)).replay(g)
         done = ForcingChronicle(initial=NodeSet([1]), forces=((1, 2), (2, 3)), rounds=(1, 1))
         assert done.replay(g) == g.nodes
+
+    @pytest.mark.parametrize("force", [(1, 9), (7, 2)])
+    def test_replay_rejects_a_node_outside_the_graph(self, force):
+        bad = ForcingChronicle(initial=NodeSet([1]), forces=(force,), rounds=(1,))
+        with pytest.raises(InputError) as err:
+            bad.replay(path(3))
+        assert str(err.value) == (f"chronicle invalid at step 1 (round 1): "
+                                  f"force ({force[0]},{force[1]}): node outside 1..3")
 
     def test_replay_rejects_node_forced_twice_in_a_round(self):
         g = star(2)  # centre 1, leaves 2 and 3
@@ -852,7 +860,8 @@ class TestSeedSearch:
         for g in graphs:
             cuts = _diametral_path(g)[1:]
             off_path = sorted(set(range(1, g.n + 1)) - set(cuts))
-            assert zero_forcing._heuristic_connected(g) == _repair_to_zfs(g, off_path), g
+            got = zero_forcing._heuristic_connected(g)
+            assert got == NodeSet(off_path) and is_zero_forcing_set(g, got), g
             ends += g.n in cuts
             runs += any(b - a == 1 for a, b in pairwise(sorted(cuts)))
         assert ends and runs
@@ -980,7 +989,11 @@ def pruefer_tree_edges(rng, n):
     """The tree of a uniform random Pruefer sequence."""
     if n < 2:
         return []
-    seq = rng.integers(1, n + 1, size=n - 2).tolist()
+    return pruefer_decode(n, rng.integers(1, n + 1, size=n - 2).tolist())
+
+
+def pruefer_decode(n, seq):
+    """The labelled tree on ``n >= 2`` nodes whose Pruefer sequence is ``seq``."""
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
@@ -1019,17 +1032,17 @@ def random_forest(rng, sizes):
 
 
 def diametral_candidate(g):
-    """The n - diam candidate, repaired, summed over the components of g."""
+    """The n - diam candidate, summed over the components of g."""
     size = 0
     for members, sub_edges in relabelled_components(g.n, g.edges):
         sub = Graph(len(members), sub_edges)
-        off_path = sorted(set(range(1, sub.n + 1)) - set(_diametral_path(sub)[1:]))
-        size += len(_repair_to_zfs(sub, off_path))
+        off_path = set(range(1, sub.n + 1)) - set(_diametral_path(sub)[1:])
+        size += len(off_path)
     return size
 
 
 class TestOneCandidatePerTree:
-    def test_tree_costs_one_bfs_one_closure_and_no_diametral_path(self, monkeypatch):
+    def test_tree_costs_one_bfs_no_closure_and_no_diametral_path(self, monkeypatch):
         rng = np.random.default_rng(83)
         sources, closures = [], []
         real_bfs, real_derived = zero_forcing._bfs, zero_forcing.derived_set
@@ -1046,13 +1059,32 @@ class TestOneCandidatePerTree:
                 sources.clear()
                 closures.clear()
                 got = zfs_heuristic(g)
-                assert sources == [1] and closures == [got], (make.__name__, n)
+                assert sources == [1] and closures == [], (make.__name__, n)
+                assert is_zero_forcing_set(g, got), (make.__name__, n)
         # A forest pays its own BFS from node 1, then one per component.
         g = random_forest(rng, (700, 40, 1, 300))
         sources.clear()
         closures.clear()
         zfs_heuristic(g)
-        assert sources == [1] * 5 and len(closures) == 4
+        assert sources == [1] * 5 and closures == []
+
+    def test_every_small_tree_and_large_sparse_graph_forces_unclosed(self):
+        # Every labelled tree on 2..7 nodes, one per Pruefer sequence,
+        # checked by the descending-scan oracle, not by derived_set.
+        count = 0
+        for n in range(2, 8):
+            for seq in product(range(1, n + 1), repeat=n - 2):
+                edges = pruefer_decode(n, seq)
+                assert is_zfs_naive(n, edges, zfs_heuristic(Graph(n, edges))), (n, seq)
+                count += 1
+        assert count == sum(n ** (n - 2) for n in range(2, 8)) == 18248
+        # Past 512 nodes the diametral candidate comes from the double sweep.
+        rng = np.random.default_rng(101)
+        for n in (513, 1000):
+            edges = sparse_connected_edges(rng, n, n // 2)
+            off_path = set(range(1, n + 1)) - set(double_sweep_path(n, edges)[1:])
+            got = zero_forcing._heuristic_connected(Graph(n, edges))
+            assert got == NodeSet(off_path) and is_zfs_naive(n, edges, got), n
 
     def test_seed_is_no_larger_than_the_diametral_candidate(self):
         rng = np.random.default_rng(89)

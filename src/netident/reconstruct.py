@@ -28,19 +28,26 @@ A call is a graph-only plan and a numeric replay. The plan reads the
 graph once, into one sign pattern over positions (true where two nodes
 are equal or adjacent): it gives every force's P mask in one gather,
 marks the target's edges and gives the zeros of the result. The replay
-fills the table in place: the overlap at every order, then each round's
-rows and columns of V at orders 1..k-2 from orders up to k of B (k falls
-by two a round); order 0 past the overlap is never read or written. A
-round of one force takes slices, so its operands are views, and its
-weight as a scalar. The squared weights are checked after the loop (an
-overflow is an InputError), the target block with whole-array masks
-whose entries are located only when a mask fires.
+symmetrises the overlap at every order in a contiguous temporary and
+copies it into the table once; each round then writes the rows and
+columns of V at orders 1..k-2 from orders up to k of B (k falls by two
+a round; order 0 past the overlap is never written). A round of several forces gathers U's rows with one ``take``
+and the U x U block with one more; a round of one force takes views and
+its weight as a scalar. After the loop each squared weight is screened
+against ``DEGENERACY_TOL * max(1, |X^2_uu|)``, and the screen is exact:
+a weight that passes is positive, so ``X^2_uu`` exceeds the float sum
+of the ``p^2``, which is at least their largest term, and the full scale
+``max(1, |X^2_uu|, max p^2)`` is the screen's. Only a failed screen
+gathers P again, to name the first overflowing (an InputError),
+vanishing or negative weight. The target block is checked with
+whole-array masks, located only when one fires, and the per-force
+records are named tuples built by one ``map``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -79,8 +86,7 @@ def required_order(chronicle: ForcingChronicle) -> int:
     return 2 * len(chronicle.rounds) + 2
 
 
-@dataclass(frozen=True)
-class ForceStepRecord:
+class ForceStepRecord(NamedTuple):
     """Conditioning log entry for one replayed force."""
 
     step: int
@@ -214,38 +220,40 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
         rows = np.searchsorted(markov.v_out.members, w.members)
         cols = np.searchsorted(markov.v_in.members, w.members)
         overlap = markov.data[: needed + 1, rows[:, None], cols]
-    top = np.add(overlap, overlap.transpose(0, 2, 1), out=powers[:, :b, :b])
+    top = overlap + overlap.transpose(0, 2, 1)
     top *= 0.5
     if not np.isfinite(top).all():
         raise InputError(f"{_BEYOND_RANGE}: the symmetrised overlap is not finite")
+    powers[:, :b, :b] = top
 
     squared = np.empty(len(forces))
     s = 0
     for rnd, count in enumerate(sizes, start=1):
         # Round rnd reads orders 1..k_max and writes orders 1..k_max-2 of
         # V = positions b..e-1, against the known block B = positions 0..b-1;
-        # its forces are s..t-1. Rows ui of U, and U's diagonal at (ui, ud).
+        # its forces are s..t-1. rows[k] holds U's rows of X^k, uu[k] = X^k[U,U].
         k_max = needed - 2 * (rnd - 1)
         t, e = s + count, b + count
-        if count == 1:  # one force: basic indices give views, not gathers
-            ud = int(fpos[s])
-            ui = uu = slice(ud, ud + 1)
-        else:
-            ui = ud = fpos[s:t]
-            uu = ui[:, None]
-        p = np.where(pmask[s:t, :b], powers[1, ui, :b], 0.0)
+        if count == 1:  # one force: slices give views, not gathers
+            u = int(fpos[s])
+            rows = powers[: k_max + 1, u : u + 1]
+            uu = rows[:, :, u : u + 1]
+        else:  # whole rows: a take from the contiguous table is the cheap gather
+            rows = powers[: k_max + 1].take(fpos[s:t], axis=1)
+            uu = rows.take(fpos[s:t], axis=2)
+        p = np.where(pmask[s:t, :b], rows[1, :, :b], 0.0)
 
         # Squared edge weights from the second power; one force's d is a scalar.
-        squared[s:t] = powers[2, ui, ud] - (p * p).sum(axis=1)
+        squared[s:t] = uu[2].diagonal() - (p * p).sum(axis=1)
         d = np.sqrt(squared[s:t])
         d, dc = (d[0], d[0]) if count == 1 else (d, d[:, None])
 
         # X^k[V,B], then X^k[V,V], for k = 1..k_max-2. The powers are
         # symmetric, so one product over the stacked X^k gives every X^k P^T.
         tp = powers[1 : k_max - 1, :b, :b] @ p.T
-        vb = (powers[2:k_max, ui, :b] - tp.transpose(0, 2, 1)) / dc
+        vb = (rows[2:k_max, :, :b] - tp.transpose(0, 2, 1)) / dc
         m = vb @ p.T  # X^k[V,B] P^T
-        acc = powers[3 : k_max + 1, uu, ui] - p @ tp
+        acc = uu[3:] - p @ tp
         acc -= m.transpose(0, 2, 1) * d + dc * m
         vv = acc / (dc * d)
         ks = slice(1, k_max - 1)
@@ -254,15 +262,16 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
         powers[ks, b:e, b:e] = 0.5 * (vv + vv.transpose(0, 2, 1))
         s, b = t, e
 
-    # The first bad squared weight in chronicle order; later ones follow from it.
+    # The screen is exact (see the module docstring), and a forcing node's
+    # X^2_uu is never rewritten once it is known. Only a failed screen gathers
+    # P again, to name the first bad weight; later ones follow from it.
     power2 = powers[2, fpos, fpos]
-    p = np.where(pmask, powers[1, fpos], 0.0)
-    scale = np.maximum(np.maximum(1.0, np.abs(power2)), (p * p).max(axis=1, initial=0.0))
-    degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
-    overflow = ~np.isfinite(squared)
-    bad = np.flatnonzero(overflow | degenerate | (squared < 0.0))
-    if bad.size:
-        a = bad[0]
+    if not (squared > DEGENERACY_TOL * np.maximum(1.0, np.abs(power2))).all():
+        p = np.where(pmask, powers[1, fpos], 0.0)
+        scale = np.maximum(np.maximum(1.0, np.abs(power2)), (p * p).max(axis=1, initial=0.0))
+        degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
+        overflow = ~np.isfinite(squared)
+        a = np.flatnonzero(overflow | degenerate | (squared < 0.0))[0]
         u, v = forces[a]
         if overflow[a]:
             raise InputError(f"{_BEYOND_RANGE}: squared weight of edge ({u},{v}) is not finite")
@@ -310,8 +319,7 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
     # X_{uv} = X^1[v, u]: force f's forced node sits at position |w| + f.
     weights = powers[1, np.arange(len(w), len(pattern)), fpos].tolist()
     rounds = [rnd for rnd, count in enumerate(sizes, start=1) for _ in range(count)]
-    records = tuple(
-        ForceStepRecord(step, rnd, u, v, weight)
-        for step, (rnd, (u, v), weight) in enumerate(zip(rounds, forces, weights), start=1)
-    )
+    # With no forces, zip(*forces) adds no iterable and the empty rounds end the map.
+    steps = range(1, len(forces) + 1)
+    records = tuple(map(ForceStepRecord, steps, rounds, *zip(*forces), weights))
     return ReconstructionResult(target, recovered, records, tuple(notes))

@@ -5,6 +5,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import netident
 
 SRC = Path(netident.__file__).resolve().parent
@@ -113,3 +115,15 @@ def test_docstring_references_resolve():
                 if obj is None:
                     dangling.append(f"{path.name}: {target}")
     assert seen and dangling == []
+
+
+def test_ci_runs_the_tier1_command():
+    """The CI workflow loads as YAML and runs the ROADMAP's tier-1 command."""
+    yaml = pytest.importorskip("yaml")
+    root = SRC.parent.parent
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
+                        (root / "ROADMAP.md").read_text()).group(1)
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    runs = [step.get("run") for job in workflow["jobs"].values() for step in job["steps"]]
+    assert "pip install -e .[test]" in runs
+    assert command in runs

@@ -1,14 +1,19 @@
 import json
 import re
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+import netident
 
 from netident import (
     DegenerateWeightError,
+    ForceStepRecord,
     ForcingChronicle,
     Graph,
     InconsistentDataError,
@@ -26,6 +31,7 @@ from netident import (
     required_order,
     zfs_heuristic,
 )
+from netident.reconstruct import DEGENERACY_TOL
 
 from oracles import (
     markov_blocks_oracle,
@@ -109,6 +115,44 @@ class TestForceStep:
         markov = MarkovSequence(v_in=NodeSet([1]), v_out=NodeSet([1]), data=data)
         with pytest.raises(InconsistentDataError, match="negative"):
             identify(markov, P2, [1, 2])
+
+
+class TestForceStepRecord:
+    """The record's public surface: constructors, JSON, immutability."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_position = ForceStepRecord(3, 2, 5, 7, 0.25)  # as tests/oracles.py builds it
+        by_keyword = ForceStepRecord(step=3, round=2, forcing_node=5, forced_node=7,
+                                     weight=0.25)
+        assert by_position == by_keyword
+        assert (by_position.step, by_position.round, by_position.forcing_node,
+                by_position.forced_node, by_position.weight) == (3, 2, 5, 7, 0.25)
+
+    def test_to_json(self):
+        assert ForceStepRecord(3, 2, 5, 7, 0.25).to_json() == {
+            "step": 3, "round": 2, "force": [5, 7], "weight": 0.25,
+        }
+
+    def test_fields_cannot_be_assigned(self):
+        record = ForceStepRecord(1, 1, 1, 2, 2.0)
+        with pytest.raises(AttributeError):
+            record.weight = 3.0
+
+    def test_worked_example_json_matches_the_reference_byte_for_byte(self):
+        markov = markov_sequence(WeightMatrix(P2, X2), [1], [1], 4)
+        got = identify(markov, P2, [1, 2])
+        want = reference_identify(markov, P2, [1, 2])
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert got.diagnostics == want.diagnostics
+
+    def test_demo_03_prints_what_the_reference_prints(self, capsys, monkeypatch):
+        demo = str(Path(__file__).resolve().parent.parent / "demos" / "03_weight_recovery.py")
+        runpy.run_path(demo, run_name="__main__")
+        printed = capsys.readouterr().out
+        monkeypatch.setattr(netident, "identify", reference_identify)
+        runpy.run_path(demo, run_name="__main__")
+        assert capsys.readouterr().out == printed
+        assert "step 1 (round 1)" in printed
 
 
 class TestIdentify:
@@ -360,6 +404,78 @@ class TestChecksAfterTheLoop:
             assert str(err.value) == (
                 "Markov data is beyond float64 range: the recovered first power is not finite"
             ), solve.__name__
+
+
+# Row entries and X^2_uu values: zeros, subnormals, squares that overflow,
+# NaN and +-inf all come from st.floats().
+SCREEN_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from((0.0, -0.0, 5e-324, 2.2e-308, 1e-160, 1e154, 1e200, 1.7e308)),
+)
+# Offsets of X^2_uu from the sum of the p^2, relative to max(1, sum): on either
+# side of DEGENERACY_TOL, and far from it.
+SCREEN_OFFSETS = (0.0, 1e-12, -1e-12, 1.0000000000000002e-12, 5e-13, 2e-12, 1e-300, 1.0, -1.0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    row=st.lists(SCREEN_FLOATS, max_size=6),
+    x2=SCREEN_FLOATS,
+    near=st.booleans(),
+    offset=st.sampled_from(SCREEN_OFFSETS),
+)
+@example(row=[1e200], x2=1.0, near=False, offset=0.0)
+@example(row=[1.0], x2=float("nan"), near=False, offset=0.0)
+@example(row=[1.0], x2=float("inf"), near=False, offset=0.0)
+@example(row=[2.0, 3.0], x2=13.0, near=False, offset=0.0)
+@example(row=[1e-170], x2=0.0, near=True, offset=1e-300)
+def test_screen_passes_exactly_when_the_full_check_flags_nothing(row, x2, near, offset):
+    """_replay screens each squared weight with max(1, |X^2_uu|) as its scale and
+    runs the full check, whose scale also takes max p^2, only when the screen fails."""
+    p = np.array([row])
+    with np.errstate(all="ignore"):
+        sums = (p * p).sum(axis=1)
+        power2 = np.array([x2])
+        if near:  # X^2_uu just around the sum, where the scale decides
+            power2 = sums + offset * np.maximum(1.0, sums)
+        squared = power2 - sums  # as _replay computes it
+        screen = bool((squared > DEGENERACY_TOL * np.maximum(1.0, np.abs(power2))).all())
+        scale = np.maximum(np.maximum(1.0, np.abs(power2)), (p * p).max(axis=1, initial=0.0))
+        degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
+        overflow = ~np.isfinite(squared)
+        flagged = bool((overflow | degenerate | (squared < 0.0)).any())
+    assert screen == (not flagged)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5),
+    x2=st.floats(allow_nan=False, allow_infinity=False),
+    near=st.booleans(),
+    offset=st.sampled_from(SCREEN_OFFSETS),
+)
+@example(row=[1e-7], x2=0.0, near=True, offset=5e-13)
+@example(row=[1e200, 1.0], x2=1.0, near=False, offset=0.0)
+def test_replay_screens_the_squared_weight_like_the_reference(row, x2, near, offset):
+    """One force on a star: centre 1 and leaves 2..m are known, so P is the
+    drawn row X^1[1, B], and X^2_11 is drawn freely or near the sum of its squares."""
+    m = len(row)
+    g = Graph(m + 1, [(1, leaf) for leaf in range(2, m + 2)])
+    seed = list(range(1, m + 1))
+    p = np.array(row)
+    with np.errstate(all="ignore"):
+        if near:
+            total = (p * p).sum()
+            x2 = float(total + offset * max(1.0, total))
+    assume(np.isfinite(x2))
+    data = np.zeros((5, m, m))
+    data[0] = np.eye(m)
+    data[1, 0, :] = data[1, :, 0] = p
+    data[2, 0, 0] = x2
+    markov = MarkovSequence(v_in=NodeSet(seed), v_out=NodeSet(seed), data=data)
+    assert outcome(markov, g, g.nodes, identify) == outcome(
+        markov, g, g.nodes, reference_identify
+    )
 
 
 def weights_on(g, edge_weights, diagonal):

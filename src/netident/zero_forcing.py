@@ -283,11 +283,12 @@ def _min_zfs_connected_mask(g: Graph) -> tuple[int, ...]:
     all expanded before it is popped.
 
     The best full set found so far bounds the search and is never
-    pushed: a step costing more is dropped before its closure, a step
-    costing as much is closed only if its seed is smaller, and the search
-    stops at the first state that costs as much. Closures are cached by
-    the black set they start from, so a repeated addition costs one
-    lookup. Memory follows the states reached.
+    pushed: a step adding more nodes than the room left under it is
+    dropped before its addition is built, one that fills the room is
+    closed only if its seed is smaller, and the search stops at the first
+    state that costs as much. A closure checks, wave by wave, each black
+    node in or next to the last wave's new ones, and is cached by the
+    black set it starts from. Memory follows the states reached.
     """
     n = g.n
     full = (1 << n) - 1
@@ -295,27 +296,26 @@ def _min_zfs_connected_mask(g: Graph) -> tuple[int, ...]:
     for i, j in g.edges:
         adj[i - 1] |= 1 << (j - 1)
         adj[j - 1] |= 1 << (i - 1)
-    rows = [(1 << v, row, row | 1 << v) for v, row in enumerate(adj)]
+    row_of = {1 << v: row for v, row in enumerate(adj)}  # a node's bit -> its neighbours' bits
+    rows = [(row, row | bit) for bit, row in row_of.items()]
 
     def close(black: int, new: int) -> int:
         """Closure of ``black``, given that only ``new`` turned black since it was closed."""
         while new:
-            x = new & -new
-            new ^= x
-            check = (adj[x.bit_length() - 1] & black) | x  # x and its black neighbours
+            check = new
+            while new:
+                x = new & -new
+                new ^= x
+                check |= row_of[x]
+            check &= black  # the last wave and its black neighbours
             while check:
                 u = check & -check
                 check ^= u
-                white = adj[u.bit_length() - 1] & ~black
+                white = row_of[u] & ~black
                 if white and not white & (white - 1):
                     black |= white
                     new |= white
         return black
-
-    def smaller(a: int, b: int) -> bool:
-        """True iff seed ``a`` is lexicographically smaller than ``b`` of its size."""
-        diff = a ^ b
-        return bool(a & diff & -diff)
 
     best = {0: 0}  # closed set -> its seed; a seed's cost is its size
     closures: dict[int, int] = {}
@@ -327,32 +327,32 @@ def _min_zfs_connected_mask(g: Graph) -> tuple[int, ...]:
             break
         if best[closed] != seed:
             continue  # superseded
+        room = bound - cost
         white = full ^ closed
-        for bit, row, ball in rows:
-            around = row & white
-            if around:
-                top = 1 << (around.bit_length() - 1)
-                add = (ball & white) ^ top
-            elif white & bit:
-                top, add = 0, bit
-            else:
+        for row, ball in rows:
+            near = ball & white
+            if not near:
                 continue
-            step = cost + add.bit_count()
+            size = near.bit_count() - 1 or 1  # all of N[v] but the forced node; v if none
+            if size > room:
+                continue
+            top = 1 << (row & white).bit_length() >> 1  # the forced node; 0 if none
+            add = near ^ top
             grown = seed | add
-            if step > bound or (step == bound and not smaller(grown, answer)):
-                continue
-            black = closed | add | top
+            if size == room and not grown & (diff := grown ^ answer) & -diff:
+                continue  # not smaller than the best full set
+            black = closed | near
             state = closures.get(black)
             if state is None:
-                state = closures[black] = close(black, add | top)
+                state = closures[black] = close(black, near)
             if state == full:
-                bound, answer = step, grown
-            elif step < bound:
-                old = best.get(state)
-                if old is None or step < old.bit_count() or (
-                        step == old.bit_count() and smaller(grown, old)):
+                bound, answer, room = cost + size, grown, size
+            elif size < room:
+                old = best.get(state, full)  # full costs more than any step
+                more = old.bit_count() - cost - size
+                if more > 0 or not more and grown & (diff := grown ^ old) & -diff:
                     best[state] = grown
-                    heappush(heap, (step, state, grown))
+                    heappush(heap, (cost + size, state, grown))
     return tuple(v + 1 for v in range(n) if answer >> v & 1)
 
 

@@ -34,6 +34,19 @@ def test_numpy_is_the_only_runtime_dependency():
     assert foreign == []
 
 
+def oldest_python() -> tuple[int, int]:
+    """The minimum version in ``pyproject.toml``'s ``requires-python``."""
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    return int(major), int(minor)
+
+
+def test_every_module_parses_at_the_oldest_supported_python():
+    """Each ``src/`` module uses only the grammar of the oldest Python it declares."""
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=oldest_python())
+
+
 def test_every_import_is_used():
     """Each name a module imports is read in that module or listed in ``__all__``."""
     unused = []
@@ -127,3 +140,5 @@ def test_ci_runs_the_tier1_command():
     runs = [step.get("run") for job in workflow["jobs"].values() for step in job["steps"]]
     assert "pip install -e .[test]" in runs
     assert command in runs
+    versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]
+    assert "{}.{}".format(*oldest_python()) in versions

@@ -588,6 +588,27 @@ class TestMinimumZfs:
         assert minimum_zero_forcing_set(g) == NodeSet([1, 4, 5])
 
 
+def tie_heavy_graphs():
+    """Graphs with many minimum zero forcing sets, as pytest params of (n, edges)."""
+    out = [pytest.param(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)],
+                        id=f"K{a},{b}") for a in range(2, 6) for b in range(a, 6)]
+    out += [pytest.param(1 << d, [(v + 1, (v | 1 << k) + 1) for v in range(1 << d)
+                                  for k in range(d) if not v >> k & 1], id=f"Q{d}") for d in (3, 4)]
+    petersen = [(k + 1, (k + 1) % 5 + 1) for k in range(5)] + [(k + 1, k + 6) for k in range(5)]
+    petersen += [(k + 6, (k + 2) % 5 + 6) for k in range(5)]  # inner pentagram
+    out.append(pytest.param(10, petersen, id="petersen"))
+    out += [pytest.param(k + 1, [(1, v) for v in range(2, k + 2)]  # hub 1 and a k-cycle
+                         + [(v + 1, v % k + 2) for v in range(1, k + 1)], id=f"W{k}")
+            for k in range(5, 10)]
+    out += [pytest.param(2 * k, [(c, c + 1) for c in range(1, k)]
+                         + [(c + k, c + k + 1) for c in range(1, k)]
+                         + [(c, c + k) for c in range(1, k + 1)], id=f"ladder{k}")
+            for k in range(2, 9)]
+    out += [pytest.param(n, [(i, i % n + 1) for i in range(1, n + 1)] + [(1, j)], id=f"C{n}+1-{j}")
+            for n in (5, 7, 10) for j in range(3, n // 2 + 2)]
+    return out
+
+
 class TestExactSearch:
     """The wavefront search against the depth-first reference."""
 
@@ -638,6 +659,18 @@ class TestExactSearch:
         assert len(edges) == 153
         assert minimum_zero_forcing_set(Graph(25, edges)) == NodeSet(
             [1, 4, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 20, 21, 24])
+
+    @pytest.mark.parametrize("n, edges", tie_heavy_graphs())
+    def test_tie_heavy_families_match_the_dfs_reference(self, n, edges):
+        assert minimum_zero_forcing_set(Graph(n, edges)).members == dfs_min_zfs(n, edges)
+
+    def test_graphs_shaped_like_the_benchmark_match_the_dfs_reference(self):
+        # A random tree plus 3n/4 chords: average degree 3.5, many equal-cost seeds.
+        rng = np.random.default_rng(89)
+        for _ in range(40):
+            n = int(rng.integers(8, 19))
+            edges = sparse_connected_edges(rng, n, 3 * n // 4)
+            assert minimum_zero_forcing_set(Graph(n, edges)).members == dfs_min_zfs(n, edges)
 
 
 class TestWavefrontOracle:

@@ -149,9 +149,10 @@ def identify(markov: MarkovSequence, g: Graph, target: Iterable[int]) -> Reconst
 
 def _plan(g: Graph, v_in: NodeSet, v_out: NodeSet, target: Iterable[int]) -> tuple:
     """What :func:`identify` reads from the graph: ``(target, w, sizes,
-    forces, pos, pattern, fpos, pmask)``, with the replayed rounds' sizes
-    and forces, and ``fpos`` and ``pmask`` the forcing nodes' positions
-    and P masks in chronicle order."""
+    forcing, forced, pos, pattern, fpos, pmask)``, with the replayed
+    rounds' sizes, forcing nodes and forced nodes, and ``fpos`` and
+    ``pmask`` the forcing nodes' positions and P masks in chronicle
+    order."""
     target = g.check_nodes(target)
     report = certify(g, v_in, v_out)
     w, reachable, chronicle = report.w, report.certified_nodes, report.chronicle
@@ -164,19 +165,19 @@ def _plan(g: Graph, v_in: NodeSet, v_out: NodeSet, target: Iterable[int]) -> tup
             "see identifiability.certify"
         )
 
-    # Only the rounds that reach the target matter.
+    # Only the rounds that reach the target matter: the first r rounds, t forces.
     missing_nodes = set(target.difference(w))
-    prefix: list[tuple[tuple[int, int], ...]] = []
-    for forces in chronicle.round_forces():
+    forced, r, t = chronicle.forced, 0, 0
+    for count in chronicle.rounds:
         if not missing_nodes:
             break
-        prefix.append(forces)
-        missing_nodes.difference_update(v for _, v in forces)
+        missing_nodes.difference_update(forced[t : t + count])
+        r, t = r + 1, t + count
+    forcing, forced = chronicle.forcing[:t], forced[:t]
 
     # powers[k, pos[i], pos[j]] = (X^k)_{ij}: the overlap first, then each
     # round's forced nodes, so force f forces the node at position |w| + f.
-    forces = [f for round_ in prefix for f in round_]
-    nodes = list(w) + [v for _, v in forces]
+    nodes = [*w, *forced]
     pos = np.full(g.n + 1, -1)
     pos[nodes] = np.arange(len(nodes))
     # pattern[a, c]: the nodes at positions a and c are equal or adjacent.
@@ -185,10 +186,10 @@ def _plan(g: Graph, v_in: NodeSet, v_out: NodeSet, target: Iterable[int]) -> tup
     pattern = np.eye(len(nodes), dtype=bool)
     pattern[ends[:, 0], ends[:, 1]] = pattern[ends[:, 1], ends[:, 0]] = True
     # A forcing node knows every neighbour at its round's start but the forced one.
-    fpos = pos[[u for u, _ in forces]]
+    fpos = pos[list(forcing)]
     pmask = pattern[fpos]
-    pmask[np.arange(len(forces)), np.arange(len(w), len(nodes))] = False
-    return target, w, chronicle.rounds[: len(prefix)], forces, pos, pattern, fpos, pmask
+    pmask[np.arange(t), np.arange(len(w), len(nodes))] = False
+    return target, w, chronicle.rounds[:r], forcing, forced, pos, pattern, fpos, pmask
 
 
 # Finite data can overflow float64 mid-replay, and a bad round turns the
@@ -196,12 +197,12 @@ def _plan(g: Graph, v_in: NodeSet, v_out: NodeSet, target: Iterable[int]) -> tup
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
     """Replay a :func:`_plan` on Markov data: the numeric part of :func:`identify`."""
-    target, w, sizes, forces, pos, pattern, fpos, pmask = plan
+    target, w, sizes, forcing, forced, pos, pattern, fpos, pmask = plan
     needed = 2 * len(sizes) + 2
     if markov.order < needed:
         raise InsufficientOrderError(
             f"markov order {markov.order} is insufficient: replaying {len(sizes)} "
-            f"propagation round(s) ({len(forces)} force(s)) needs order {needed}",
+            f"propagation round(s) ({len(forced)} force(s)) needs order {needed}",
             required=needed,
         )
     expected = (len(markov.v_out), len(markov.v_in))
@@ -226,7 +227,7 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
         raise InputError(f"{_BEYOND_RANGE}: the symmetrised overlap is not finite")
     powers[:, :b, :b] = top
 
-    squared = np.empty(len(forces))
+    squared = np.empty(len(forced))
     s = 0
     for rnd, count in enumerate(sizes, start=1):
         # Round rnd reads orders 1..k_max and writes orders 1..k_max-2 of
@@ -272,7 +273,7 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
         degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
         overflow = ~np.isfinite(squared)
         a = np.flatnonzero(overflow | degenerate | (squared < 0.0))[0]
-        u, v = forces[a]
+        u, v = forcing[a], forced[a]
         if overflow[a]:
             raise InputError(f"{_BEYOND_RANGE}: squared weight of edge ({u},{v}) is not finite")
         if degenerate[a]:
@@ -319,7 +320,6 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
     # X_{uv} = X^1[v, u]: force f's forced node sits at position |w| + f.
     weights = powers[1, np.arange(len(w), len(pattern)), fpos].tolist()
     rounds = [rnd for rnd, count in enumerate(sizes, start=1) for _ in range(count)]
-    # With no forces, zip(*forces) adds no iterable and the empty rounds end the map.
-    steps = range(1, len(forces) + 1)
-    records = tuple(map(ForceStepRecord, steps, rounds, *zip(*forces), weights))
+    steps = range(1, len(forced) + 1)
+    records = tuple(map(ForceStepRecord, steps, rounds, forcing, forced, weights))
     return ReconstructionResult(target, recovered, records, tuple(notes))

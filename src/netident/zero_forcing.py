@@ -21,7 +21,7 @@ it reaches, not the number of candidate sets of a size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, compress, pairwise, repeat
 
@@ -41,88 +41,97 @@ EXACT_SEARCH_DEFAULT_BUDGET = 25
 _EXACT_DIAMETER_MAX_NODES = 512  # larger graphs take the double BFS sweep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ForcingChronicle:
     """Ordered witness of how an initial black set grew to its derived set.
 
+    Force ``i`` is ``forcing[i]`` forcing ``forced[i]``; the constructor
+    takes ``(u, v)`` pairs and ``forces`` builds them again on each read.
     ``rounds`` holds the number of forces in each propagation round, in
     order; every force of a round must be valid against the black set at
-    the round's start, and ``rounds`` must sum to ``len(forces)``.
+    the round's start, and ``rounds`` must sum to the number of forces.
     """
 
     initial: NodeSet
-    forces: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-    rounds: tuple[int, ...] = field(default_factory=tuple)
+    forcing: tuple[int, ...]
+    forced: tuple[int, ...]
+    rounds: tuple[int, ...]
 
-    def __post_init__(self):
-        rounds = tuple(self.rounds)
-        if min(rounds, default=1) < 1 or sum(rounds) != len(self.forces):
+    def __init__(self, initial: NodeSet, forces=(), rounds=()):
+        forces, rounds = tuple(forces), tuple(rounds)
+        if min(rounds, default=1) < 1 or sum(rounds) != len(forces):
             raise InputError(
                 f"round sizes {list(rounds)} must be positive and sum to the "
-                f"{len(self.forces)} force(s)"
+                f"{len(forces)} force(s)"
             )
-        object.__setattr__(self, "rounds", rounds)
+        for name, value in (("initial", initial), ("forcing", tuple(u for u, _ in forces)),
+                            ("forced", tuple(v for _, v in forces)), ("rounds", rounds)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def forces(self) -> tuple[tuple[int, int], ...]:
+        """The ``(forcing, forced)`` pairs, built on each read."""
+        return tuple(zip(self.forcing, self.forced))
 
     @property
     def derived(self) -> NodeSet:
-        return self.initial.union(v for _, v in self.forces)
+        return self.initial.union(self.forced)
 
     def __len__(self) -> int:
-        return len(self.forces)
-
-    def round_forces(self) -> list[tuple[tuple[int, int], ...]]:
-        """The forces split into their propagation rounds."""
-        out, start = [], 0
-        for count in self.rounds:
-            out.append(self.forces[start:start + count])
-            start += count
-        return out
+        return len(self.forced)
 
     def replay(self, g: Graph) -> NodeSet:
         """Re-apply every round on ``g``, checking each force's precondition.
 
         Each force is checked against the black set at its round's start,
-        so a round that groups dependent forces is rejected. Runs in time
+        so a round that groups dependent forces is rejected. The rounds are
+        walked by index over ``forcing`` and ``forced``, and a force is
+        accepted after one pass over its forcing node's row; the list of
+        white neighbours is built only to word an error. Runs in time
         linear in the chronicle plus the forcing nodes' degrees, plus O(n)
         to set up and read the colours. Returns the final black set;
         raises InputError at the first invalid force.
         """
         n = g.n
         nbrs = g.neighbour_rows
+        forcing, forced = self.forcing, self.forced
         black = [0] * (n + 1)
         for u in g.check_nodes(self.initial):
             black[u] = 1
-        step = 0
-        for r, forces in enumerate(self.round_forces(), start=1):
-            for u, v in forces:
-                step += 1
-                problem = None
-                if not (1 <= u <= n and 1 <= v <= n):
-                    problem = f"node outside 1..{n}"
-                elif not black[u]:
-                    problem = f"forcing node {u} is not black"
-                else:
-                    whites = [w for w in nbrs[u] if not black[w]]
-                    if whites != [v]:
-                        problem = (f"white neighbours of {u} are {whites}, "
+        s = 0
+        for r, count in enumerate(self.rounds, start=1):
+            t = s + count
+            for i in range(s, t):
+                u, v = forcing[i], forced[i]
+                whites = 0  # 1 iff v is u's one white neighbour
+                if 1 <= u <= n and black[u]:
+                    for w in nbrs[u]:
+                        if not black[w]:
+                            whites += 1 if w == v else 2
+                if whites != 1:
+                    if not (1 <= u <= n and 1 <= v <= n):
+                        problem = f"node outside 1..{n}"
+                    elif not black[u]:
+                        problem = f"forcing node {u} is not black"
+                    else:
+                        problem = (f"white neighbours of {u} are "
+                                   f"{[w for w in nbrs[u] if not black[w]]}, "
                                    f"expected exactly [{v}]")
-                if problem is not None:
-                    raise InputError(
-                        f"chronicle invalid at step {step} (round {r}): "
-                        f"force ({u},{v}): {problem}"
-                    )
-            for _, v in forces:
+                    raise InputError(f"chronicle invalid at step {i + 1} (round {r}): "
+                                     f"force ({u},{v}): {problem}")
+            for v in forced[s:t]:
                 if black[v]:
                     raise InputError(
                         f"chronicle invalid in round {r}: node {v} is forced twice"
                     )
                 black[v] = 1
+            s = t
         return _built(NodeSet, members=tuple(compress(range(n + 1), black)))
 
     def to_json(self) -> dict:
         return {
             "initial": self.initial.to_json(),
-            "forces": [list(f) for f in self.forces],
+            "forces": list(map(list, zip(self.forcing, self.forced))),
             "rounds": list(self.rounds),
             "derived": self.derived.to_json(),
         }
@@ -167,14 +176,20 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     last round can force in the next one. A run of rounds with a single
     candidate forcer, as along a chain, is walked by one loop that
     tracks that candidate; a force that leaves two or more candidates
-    falls back to the general round. A closure that reaches every node is
-    ``1..n``, with no scan of the colours.
+    falls back to the general round. The loop that decrements the counts
+    of the forced node's neighbours also finds its white one, so when the
+    forced node is the next forcer it forces with no scan; a forcer's row
+    is scanned only when the next candidate is some other node. Forces
+    are kept as two int lists, forcing and forced nodes, with no tuple
+    per force. A closure that reaches every node is ``1..n``, with no
+    scan of the colours.
     """
     z = g.check_nodes(z)
     memo = getattr(z, "_closure", None)  # unset until z is first closed
     if memo is not None and memo[0] is g:
-        _, derived, forces, rounds = memo
-        return derived, _built(ForcingChronicle, initial=z, forces=forces, rounds=rounds)
+        _, derived, forcing, forced, rounds = memo
+        return derived, _built(ForcingChronicle, initial=z, forcing=forcing, forced=forced,
+                               rounds=rounds)
     n = g.n
     nbrs = g.neighbour_rows
     black = [0] * (n + 1)  # 0 white, 1 black, 2 forced in the current round
@@ -198,25 +213,31 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
         active = sorted({w for v in whites for w in nbrs[v]
                          if black[w] and white_deg[w] == 1})
 
-    forces: list[tuple[int, int]] = []
+    forcing: list[int] = []
+    forced: list[int] = []
     rounds: list[int] = []
-    force = forces.append
     while active:
         if len(active) == 1:  # a chain: each round is one force by the one candidate
-            u, many, start = active[0], False, len(forces)
+            u, v, many, start = active[0], 0, False, len(forced)
             while u and not many:
-                for v in nbrs[u]:
-                    if not black[v]:
-                        break
+                if u == v:  # the node just forced forces its one white neighbour x
+                    v = x
+                else:
+                    for v in nbrs[u]:
+                        if not black[v]:
+                            break
                 black[v] = 1
-                force((u, v))
+                forcing.append(u)
+                forced.append(v)
                 u = v if white_deg[v] == 1 else 0  # the next candidate, if any
                 for w in nbrs[v]:
                     white_deg[w] -= 1
-                    if white_deg[w] == 1 and black[w]:
+                    if not black[w]:
+                        x = w
+                    elif white_deg[w] == 1:
                         many = many or u > 0  # u was a candidate already
                         u = w
-            rounds.extend(repeat(1, len(forces) - start))
+            rounds.extend(repeat(1, len(forced) - start))
             if not many:
                 break
             # Candidates: v and its black neighbours whose count is now one.
@@ -230,7 +251,8 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
             if not black[v]:  # else a smaller forcing node took it
                 black[v] = 2
                 new.append(v)
-                force((u, v))
+                forcing.append(u)
+        forced += new
         rounds.append(len(new))
         for v in new:
             black[v] = 1
@@ -245,11 +267,12 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
         active = sorted({w for w in touched if white_deg[w] == 1})
 
     # A closure of every node needs no scan of the colours.
-    members = range(1, n + 1) if len(z) + len(forces) == n else compress(range(n + 1), black)
+    members = range(1, n + 1) if len(z) + len(forced) == n else compress(range(n + 1), black)
     derived = _built(NodeSet, members=tuple(members))
-    forces, rounds = tuple(forces), tuple(rounds)
-    z._closure = (g, derived, forces, rounds)
-    return derived, _built(ForcingChronicle, initial=z, forces=forces, rounds=rounds)
+    forcing, forced, rounds = tuple(forcing), tuple(forced), tuple(rounds)
+    z._closure = (g, derived, forcing, forced, rounds)
+    return derived, _built(ForcingChronicle, initial=z, forcing=forcing, forced=forced,
+                           rounds=rounds)
 
 
 def is_zero_forcing_set(g: Graph, z: NodeSet) -> bool:

@@ -3,9 +3,11 @@
 Everything here works on raw (n, edge list) data and plain numpy so it
 shares no code path with the library: forcing fixpoints by repeated
 full rescans, minimum sets by subset enumeration, by depth-first search
-or by a wavefront search, Markov blocks by numpy matrix powers. The one
-exception is ``reference_identify``, the previous round loop of
-``identify``, kept to pin the library's replay bit for bit.
+or by a wavefront search, Markov blocks by numpy matrix powers. The two
+exceptions are ``reference_identify``, the previous round loop of
+``identify``, kept to pin the library's replay bit for bit, and
+``reference_replay``, the previous ``ForcingChronicle.replay``, kept to
+pin the chronicle check's results and error messages.
 """
 
 import heapq
@@ -315,8 +317,9 @@ def reference_identify(markov, g, target):
                 "see identifiability.certify"
             )
         missing_nodes = set(target.difference(w))
-        prefix = []
-        for forces in chronicle.round_forces():
+        prefix, pairs, start = [], chronicle.forces, 0
+        for count in chronicle.rounds:
+            forces, start = pairs[start:start + count], start + count
             if not missing_nodes:
                 break
             prefix.append(forces)
@@ -428,6 +431,48 @@ def reference_identify(markov, g, target):
     return ReconstructionResult(
         nodes=target, recovered=recovered, diagnostics=tuple(records), notes=tuple(notes)
     )
+
+
+def reference_replay(chronicle, g):
+    """The previous ``ForcingChronicle.replay``: it splits the forces into
+    rounds as pairs and checks each force by listing its forcing node's
+    white neighbours. Returns the final black set as a NodeSet; raises
+    the library's InputError at the first invalid force."""
+    from netident.errors import InputError
+    from netident.graph_core import NodeSet
+
+    n = g.n
+    nbrs = g.neighbour_rows
+    black = [0] * (n + 1)
+    for u in g.check_nodes(chronicle.initial):
+        black[u] = 1
+    step, start = 0, 0
+    for r, count in enumerate(chronicle.rounds, start=1):
+        forces, start = chronicle.forces[start:start + count], start + count
+        for u, v in forces:
+            step += 1
+            problem = None
+            if not (1 <= u <= n and 1 <= v <= n):
+                problem = f"node outside 1..{n}"
+            elif not black[u]:
+                problem = f"forcing node {u} is not black"
+            else:
+                whites = [w for w in nbrs[u] if not black[w]]
+                if whites != [v]:
+                    problem = (f"white neighbours of {u} are {whites}, "
+                               f"expected exactly [{v}]")
+            if problem is not None:
+                raise InputError(
+                    f"chronicle invalid at step {step} (round {r}): "
+                    f"force ({u},{v}): {problem}"
+                )
+        for _, v in forces:
+            if black[v]:
+                raise InputError(
+                    f"chronicle invalid in round {r}: node {v} is forced twice"
+                )
+            black[v] = 1
+    return NodeSet(v for v in range(1, n + 1) if black[v])
 
 
 # -- random instance generators -------------------------------------------

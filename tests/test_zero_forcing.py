@@ -1,5 +1,6 @@
 import gc
 import heapq
+import json
 from itertools import pairwise, product
 
 import numpy as np
@@ -38,6 +39,7 @@ from oracles import (
     random_connected_edges,
     random_graph_edges,
     random_tree_edges,
+    reference_replay,
     relabelled_components,
     round_chronicle,
     shuffled_derived,
@@ -215,6 +217,16 @@ class TestChronicle:
         assert chronicle.to_json()["derived"] == [1, 2, 3, 4]
         assert chronicle.to_json()["rounds"] == [1, 1, 1]
 
+    @pytest.mark.parametrize("g, seed", [(path(9), [1]), (grid(6), None), (star(4), [2, 3, 4])],
+                             ids=["path", "grid", "star"])
+    def test_a_chronicle_built_from_pairs_is_the_closures_chronicle(self, g, seed):
+        seed = zfs_heuristic(g) if seed is None else NodeSet(seed)
+        _, chronicle = derived_set(g, seed)
+        built = ForcingChronicle(seed, chronicle.forces, chronicle.rounds)
+        assert built == chronicle and hash(built) == hash(chronicle)
+        assert json.dumps(built.to_json()) == json.dumps(chronicle.to_json())
+        assert (built.forcing, built.forced) == (chronicle.forcing, chronicle.forced)
+
     def test_json_without_rounds_rejected(self):
         blob = {"initial": [1], "forces": [[1, 2], [2, 3]]}
         with pytest.raises(InputError, match="bad chronicle JSON.*rounds"):
@@ -252,6 +264,85 @@ class TestChronicle:
         for rounds in ([2, 1], [0, 2], ["x"], 3, [[1], [1]]):
             with pytest.raises(InputError):
                 ForcingChronicle.from_json({**base, "rounds": rounds})
+
+
+def replay_outcome(replay, chronicle, g):
+    """A replay's returned members, or its InputError message."""
+    try:
+        return "set", replay(chronicle, g).members
+    except InputError as exc:
+        return "error", str(exc)
+
+
+MUTATIONS = ("swap", "drop", "duplicate", "retarget", "reforce", "merge", "split", "outside")
+
+
+def mutate(draw, n, forces, rounds):
+    """One edit of a chronicle's forces and round sizes, kept a partition."""
+    kind = draw(st.sampled_from(MUTATIONS), label="mutation")
+    ends = list(pairwise([0, *np.cumsum(rounds).tolist()]))
+    if kind == "merge" and len(rounds) > 1:
+        r = draw(st.integers(0, len(rounds) - 2), label="merged round")
+        rounds[r:r + 2] = [rounds[r] + rounds[r + 1]]
+    elif kind == "split" and max(rounds) > 1:
+        r = draw(st.sampled_from([r for r, c in enumerate(rounds) if c > 1]), label="split round")
+        cut = draw(st.integers(1, rounds[r] - 1), label="cut")
+        rounds[r:r + 1] = [cut, rounds[r] - cut]
+    elif kind in ("swap", "merge", "split"):
+        i = draw(st.integers(0, len(forces) - 1), label="swapped force")
+        j = draw(st.integers(0, len(forces) - 1), label="swapped with")
+        forces[i], forces[j] = forces[j], forces[i]
+    else:
+        i = draw(st.integers(0, len(forces) - 1), label="force")
+        r = next(r for r, (a, b) in enumerate(ends) if a <= i < b)
+        u, v = forces[i]
+        if kind == "drop":
+            del forces[i]
+            rounds[r] -= 1
+        elif kind == "duplicate":
+            forces.insert(i + 1, (u, v))
+            if draw(st.booleans(), label="in its own round"):
+                rounds.insert(r + 1, 1)
+            else:
+                rounds[r] += 1
+        elif kind == "outside":
+            bad = draw(st.sampled_from((0, -1, n + 1, n + 7)), label="outside node")
+            forces[i] = (bad, v) if draw(st.booleans(), label="forcer") else (u, bad)
+        else:
+            other = draw(st.integers(1, n), label="new node")
+            forces[i] = (u, other) if kind == "retarget" else (other, v)
+    return forces, [c for c in rounds if c]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("path", "tree", "random")), n=st.integers(2, 24),
+       seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_replay_matches_the_reference_on_mutated_chronicles(kind, n, seed, data):
+    # Valid chronicles on paths, trees and random graphs, then up to three
+    # edits: swapped, dropped, duplicated or retargeted forces (either end),
+    # merged or split rounds, nodes outside 1..n. The one-scan accept path and the
+    # list-building reference must return the same set or the same error.
+    rng = np.random.default_rng(seed)
+    if kind == "path":
+        edges = [(i, i + 1) for i in range(1, n)]
+    elif kind == "tree":
+        edges = random_tree_edges(rng, n)
+    else:
+        edges = random_graph_edges(rng, n, p=0.3)
+    g = Graph(n, edges)
+    z = data.draw(st.sampled_from(("heuristic", "random")), label="seed")
+    z = zfs_heuristic(g) if z == "heuristic" else NodeSet(
+        rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False).tolist())
+    _, chronicle = derived_set(g, z)
+    forces, rounds = list(chronicle.forces), list(chronicle.rounds)
+    for _ in range(data.draw(st.integers(0 if forces else 1, 3), label="edits")):
+        if forces:
+            forces, rounds = mutate(data.draw, n, forces, rounds)
+        else:  # nothing to edit: force from a random node
+            forces, rounds = [(data.draw(st.integers(-1, n + 1)), 1)], [1]
+    mutant = ForcingChronicle(z, forces, rounds)
+    assert replay_outcome(ForcingChronicle.replay, mutant, g) == replay_outcome(
+        reference_replay, mutant, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,21 +406,50 @@ def broom(handle, bristles):
     return handle + bristles, edges, [1] + list(range(handle + 1, handle + bristles + 1))
 
 
+def caterpillar(leaves):
+    """Spine 1..k, spine node i carrying ``leaves[i-1]`` leaves: (n, edges,
+    a hand-off seed). The seed is a leaf of spine node 1, or that node if it
+    has none, and each spine node after a leafless one, with its leaves."""
+    k = len(leaves)
+    edges, hung, nxt = [(i, i + 1) for i in range(1, k)], [], k + 1
+    for i, count in enumerate(leaves, start=1):
+        hung.append(list(range(nxt, nxt + count)))
+        edges += [(i, leaf) for leaf in hung[-1]]
+        nxt += count
+    seed = hung[0][:1] or [1]
+    for i in range(2, k + 1):
+        if not leaves[i - 2]:
+            seed += [i, *hung[i - 1]]
+    return nxt - 1, edges, seed
+
+
 def chain_cases():
-    """Spiders and brooms with seeds whose chains meet a branch point."""
+    """Spiders, brooms and caterpillars with seeds whose chains meet a
+    branch point, or hand over to a black neighbour of the node just forced."""
     for legs in ((3, 3, 3), (1, 4, 2), (5, 1, 1, 6), (2, 7, 3, 3, 1)):
         n, edges, ends = spider(legs)
         seeds = [[e] for e in ends] + [ends, ends[1:], ends[:-1], [1] + ends[2:]]
         # One leg's end plus the hub's neighbour on another leg: the chain
         # up the first leg makes the hub and that neighbour candidates at once.
         seeds += [[ends[0], j] for i, j in edges if i == 1 and j != edges[0][1]]
+        # The hub and every leg end but one: the last chain to reach the hub
+        # leaves it one white neighbour, and the hub takes the chain over.
+        seeds += [[1] + ends[:-1], [1] + ends[1:]]
         yield f"spider{legs}", n, edges, seeds
     for handle, bristles in ((4, 3), (6, 1), (3, 8), (9, 5)):
         n, edges, tips = broom(handle, bristles)
         leaves = tips[1:]
         seeds = [[1], leaves, leaves[:-1], [1] + leaves[:-1], [1] + leaves[1:],
                  [leaves[0]], [handle] + leaves[:-1]]
+        # A black centre: the chain up the handle ends at its neighbour,
+        # and the centre forces the one white bristle.
+        seeds += [[1, handle] + leaves[:-1]]
         yield f"broom{handle, bristles}", n, edges, seeds
+    # Leaves on every other spine node: each black island of a spine node
+    # and its leaves has two white spine neighbours until the chain comes.
+    for leaves in ((1, 0, 2, 0, 1, 0, 3, 1), (1, 0, 3, 0, 1, 0, 2, 2), (1, 0) * 6 + (1, 1)):
+        n, edges, seed = caterpillar(leaves)
+        yield f"caterpillar{leaves}", n, edges, [seed]
 
 
 @pytest.mark.parametrize("name, n, edges, seeds", list(chain_cases()),
@@ -394,6 +514,13 @@ def test_chain_walk_matches_round_oracle(kind, n, seed, data):
     if kind == "path":
         mid = (n + 1) // 2
         seeds += [[1], [n], [mid], [mid, min(mid + 1, n)]]
+    else:
+        # The one node plus islands, nodes taken with their leaves: a chain
+        # that empties a node next to an island can hand over to it.
+        rows = g.neighbour_rows
+        islands = data.draw(st.lists(st.integers(1, n), max_size=n // 6 + 1), label="islands")
+        seeds.append(seeds[0] + [w for b in islands for w in (b, *rows[b]) if w == b
+                                 or len(rows[w]) == 1])
     for z in seeds:
         derived, chronicle = derived_set(g, NodeSet(z))
         forces, rounds = round_chronicle(n, edges, z)
@@ -410,7 +537,9 @@ class TestClosureMemo:
         seed = zfs_heuristic(g)
         report = certify(g, seed, seed)
         derived, chronicle = derived_set(g, seed)
-        assert report.chronicle.forces is chronicle.forces
+        # forces is built on each read; the memo shares the tuples it is built from.
+        assert report.chronicle.forcing is chronicle.forcing
+        assert report.chronicle.forced is chronicle.forced
         assert report.chronicle.rounds is chronicle.rounds
         assert report.certified_nodes is derived
         assert chronicle.initial is seed and len(chronicle.forces) > 0
@@ -421,7 +550,7 @@ class TestClosureMemo:
         _, first = derived_set(g, seed)
         fresh = NodeSet(seed.members)
         derived, again = derived_set(g, fresh)
-        assert again.forces is not first.forces
+        assert again.forcing is not first.forcing and again.forced is not first.forced
         assert again.forces == first.forces and again.rounds == first.rounds
         assert derived == g.nodes and again.initial is fresh
 
@@ -442,7 +571,7 @@ class TestClosureMemo:
         g, twin = grid(5), grid(5)
         derived, chronicle = derived_set(g, seed)
         derived2, chronicle2 = derived_set(twin, seed)
-        assert derived2 == derived and chronicle2.forces is not chronicle.forces
+        assert derived2 == derived and chronicle2.forcing is not chronicle.forcing
         assert (chronicle2.forces, chronicle2.rounds) == (chronicle.forces, chronicle.rounds)
 
     def test_the_memo_is_not_part_of_the_value(self):

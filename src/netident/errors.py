@@ -54,6 +54,10 @@ class DeconvolutionBlockedError(DomainError):
         super().__init__(message)
         self.k = k
 
+    def __reduce__(self):
+        # Unpickling calls the class with ``args``, which lack ``k``.
+        return type(self), (*self.args, self.k), self.__dict__
+
 
 class NoHiddenNodesError(DomainError):
     """Counterexample construction needs at least one non-input non-output node."""

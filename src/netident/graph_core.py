@@ -2,9 +2,7 @@
 
 Nodes are identified by the integers ``1..n`` in every public interface.
 Graphs are simple: no self-loops, no parallel edges. All types in this
-module are immutable after construction and safe to share across threads;
-a NodeSet's closure memo is not part of its value, and a thread that
-replaces it leaves it valid.
+module are immutable after construction and safe to share across threads.
 
 Each value is checked once, where it enters from outside: public
 constructors check their fields, and a value the library has just built,
@@ -75,15 +73,9 @@ class NodeSet:
     at least 1, and duplicates collapse. The library builds sets whose ids
     are valid by construction, such as a scan of ``range(1, n + 1)`` or a
     filter of an existing NodeSet, through :func:`_built`.
-
-    ``_closure`` is a memo that :func:`~netident.zero_forcing.derived_set`
-    sets on a seed: the graph object it last closed the seed on, with
-    that closure. A seed object is closed once per graph object. The memo
-    is not part of the value: equality, hashing and JSON read ``members``
-    alone, and an equal NodeSet built afresh has no memo (the slot is unset).
     """
 
-    __slots__ = ("members", "_closure")
+    __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int] = ()):
         seen = set()

@@ -73,13 +73,8 @@ def certify(g: Graph, v_in: Iterable[int], v_out: Iterable[int]) -> Identifiabil
 
     The seed is the intersection of inputs and outputs; the certified
     nodes are its derived set under the colour-change rule. Full
-    certification is exactly the seed being a zero forcing set.
-
-    Equal node sets make ``v_in`` itself the seed, and :func:`derived_set`
-    closes a seed object once per graph object, so a seed already closed
-    on ``g`` is not closed again; a ``zfs_heuristic`` seed is first
-    closed here. The memo does not change the seed's equality, hashing
-    or JSON.
+    certification is exactly the seed being a zero forcing set. Equal
+    node sets make ``v_in`` itself the seed.
     """
     v_in = g.check_nodes(v_in)
     v_out = g.check_nodes(v_out)

@@ -137,12 +137,6 @@ def identify(markov: MarkovSequence, g: Graph, target: Iterable[int]) -> Reconst
     squared edge weights are checked after the loop, first force first:
     one that vanishes raises DegenerateWeightError, a negative one
     InconsistentDataError, one past float64 range InputError.
-
-    The chronicle comes from certify, and a seed object is closed once
-    per graph object (see :func:`~netident.zero_forcing.derived_set`):
-    data built on the heuristic's seed, passed as both node sets, replays
-    the closure its first certify or derived_set made. The memo does not
-    change the seed's equality, hashing or JSON.
     """
     return _replay(markov, _plan(g, markov.v_in, markov.v_out, target))
 

@@ -154,15 +154,8 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     Returns the derived set together with its round chronicle: each
     round holds every force valid against the black set at the round's
     start, in ascending forcing node, the smaller forcing node winning a
-    shared target. The derived set itself is order-independent.
-
-    A seed object is closed once per graph object: the closure is kept
-    on ``z`` (see :class:`~netident.graph_core.NodeSet`) with a reference
-    to ``g``, and closing the same ``z`` on the same ``g`` again returns
-    the same derived set and forces in a new chronicle. The graph is
-    compared by identity, so an equal graph, or an equal NodeSet built
-    afresh, is closed again. The memo holds the chronicle's parts, not
-    the chronicle, whose ``initial`` is ``z``, so it makes no cycle.
+    shared target. The derived set itself is order-independent. Each
+    call closes ``z`` and keeps nothing between calls.
 
     Each node keeps a count of its white neighbours, updated as nodes
     turn black. The counts start from the smaller side: a seed of at
@@ -185,11 +178,6 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     scan of the colours.
     """
     z = g.check_nodes(z)
-    memo = getattr(z, "_closure", None)  # unset until z is first closed
-    if memo is not None and memo[0] is g:
-        _, derived, forcing, forced, rounds = memo
-        return derived, _built(ForcingChronicle, initial=z, forcing=forcing, forced=forced,
-                               rounds=rounds)
     n = g.n
     nbrs = g.neighbour_rows
     black = [0] * (n + 1)  # 0 white, 1 black, 2 forced in the current round
@@ -269,10 +257,8 @@ def derived_set(g: Graph, z: NodeSet) -> tuple[NodeSet, ForcingChronicle]:
     # A closure of every node needs no scan of the colours.
     members = range(1, n + 1) if len(z) + len(forced) == n else compress(range(n + 1), black)
     derived = _built(NodeSet, members=tuple(members))
-    forcing, forced, rounds = tuple(forcing), tuple(forced), tuple(rounds)
-    z._closure = (g, derived, forcing, forced, rounds)
-    return derived, _built(ForcingChronicle, initial=z, forcing=forcing, forced=forced,
-                           rounds=rounds)
+    return derived, _built(ForcingChronicle, initial=z, forcing=tuple(forcing),
+                           forced=tuple(forced), rounds=tuple(rounds))
 
 
 def is_zero_forcing_set(g: Graph, z: NodeSet) -> bool:

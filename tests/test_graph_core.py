@@ -372,12 +372,11 @@ def test_values_built_unchecked_equal_the_checked_constructors(n, connected, p, 
     size = data.draw(st.integers(0, n), label="seed size")
     z = NodeSet(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
 
-    def same_set(built, fresh=True):
+    def same_set(built):
         assert all(type(m) is int for m in built.members)
         assert built.members == NodeSet(built.members).members
-        assert not hasattr(built, "_closure") or not fresh  # the heuristic may close its seed
 
-    for seed_set in (z, z, zfs_heuristic(g)):  # the second call of z hits the memo
+    for seed_set in (z, zfs_heuristic(g)):
         derived, chronicle = derived_set(g, seed_set)
         same_set(derived)
         checked = ForcingChronicle(chronicle.initial, chronicle.forces, chronicle.rounds)
@@ -386,7 +385,7 @@ def test_values_built_unchecked_equal_the_checked_constructors(n, connected, p, 
         same_set(chronicle.replay(g))
         same_set(derived.intersection(z))
         same_set(derived.difference(z))
-    same_set(zfs_heuristic(g), fresh=False)
+    same_set(zfs_heuristic(g))
     same_set(g.nodes)
     for comp in g.components():
         same_set(comp)

@@ -131,7 +131,9 @@ def test_docstring_references_resolve():
 
 
 def test_ci_runs_the_tier1_command():
-    """The CI workflow loads as YAML and runs the ROADMAP's tier-1 command."""
+    """The CI workflow loads as YAML, runs the ROADMAP's tier-1 command, and
+    tests the oldest Python and the oldest numpy that ``pyproject.toml``
+    declares, together."""
     yaml = pytest.importorskip("yaml")
     root = SRC.parent.parent
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
@@ -140,5 +142,9 @@ def test_ci_runs_the_tier1_command():
     runs = [step.get("run") for job in workflow["jobs"].values() for step in job["steps"]]
     assert "pip install -e .[test]" in runs
     assert command in runs
-    versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]
-    assert "{}.{}".format(*oldest_python()) in versions
+    matrix = workflow["jobs"]["tests"]["strategy"]["matrix"]
+    oldest = "{}.{}".format(*oldest_python())
+    assert oldest in matrix["python-version"]
+    floor = re.search(r'"numpy>=(\d+\.\d+)"', (root / "pyproject.toml").read_text()).group(1)
+    assert {"python-version": oldest, "numpy": f"{floor}.*"} in matrix["include"]
+    assert 'pip install "numpy==${{ matrix.numpy }}"' in runs

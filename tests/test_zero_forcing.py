@@ -1,6 +1,7 @@
 import gc
 import heapq
 import json
+import weakref
 from itertools import pairwise, product
 
 import numpy as np
@@ -529,30 +530,29 @@ def test_chain_walk_matches_round_oracle(kind, n, seed, data):
         assert set(derived) == naive_derived(n, edges, z), z
 
 
-class TestClosureMemo:
-    """derived_set closes a seed object once per graph object."""
+class TestClosureIsAFunctionOfGraphAndSeed:
+    """derived_set closes the seed on every call and keeps nothing."""
 
-    def test_the_heuristic_closure_serves_certify_and_the_caller(self):
+    def test_certify_and_the_caller_get_equal_closures(self):
         g = grid(6)
         seed = zfs_heuristic(g)
         report = certify(g, seed, seed)
         derived, chronicle = derived_set(g, seed)
-        # forces is built on each read; the memo shares the tuples it is built from.
-        assert report.chronicle.forcing is chronicle.forcing
-        assert report.chronicle.forced is chronicle.forced
-        assert report.chronicle.rounds is chronicle.rounds
-        assert report.certified_nodes is derived
+        assert report.chronicle.forcing == chronicle.forcing
+        assert report.chronicle.forced == chronicle.forced
+        assert report.chronicle.rounds == chronicle.rounds
+        assert report.certified_nodes == derived
         assert chronicle.initial is seed and len(chronicle.forces) > 0
 
-    def test_a_fresh_equal_seed_is_closed_again(self):
+    def test_each_call_closes_the_seed_again(self):
         g = grid(6)
         seed = zfs_heuristic(g)
         _, first = derived_set(g, seed)
-        fresh = NodeSet(seed.members)
-        derived, again = derived_set(g, fresh)
-        assert again.forcing is not first.forcing and again.forced is not first.forced
-        assert again.forces == first.forces and again.rounds == first.rounds
-        assert derived == g.nodes and again.initial is fresh
+        for again_seed in (seed, NodeSet(seed.members)):
+            derived, again = derived_set(g, again_seed)
+            assert again.forcing is not first.forcing and again.forced is not first.forced
+            assert again.forces == first.forces and again.rounds == first.rounds
+            assert derived == g.nodes and again.initial is again_seed
 
     def test_a_seed_moved_to_another_graph_gets_that_graphs_closure(self):
         g1 = path(6)
@@ -574,7 +574,8 @@ class TestClosureMemo:
         assert derived2 == derived and chronicle2.forcing is not chronicle.forcing
         assert (chronicle2.forces, chronicle2.rounds) == (chronicle.forces, chronicle.rounds)
 
-    def test_the_memo_is_not_part_of_the_value(self):
+    def test_closing_a_seed_leaves_no_state_on_it(self):
+        assert NodeSet.__slots__ == ("members",)
         g = grid(4)
         closed, fresh = NodeSet([1, 2, 3, 4]), NodeSet([1, 2, 3, 4])
         derived_set(g, closed)
@@ -582,9 +583,20 @@ class TestClosureMemo:
         assert closed.to_json() == fresh.to_json() == [1, 2, 3, 4]
         assert repr(closed) == repr(fresh)
 
+    def test_a_closed_seed_does_not_keep_its_graph_alive(self):
+        g = path(1000)
+        seed = NodeSet([1])
+        derived, chronicle = derived_set(g, seed)
+        certify(g, seed, seed)
+        graph = weakref.ref(g)
+        del g
+        gc.collect()
+        assert graph() is None
+        assert chronicle.initial is seed and len(derived) == 1000
+
     def test_closures_leave_no_cyclic_garbage(self):
-        # A memo that held the chronicle would make a cycle: seed, memo,
-        # chronicle, its initial set, which is the seed.
+        # A closure, a certificate or a replay that made a reference cycle
+        # would leave garbage for the collector.
         g = grid(5)
 
         def run():

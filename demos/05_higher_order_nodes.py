@@ -11,7 +11,6 @@ import numpy as np
 from netident import (
     DeconvolutionBlockedError,
     Graph,
-    LiftedSystem,
     NodeDynamics,
     NodeSet,
     coupling_condition,
@@ -43,7 +42,7 @@ w = zfs_heuristic(g)
 _, chronicle = derived_set(g, w)
 order = required_order(chronicle)
 
-lifted = lifted_markov(LiftedSystem(weights=x, dyn=dyn, v_in=w, v_out=w), order)
+lifted = lifted_markov(x, dyn, w, w, order)
 print(f"lifted blocks are {lifted.data[0].shape} (2 states per node, seeds {list(w)})")
 
 base = deconvolve(lifted, dyn)
@@ -56,7 +55,6 @@ nilpotent = NodeDynamics(A=np.zeros((2, 2)), B=np.eye(2), C=np.eye(2),
                          E=[[1.0], [0.0]], K=[[0.0, 1.0]])
 print("\nnilpotent coupling:", coupling_condition(nilpotent).to_json())
 try:
-    deconvolve(lifted_markov(
-        LiftedSystem(weights=x, dyn=nilpotent, v_in=w, v_out=w), order), nilpotent)
+    deconvolve(lifted_markov(x, nilpotent, w, w, order), nilpotent)
 except DeconvolutionBlockedError as err:
     print("deconvolution blocked at order", err.k)

@@ -35,7 +35,6 @@ from .graph_core import (
 )
 from .higher_order import (
     CouplingReport,
-    LiftedSystem,
     NodeDynamics,
     coupling_condition,
     deconvolve,
@@ -101,7 +100,6 @@ __all__ = [
     "required_order",
     "identify",
     "NodeDynamics",
-    "LiftedSystem",
     "CouplingReport",
     "coupling_condition",
     "lifted_markov",

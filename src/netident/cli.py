@@ -198,13 +198,9 @@ def _hod_check(args) -> None:
 
 
 def _hod_markov(args) -> None:
-    system = higher_order.LiftedSystem(
-        weights=WeightMatrix(args.graph, args.matrix),
-        dyn=args.dyn,
-        v_in=args.in_nodes,
-        v_out=args.out_nodes,
-    )
-    _emit_json(higher_order.lifted_markov(system, args.order).to_json())
+    x = WeightMatrix(args.graph, args.matrix)
+    lifted = higher_order.lifted_markov(x, args.dyn, args.in_nodes, args.out_nodes, args.order)
+    _emit_json(lifted.to_json())
 
 
 def _hod_recover(args) -> None:

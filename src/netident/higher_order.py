@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -28,12 +28,11 @@ from .errors import (
     InconsistentDataError,
     InputError,
 )
-from .graph_core import NodeSet, selection_matrix
+from .graph_core import selection_matrix
 from .netsim import MarkovSequence, WeightMatrix, _check_finite, _markov_blocks
 
 __all__ = [
     "NodeDynamics",
-    "LiftedSystem",
     "CouplingReport",
     "coupling_condition",
     "lifted_markov",
@@ -113,35 +112,6 @@ class NodeDynamics:
             raise InputError(f"bad node-dynamics JSON: {exc}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedSystem:
-    """A weighted network together with per-node dynamics."""
-
-    weights: WeightMatrix
-    dyn: NodeDynamics
-    v_in: NodeSet
-    v_out: NodeSet
-
-    def __post_init__(self):
-        object.__setattr__(self, "v_in", self.weights.graph.check_nodes(self.v_in))
-        object.__setattr__(self, "v_out", self.weights.graph.check_nodes(self.v_out))
-
-    @cached_property
-    def state_matrix(self) -> np.ndarray:
-        n = self.weights.n
-        return np.kron(np.eye(n), self.dyn.A) + np.kron(
-            self.weights.entries, self.dyn.coupling
-        )
-
-    @cached_property
-    def input_matrix(self) -> np.ndarray:
-        return np.kron(selection_matrix(self.weights.n, self.v_in), self.dyn.B)
-
-    @cached_property
-    def output_matrix(self) -> np.ndarray:
-        return np.kron(selection_matrix(self.weights.n, self.v_out).T, self.dyn.C)
-
-
 @dataclass(frozen=True)
 class CouplingReport:
     """Finite-horizon check of the coupling products C (EK)^k B."""
@@ -204,23 +174,35 @@ def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingR
     return CouplingReport(verified_up_to=k_max, first_failure=None)
 
 
-def lifted_markov(sys: LiftedSystem, order: int) -> MarkovSequence:
+def lifted_markov(
+    x: WeightMatrix,
+    dyn: NodeDynamics,
+    v_in: Iterable[int],
+    v_out: Iterable[int],
+    order: int,
+) -> MarkovSequence:
     """Markov parameters of the lifted block system.
 
-    ``data`` has shape ``(order+1, t*|v_out|, r*|v_in|)``: per output node
-    a band of t rows, per input node a band of r columns.
+    The block system has state matrix ``I (x) A + X (x) EK``, input
+    matrix ``M (x) B`` and output matrix ``N (x) C``, where M and N select
+    the input and output nodes. ``data`` has shape
+    ``(order+1, t*|v_out|, r*|v_in|)``: per output node a band of t rows,
+    per input node a band of r columns.
     """
+    v_in = x.graph.check_nodes(v_in)
+    v_out = x.graph.check_nodes(v_out)
     if order < 0:
         raise InputError(f"order must be >= 0, got {order}")
-    state = sys.state_matrix
-    cur = sys.input_matrix
-    out = sys.output_matrix
+    n = x.graph.n
+    state = np.kron(np.eye(n), dyn.A) + np.kron(x.entries, dyn.coupling)
+    cur = np.kron(selection_matrix(n, v_in), dyn.B)
+    out = np.kron(selection_matrix(n, v_out).T, dyn.C)
     data = _markov_blocks(order, out.shape[0], cur.shape[1])
     for k in range(order + 1 if data.size else 0):  # empty blocks need no powers
         data[k] = out @ cur
         if k < order:
             cur = state @ cur
-    return MarkovSequence._built(sys.v_in, sys.v_out, data)
+    return MarkovSequence._built(v_in, v_out, data)
 
 
 def _mixing_tables(dyn: NodeDynamics, order: int) -> np.ndarray:

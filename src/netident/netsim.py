@@ -115,13 +115,9 @@ class WeightMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
     def __repr__(self) -> str:
         kind = "positive" if self.sign_constrained else "sign-free"
-        return f"WeightMatrix(n={self.n}, {kind})"
+        return f"WeightMatrix(n={self.graph.n}, {kind})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +143,6 @@ class DirectedWeightMatrix:
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +338,9 @@ def scaling_counterexample(
 
     Raises NoHiddenNodesError when the input/output union covers every
     node, and DecoupledHiddenBlockError when the hidden block is not
-    connected to the rest (the data then carries no information about it,
-    which is a different route to the same non-identifiability).
+    connected to the rest, or when no node is visible (the data then
+    carries no information about it, which is a different route to the
+    same non-identifiability).
     """
     entries = x.entries
     n = entries.shape[0]
@@ -361,11 +354,7 @@ def scaling_counterexample(
         )
     hid = np.asarray([i - 1 for i in hidden], dtype=int)
     vis = np.asarray([i - 1 for i in range(1, n + 1) if i in visible], dtype=int)
-    if (
-        vis.size
-        and not entries[np.ix_(vis, hid)].any()
-        and not entries[np.ix_(hid, vis)].any()
-    ):
+    if not entries[np.ix_(vis, hid)].any() and not entries[np.ix_(hid, vis)].any():
         raise DecoupledHiddenBlockError(
             "hidden block is decoupled from the visible nodes: the Markov "
             "parameters are independent of it, so the weights are "

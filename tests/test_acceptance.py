@@ -13,7 +13,6 @@ from netident import (
     DeconvolutionBlockedError,
     DirectedWeightMatrix,
     Graph,
-    LiftedSystem,
     NodeDynamics,
     NodeSet,
     UncertifiedTargetError,
@@ -224,7 +223,7 @@ def test_criterion_7_higher_order_pipeline():
         _, chron = derived_set(g, w)
         order = required_order(chron)
         dyn = _coupled_dynamics(rng, q, order)
-        lifted = lifted_markov(LiftedSystem(weights=x, dyn=dyn, v_in=w, v_out=w), order)
+        lifted = lifted_markov(x, dyn, w, w, order)
         recovered = identify(deconvolve(lifted, dyn), g, g.nodes).recovered
         assert np.abs(recovered - x.entries).max() <= 1e-5 * np.abs(x.entries).max()
 
@@ -234,9 +233,7 @@ def test_criterion_7_higher_order_pipeline():
     assert coupling_condition(nil).first_failure == 2
     g = path(3)
     x = random_weights(g, seed=9)
-    lifted = lifted_markov(
-        LiftedSystem(weights=x, dyn=nil, v_in=NodeSet([1]), v_out=NodeSet([1])), 6
-    )
+    lifted = lifted_markov(x, nil, NodeSet([1]), NodeSet([1]), 6)
     with pytest.raises(DeconvolutionBlockedError) as err:
         deconvolve(lifted, nil)
     assert err.value.k == 2

@@ -279,6 +279,17 @@ class TestSim:
         assert code == 1
         assert "hidden" in err
 
+    @pytest.mark.parametrize("with_graph", [False, True], ids=["directed", "graph"])
+    def test_counterexample_with_no_visible_node_exits_one(self, tmp_path, capsys,
+                                                           with_graph):
+        x = random_weights(Graph(3, [(1, 2), (2, 3)]), seed=1)
+        xf = write(tmp_path, "x.csv", netident.matrix_to_csv(x.entries))
+        none = write(tmp_path, "none.json", [])
+        graph = ["--graph", write(tmp_path, "g.json", path_json(3))] if with_graph else []
+        code, out, err = run(capsys, ["sim", "counterexample", "--matrix", xf, "--in", none,
+                                      "--out-nodes", none, *graph])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: hidden block is decoupled from the visible nodes")
 
     @pytest.mark.parametrize("flag", ["--in", "--out-nodes"])
     def test_counterexample_node_beyond_the_matrix_exits_two(self, tmp_path, capsys,
@@ -354,6 +365,21 @@ class TestHod:
         recovered = netident.matrix_from_csv(out)
         assert np.abs(recovered - x.entries).max() <= 1e-8 * np.abs(x.entries).max()
 
+    @pytest.mark.parametrize("flag", ["--in", "--out-nodes"])
+    def test_markov_node_beyond_the_graph_exits_two(self, tmp_path, capsys, flag):
+        x = random_weights(Graph(3, [(1, 2), (2, 3)]), seed=11)
+        g = write(tmp_path, "g.json", path_json(3))
+        xf = write(tmp_path, "x.csv", netident.matrix_to_csv(x.entries))
+        d = write(tmp_path, "d.json", self.DYN)
+        nodes = {"--in": write(tmp_path, "in.json", [1]),
+                 "--out-nodes": write(tmp_path, "out.json", [1])}
+        nodes[flag] = write(tmp_path, "bad.json", [1, 4])
+        code, out, err = run(capsys, ["hod", "markov", "--graph", g, "--matrix", xf,
+                                      "--dyn", d, "--in", nodes["--in"],
+                                      "--out-nodes", nodes["--out-nodes"], "--order", "3"])
+        assert (code, out) == (2, "")
+        assert err == "input error: node 4 outside 1..3\n"
+
     def test_recover_blocked_exits_one(self, tmp_path, capsys):
         graph = Graph(2, [(1, 2)])
         x = random_weights(graph, seed=2)
@@ -361,13 +387,7 @@ class TestHod:
                "C": [[1.0, 0.0], [0.0, 1.0]], "E": [[1.0], [0.0]], "K": [[0.0, 1.0]]}
         import netident.higher_order as ho
 
-        lifted = ho.lifted_markov(
-            ho.LiftedSystem(
-                weights=x, dyn=ho.NodeDynamics.from_json(nil),
-                v_in=NodeSet([1]), v_out=NodeSet([1]),
-            ),
-            4,
-        )
+        lifted = ho.lifted_markov(x, ho.NodeDynamics.from_json(nil), NodeSet([1]), NodeSet([1]), 4)
         g = write(tmp_path, "g.json", path_json(2))
         m = write(tmp_path, "m.json", lifted.to_json())
         d = write(tmp_path, "d.json", nil)
@@ -386,10 +406,10 @@ class TestHod:
         doubling = {**self.DYN, "E": [[2.0]]}
         one = NodeSet([1])
         x = netident.WeightMatrix(Graph(1, []), [[0.5]])
-        system = ho.LiftedSystem(weights=x, dyn=ho.NodeDynamics.from_json(doubling),
-                                 v_in=one, v_out=one)
         g = write(tmp_path, "g.json", {"n": 1, "edges": []})
-        m = write(tmp_path, "m.json", ho.lifted_markov(system, 1100).to_json())
+        lifted = ho.lifted_markov(x, ho.NodeDynamics.from_json(doubling), one, one, 1100)
+        g = write(tmp_path, "g.json", {"n": 1, "edges": []})
+        m = write(tmp_path, "m.json", lifted.to_json())
         d = write(tmp_path, "d.json", doubling)
         t = write(tmp_path, "t.json", [1])
         code, out, err = run(
@@ -643,9 +663,7 @@ class TestOneParserPerProcess:
         graph = Graph(4, [(1, 2), (2, 3), (3, 4)])
         x = random_weights(graph, seed=3)
         dyn = netident.NodeDynamics.from_json(TestHod.DYN)
-        lifted = netident.lifted_markov(
-            netident.LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1]),
-                                  v_out=NodeSet([1])), 8)
+        lifted = netident.lifted_markov(x, dyn, NodeSet([1]), NodeSet([1]), 8)
         g = write(tmp_path, "g.json", path_json(4))
         z = write(tmp_path, "z.json", [1])
         t = write(tmp_path, "t.json", [1, 2, 3, 4])

@@ -10,7 +10,6 @@ from netident import (
     Graph,
     InconsistentDataError,
     InputError,
-    LiftedSystem,
     MarkovSequence,
     NodeDynamics,
     NodeSet,
@@ -162,12 +161,18 @@ class TestCouplingCondition:
 
 
 class TestLiftedMarkov:
+    @pytest.mark.parametrize("v_in, v_out", [([1, 4], [1]), ([1], [4])], ids=["in", "out"])
+    def test_node_beyond_the_graph_is_an_input_error(self, v_in, v_out):
+        # The node sets are checked before the order.
+        x = random_weights(path(3), seed=4)
+        for order in (3, -1):
+            with pytest.raises(InputError, match=r"^node 4 outside 1\.\.3$"):
+                lifted_markov(x, SCALAR_IDENTITY, v_in, v_out, order)
+
     def test_scalar_identity_reduces_to_base(self):
         g = path(3)
         x = random_weights(g, seed=4)
-        sys_ = LiftedSystem(weights=x, dyn=SCALAR_IDENTITY,
-                            v_in=NodeSet([1]), v_out=NodeSet([1, 2]))
-        lifted = lifted_markov(sys_, 5)
+        lifted = lifted_markov(x, SCALAR_IDENTITY, NodeSet([1]), NodeSet([1, 2]), 5)
         base = markov_sequence(x, [1], [1, 2], 5)
         for a, b in zip(lifted.data, base.data):
             np.testing.assert_allclose(a, b, atol=1e-13)
@@ -175,19 +180,16 @@ class TestLiftedMarkov:
     def test_no_power_past_the_last_stored_order(self):
         # The lift of SCALAR_IDENTITY is X itself: X^3 e1 is finite, X^4 e1 is not.
         x = WeightMatrix(path(2), np.array([[1e100, 1.0], [1.0, 1.0]]))
-        sys_ = LiftedSystem(weights=x, dyn=SCALAR_IDENTITY,
-                            v_in=NodeSet([1]), v_out=NodeSet([1, 2]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lifted = lifted_markov(sys_, 3)
+            lifted = lifted_markov(x, SCALAR_IDENTITY, NodeSet([1]), NodeSet([1, 2]), 3)
         assert lifted.data[3, 0, 0] == 1e300
 
     def test_order_zero_is_selection_kron(self):
         g = path(2)
         x = WeightMatrix(g, np.array([[1.0, 2.0], [2.0, 3.0]]))
         dyn = random_dyn(np.random.default_rng(5), 2, r=1, t=2)
-        sys_ = LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1, 2]), v_out=NodeSet([2]))
-        lifted = lifted_markov(sys_, 0)
+        lifted = lifted_markov(x, dyn, NodeSet([1, 2]), NodeSet([2]), 0)
         nm = np.array([[0.0, 1.0]])  # N M for v_out={2}, v_in={1,2}
         np.testing.assert_allclose(lifted.data[0], np.kron(nm, dyn.C @ dyn.B))
 
@@ -196,10 +198,9 @@ class TestLiftedMarkov:
         # numpy refuses both sizes at once, without touching memory; empty
         # node sets, whose blocks hold no entries, are refused alike.
         for v_in, v_out in (([1], [1]), ([], [1]), ([1], []), ([], [])):
-            sys_ = LiftedSystem(weights=random_weights(path(2), seed=4),
-                                dyn=SCALAR_IDENTITY, v_in=NodeSet(v_in), v_out=NodeSet(v_out))
             with pytest.raises(InputError, match=f"^order {order} is too large: "):
-                lifted_markov(sys_, order)
+                lifted_markov(random_weights(path(2), seed=4), SCALAR_IDENTITY,
+                              NodeSet(v_in), NodeSet(v_out), order)
 
     def test_one_array_matching_the_oracle_bit_for_bit(self):
         # With B = C = I every lifted block is the state-power block of the
@@ -209,10 +210,10 @@ class TestLiftedMarkov:
         x = WeightMatrix(g, [[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 3.0]])
         dyn = NodeDynamics(A=rng.integers(-2, 3, (2, 2)), B=np.eye(2), C=np.eye(2),
                            E=rng.integers(-2, 3, (2, 1)), K=rng.integers(-2, 3, (1, 2)))
-        sys_ = LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1, 3]), v_out=NodeSet([2]))
-        lifted = lifted_markov(sys_, 6)
+        lifted = lifted_markov(x, dyn, NodeSet([1, 3]), NodeSet([2]), 6)
         assert lifted.data.shape == (7, 2, 4) and not lifted.data.flags.writeable
-        want = np.array(markov_blocks_oracle(sys_.state_matrix, [1, 2, 5, 6], [3, 4], 6))
+        state = np.kron(np.eye(3), dyn.A) + np.kron(x.entries, dyn.coupling)
+        want = np.array(markov_blocks_oracle(state, [1, 2, 5, 6], [3, 4], 6))
         assert lifted.data.tobytes() == want.tobytes()
 
     def test_matches_dense_matrix_power_oracle(self):
@@ -220,8 +221,7 @@ class TestLiftedMarkov:
         g = path(2)
         x = WeightMatrix(g, np.array([[1.0, 2.0], [2.0, 3.0]]))
         dyn = random_dyn(rng, 2)
-        sys_ = LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1]), v_out=NodeSet([1]))
-        lifted = lifted_markov(sys_, 6)
+        lifted = lifted_markov(x, dyn, NodeSet([1]), NodeSet([1]), 6)
         state = np.kron(np.eye(2), dyn.A) + np.kron(x.entries, dyn.coupling)
         m_e = np.kron(np.array([[1.0], [0.0]]), dyn.B)
         n_e = np.kron(np.array([[1.0, 0.0]]), dyn.C)
@@ -273,9 +273,7 @@ class TestMixingTables:
         x = random_weights(g, seed=11)
         dyn = random_dyn(rng, 2, r=1, t=2, s=1)
         vin, vout = NodeSet([1, 2]), NodeSet([2, 3])
-        lifted = lifted_markov(
-            LiftedSystem(weights=x, dyn=dyn, v_in=vin, v_out=vout), 5
-        )
+        lifted = lifted_markov(x, dyn, vin, vout, 5)
         base = markov_sequence(x, vin, vout, 5)
         tables = _mixing_tables(dyn, 5)
         for k in range(6):
@@ -306,7 +304,7 @@ class TestDeconvolve:
         dyn = random_dyn(rng, 2)
         assert coupling_condition(dyn, k_max=8).ok
         vin = vout = NodeSet([1])
-        lifted = lifted_markov(LiftedSystem(weights=x, dyn=dyn, v_in=vin, v_out=vout), 6)
+        lifted = lifted_markov(x, dyn, vin, vout, 6)
         base = deconvolve(lifted, dyn)
         want = markov_sequence(x, vin, vout, 6)
         for got, ref in zip(base.data, want.data):
@@ -316,11 +314,7 @@ class TestDeconvolve:
     def test_scalar_identity_is_identity_map(self):
         g = path(3)
         x = random_weights(g, seed=2)
-        lifted = lifted_markov(
-            LiftedSystem(weights=x, dyn=SCALAR_IDENTITY,
-                         v_in=NodeSet([1, 3]), v_out=NodeSet([1, 3])),
-            5,
-        )
+        lifted = lifted_markov(x, SCALAR_IDENTITY, NodeSet([1, 3]), NodeSet([1, 3]), 5)
         base = deconvolve(lifted, SCALAR_IDENTITY)
         for got, ref in zip(base.data, lifted.data):
             np.testing.assert_array_equal(got, ref)
@@ -328,18 +322,14 @@ class TestDeconvolve:
     @pytest.mark.parametrize("v_in, v_out", [([1], []), ([], [1, 3]), ([], [])])
     def test_empty_node_sets_give_empty_blocks(self, v_in, v_out):
         dyn = random_dyn(np.random.default_rng(4), 2)
-        system = LiftedSystem(weights=random_weights(path(3), seed=3), dyn=dyn,
-                              v_in=NodeSet(v_in), v_out=NodeSet(v_out))
-        base = deconvolve(lifted_markov(system, 4), dyn)
+        x = random_weights(path(3), seed=3)
+        base = deconvolve(lifted_markov(x, dyn, NodeSet(v_in), NodeSet(v_out), 4), dyn)
         assert base.data.shape == (5, len(v_out), len(v_in))
 
     def test_nilpotent_blocks_at_predicted_order(self):
         g = path(3)
         x = random_weights(g, seed=2)
-        lifted = lifted_markov(
-            LiftedSystem(weights=x, dyn=NILPOTENT, v_in=NodeSet([1]), v_out=NodeSet([1])),
-            6,
-        )
+        lifted = lifted_markov(x, NILPOTENT, NodeSet([1]), NodeSet([1]), 6)
         with pytest.raises(DeconvolutionBlockedError) as err:
             deconvolve(lifted, NILPOTENT)
         assert err.value.k == 2
@@ -347,7 +337,7 @@ class TestDeconvolve:
     def test_growing_coupling_returns_exact_powers(self):
         x = WeightMatrix(Graph(1, []), [[0.5]])
         one = NodeSet([1])
-        lifted = lifted_markov(LiftedSystem(weights=x, dyn=DOUBLING, v_in=one, v_out=one), 600)
+        lifted = lifted_markov(x, DOUBLING, one, one, 600)
         base = deconvolve(lifted, DOUBLING)
         assert base.data.shape == (601, 1, 1) and base.order == 600
         np.testing.assert_array_equal(base.data[:, 0, 0], 0.5 ** np.arange(601))
@@ -355,7 +345,7 @@ class TestDeconvolve:
     def test_growing_coupling_is_exact_at_order_1000(self):
         x = WeightMatrix(Graph(1, []), [[0.5]])
         one = NodeSet([1])
-        lifted = lifted_markov(LiftedSystem(weights=x, dyn=DOUBLING, v_in=one, v_out=one), 1000)
+        lifted = lifted_markov(x, DOUBLING, one, one, 1000)
         base = deconvolve(lifted, DOUBLING)
         np.testing.assert_array_equal(base.data[:, 0, 0], 0.5 ** np.arange(1001))
 
@@ -364,7 +354,7 @@ class TestDeconvolve:
         # lifted entry is 1 and every base block 0.5^k is representable.
         x = WeightMatrix(Graph(1, []), [[0.5]])
         one = NodeSet([1])
-        lifted = lifted_markov(LiftedSystem(weights=x, dyn=DOUBLING, v_in=one, v_out=one), 1100)
+        lifted = lifted_markov(x, DOUBLING, one, one, 1100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DeconvolutionBlockedError) as err:
@@ -378,7 +368,7 @@ class TestDeconvolve:
         dyn = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[1e-200]], K=[[1.0]])
         x = WeightMatrix(Graph(1, []), [[1.0]])
         one = NodeSet([1])
-        lifted = lifted_markov(LiftedSystem(weights=x, dyn=dyn, v_in=one, v_out=one), 4)
+        lifted = lifted_markov(x, dyn, one, one, 4)
         with pytest.raises(DeconvolutionBlockedError) as err:
             deconvolve(lifted, dyn)
         assert err.value.k == 2
@@ -386,11 +376,7 @@ class TestDeconvolve:
     def test_shape_mismatch_rejected(self):
         g = path(2)
         x = WeightMatrix(g, np.array([[1.0, 2.0], [2.0, 3.0]]))
-        lifted = lifted_markov(
-            LiftedSystem(weights=x, dyn=SCALAR_IDENTITY,
-                         v_in=NodeSet([1]), v_out=NodeSet([1])),
-            3,
-        )
+        lifted = lifted_markov(x, SCALAR_IDENTITY, NodeSet([1]), NodeSet([1]), 3)
         wrong = random_dyn(np.random.default_rng(1), 2)
         with pytest.raises(InputError, match="shape"):
             deconvolve(lifted, wrong)
@@ -400,9 +386,7 @@ class TestDeconvolve:
         g = path(2)
         x = WeightMatrix(g, np.array([[1.0, 2.0], [2.0, 3.0]]))
         dyn = random_dyn(rng, 2)
-        lifted = lifted_markov(
-            LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1]), v_out=NodeSet([1])), 4
-        )
+        lifted = lifted_markov(x, dyn, NodeSet([1]), NodeSet([1]), 4)
         blocks = [np.array(b) for b in lifted.data]
         blocks[2][0, 1] += 7.0  # break the Kronecker structure
         tampered = MarkovSequence(
@@ -423,11 +407,7 @@ class TestDeconvolve:
         dyn = NodeDynamics(A=0.1 * dyn.A, B=dyn.B, C=dyn.C, E=dyn.E, K=dyn.K)
         assert coupling_condition(dyn, k_max=20).ok
         x = random_weights(path(4), seed=seed)
-        lifted = lifted_markov(
-            LiftedSystem(weights=x, dyn=dyn, v_in=NodeSet([1, 4]),
-                         v_out=NodeSet([1, 2, 4])),
-            20,
-        )
+        lifted = lifted_markov(x, dyn, NodeSet([1, 4]), NodeSet([1, 2, 4]), 20)
         n_in, n_out = 2, 3
         mixing = _mixing_tables(dyn, lifted.order)
         reference = []
@@ -461,7 +441,7 @@ def test_end_to_end_recovery_through_lift():
         order = required_order(chron)
         if not coupling_condition(dyn, k_max=order).ok:
             continue
-        lifted = lifted_markov(LiftedSystem(weights=x, dyn=dyn, v_in=w, v_out=w), order)
+        lifted = lifted_markov(x, dyn, w, w, order)
         recovered = identify(deconvolve(lifted, dyn), g, g.nodes).recovered
         scale = np.abs(x.entries).max()
         assert np.abs(recovered - x.entries).max() <= 1e-5 * scale

@@ -11,7 +11,6 @@ from netident import (
     DirectedWeightMatrix,
     Graph,
     InputError,
-    LiftedSystem,
     MarkovSequence,
     NodeDynamics,
     NodeSet,
@@ -297,7 +296,7 @@ class TestMarkovSequence:
                            K=[[1, 1]])
         v_in, v_out = [1, 5, 9], [1, 2, 5, 9]
         seq = markov_sequence(w, v_in, v_out, 6)
-        lifted = lifted_markov(LiftedSystem(weights=w, dyn=dyn, v_in=v_in, v_out=v_out), 6)
+        lifted = lifted_markov(w, dyn, v_in, v_out, 6)
         base = deconvolve(lifted, dyn)
         digests = {
             "d4086dd3675c4ac6b2bba3a4548f190e1d2c0e16e279e1134fed1588e5f22bdc": (seq, base),
@@ -497,6 +496,16 @@ class TestScalingCounterexample:
         with pytest.raises(DecoupledHiddenBlockError, match="independent"):
             scaling_counterexample(x, [1], [2])
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "directed"])
+    def test_no_visible_node_is_decoupled(self, symmetric):
+        # Empty Markov data says nothing about any node. Rescaling every node
+        # by eps is the similarity eps*I, which would return X unchanged.
+        entries = random_weights(path(3), seed=1).entries
+        x = (WeightMatrix(path(3), entries, sign_constrained=False) if symmetric
+             else DirectedWeightMatrix(entries))
+        with pytest.raises(DecoupledHiddenBlockError, match="independent"):
+            scaling_counterexample(x, [], [])
+
     def test_epsilon_validation(self):
         x = WeightMatrix(path(3), random_weights(path(3), seed=1).entries)
         with pytest.raises(InputError, match="-1"):
@@ -535,6 +544,15 @@ class TestNodeRange:
             with pytest.raises(InputError) as exc:
                 markov_sequence(self.CHAIN3, v_in, v_out, 2)
             assert str(exc.value) == "node 4 outside 1..3"
+
+
+class TestRepr:
+    def test_weight_matrix_names_its_size_and_class(self):
+        x = random_weights(path(3), seed=1)
+        assert repr(x) == "WeightMatrix(n=3, positive)"
+        assert repr(WeightMatrix(path(3), x.entries, sign_constrained=False)) == (
+            "WeightMatrix(n=3, sign-free)"
+        )
 
 
 class TestMatrixCsv:

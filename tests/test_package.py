@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import re
 import sys
 from collections import Counter
@@ -148,3 +149,18 @@ def test_ci_runs_the_tier1_command():
     floor = re.search(r'"numpy>=(\d+\.\d+)"', (root / "pyproject.toml").read_text()).group(1)
     assert {"python-version": oldest, "numpy": f"{floor}.*"} in matrix["include"]
     assert 'pip install "numpy==${{ matrix.numpy }}"' in runs
+    script = [i for i, run in enumerate(runs) if run and "netident zfs heuristic" in run]
+    assert script and script[0] > runs.index("pip install -e .[test]")
+
+
+def test_console_script_runs_a_command(tmp_path, capsys, monkeypatch):
+    """The ``netident`` script that ``pyproject.toml`` declares names a
+    callable that runs a command from ``sys.argv``, as the script does."""
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    module, attr = re.search(r'^netident = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    script = getattr(importlib.import_module(module), attr)
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n": 3, "edges": [[1, 2], [2, 3]]}')
+    monkeypatch.setattr(sys, "argv", ["netident", "zfs", "heuristic", "--graph", str(graph)])
+    assert script() == 0
+    assert json.loads(capsys.readouterr().out) == {"set": [1], "size": 1}

@@ -9,7 +9,13 @@ stdout, diagnostics to stderr. Exit codes: 0 success, 1 domain errors
 Every file argument is read and checked before the command computes
 anything, so a malformed file exits 2 even where the computation would
 fail. A path given to two node-set flags (``--in s.json --out-nodes
-s.json``) is read once.
+s.json``) is read once. Files are read as UTF-8; one that is not valid
+UTF-8 exits 2.
+
+A command line that starts with a group and a command is parsed by that
+command's own parser alone. Help, an unknown command and leftover words
+go through the whole parser tree, so every help, usage and error text is
+the same either way.
 
 Output: JSON is written compact, with sorted keys, one object per line.
 ``--format`` exists only where there is a choice: ``ident certify``
@@ -36,7 +42,6 @@ import functools
 import json
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -51,9 +56,12 @@ REPORT_FORMATS = ("json", "human")
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
 def _load_json(path: str):
@@ -208,15 +216,16 @@ def _hod_recover(args) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after that.
+def _parser_tree() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and, by (group, command), each command's own
+    parser in its tree; built on the first call and shared after that.
 
-    Building it costs milliseconds, more than most commands take, so a
-    process that calls :func:`main` repeatedly builds it once. It is not
-    built at import time, so importing the package stays cheap. Sharing
-    is safe because ``parse_args`` keeps no state between calls; the
-    parser must stay stateless, so no command may change its defaults or
-    actions once it is built.
+    Building them costs milliseconds, more than most commands take, so a
+    process that calls :func:`main` repeatedly builds them once. They are
+    not built at import time, so importing the package stays cheap.
+    Sharing is safe because parsing keeps no state between calls; the
+    parsers must stay stateless, so no command may change its defaults or
+    actions once they are built.
     """
     parser = argparse.ArgumentParser(
         prog="netident",
@@ -226,13 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     top = parser.add_subparsers(dest="group", required=True)
+    leaves = {}
 
     def group(name, help):
         sub = top.add_parser(name, help=help)
-        return sub.add_subparsers(dest="command", required=True)
+        return name, sub.add_subparsers(dest="command", required=True)
 
-    def command(sub, name, handler, help, paths=(), formats=None):
+    def command(parent, name, handler, help, paths=(), formats=None):
+        group_name, sub = parent
         p = sub.add_parser(name, help=help)
+        leaves[group_name, name] = p
         for dest in paths:
             flags, text, _ = PATHS[dest]
             p.add_argument(*flags, dest=dest, required=True, metavar="PATH", help=text)
@@ -298,11 +310,29 @@ def build_parser() -> argparse.ArgumentParser:
             "deconvolve lifted Markov data, then reconstruct weights",
             ("graph", "markov", "dyn", "target"), MATRIX_FORMATS)
 
-    return parser
+    return parser, leaves
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argument parser tree, shared as :func:`_parser_tree` says."""
+    return _parser_tree()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's own parser; help, an unknown command
+    or a word it leaves over goes through the whole tree. The result lacks
+    only the ``group`` and ``command`` names, which nothing reads."""
+    parser, leaves = _parser_tree()
+    leaf = leaves.get(tuple(argv[:2]))
+    if leaf is not None:
+        args, rest = leaf.parse_known_args(argv[2:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         with warnings.catch_warnings():
             # Every run reports its warnings, not only a process's first.

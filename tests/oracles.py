@@ -281,6 +281,29 @@ def markov_blocks_oracle(entries, v_in, v_out, order):
     return out
 
 
+def single_channel_transfer(base_transfer, v_in, v_out, A, B, C, E, K, s):
+    """Transfer matrix (N (x) C) (sI - I (x) A - X (x) EK)^-1 (M (x) B) of
+    a lifted network with one coupling channel (E one column, K one row),
+    from the base transfer matrix G(sigma) = N (sigma I - X)^-1 M at the
+    one point sigma = 1/g, without forming the lift:
+
+        T(s) = kron(NM, a) + kron(G(1/g)/g - NM, c/g),
+
+    where Phi = (sI - A)^-1, g = K Phi E, a = C Phi B and c = C Phi E K Phi B.
+    It follows from (Phi EK)^j = g^(j-1) Phi EK for j >= 1 in the series
+    of (I - X (x) Phi EK)^-1. ``base_transfer`` maps sigma to G(sigma).
+    """
+    A, B, C, E, K = (np.asarray(mat, dtype=float) for mat in (A, B, C, E, K))
+    assert E.shape[1] == K.shape[0] == 1, "one coupling channel"
+    phi = np.linalg.solve(s * np.eye(A.shape[0]) - A, np.hstack([B, E]))
+    phi_b, phi_e = phi[:, : B.shape[1]], phi[:, B.shape[1] :]
+    g = (K @ phi_e)[0, 0]
+    a = C @ phi_b
+    c = C @ phi_e @ (K @ phi_b)
+    nm = np.equal.outer(sorted(v_out), sorted(v_in)).astype(float)
+    return np.kron(nm, a) + np.kron(base_transfer(1 / g) / g - nm, c / g)
+
+
 def reference_identify(markov, g, target):
     """The previous ``reconstruct.identify``: one loop that gathers every
     round's operands and checks its squared weights before the next round.

@@ -958,3 +958,78 @@ def test_readme_command_line_examples_parse():
         words = shlex.split(line.split("netident ", 1)[1].split(">", 1)[0])
         args = parser.parse_args(words)
         assert callable(args.handler), line
+
+
+@pytest.mark.parametrize("group, command, flag", [
+    (group, command, flag) for (group, command), flags in FLAG_TABLE.items()
+    for flag in flags if flag in FILE_FLAGS])
+def test_non_utf8_file_exits_two(tmp_path, capsys, group, command, flag):
+    argv = next(argv for argv in TestOneParserPerProcess().commands(tmp_path)
+                if tuple(argv[:2]) == (group, command))
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    argv[argv.index(flag) + 1] = str(bad)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {bad}: not valid UTF-8: invalid start byte\n"
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line.split("netident ", 1)[1].split(">", 1)[0])
+            for block in section.split("```sh\n")[1:]
+            for line in block.split("```", 1)[0].splitlines() if "netident " in line]
+
+
+def _dispatch_corpus(tmp_path):
+    """Command lines that parse, fail to parse or ask for help, at every level."""
+    commands = TestOneParserPerProcess().commands(tmp_path)
+    corpus = _readme_commands() + commands
+    for group, command in FLAG_TABLE:
+        argv = next(argv for argv in commands if tuple(argv[:2]) == (group, command))
+        head, flag, value, tail = argv[:2], argv[2], argv[3], argv[4:]
+        corpus += [
+            argv + ["--bogus"],
+            head + tail,  # the first flag is required on every command
+            argv[:-1],  # the last flag loses its value
+            [*head, f"{flag}={value}", *tail],
+            [*head, flag[:4], value, *tail],
+            argv + [flag, value],
+            argv + ["--", "x"],
+            head + ["-h"],
+        ]
+    corpus += [["--help"], ["zfs", "nope"], ["ZFS", "heuristic"], []]
+    corpus += [[group, "--help"] for group in ("zfs", "ident", "sim", "hod")]
+    return corpus
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_command_parser_dispatch_matches_the_whole_tree(tmp_path, capsys, monkeypatch):
+    """Each command's own parser gives what the root parser gives: the same
+    exit code, stdout and stderr from main, and the same namespace apart
+    from the group and command names."""
+    monkeypatch.chdir(tmp_path)  # the README's files do not exist here
+    corpus = _dispatch_corpus(tmp_path)
+    assert len(corpus) > 100
+    fast = [_outcome(capsys, argv) for argv in corpus]
+    parser = cli.build_parser()
+    for argv in corpus:
+        try:
+            whole = vars(parser.parse_args(argv))
+        except SystemExit:
+            capsys.readouterr()
+            continue
+        del whole["group"], whole["command"]
+        assert vars(cli._parse(argv)) == whole, argv
+    monkeypatch.setattr(cli, "_parser_tree", lambda: (parser, {}))
+    assert [_outcome(capsys, argv) for argv in corpus] == fast
+    assert {code for code, _, _ in fast} == {0, 1, 2}

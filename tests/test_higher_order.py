@@ -1,3 +1,4 @@
+import functools
 import itertools
 import warnings
 
@@ -25,8 +26,9 @@ from netident import (
     zfs_heuristic,
 )
 from netident.higher_order import COUPLING_MAX_ORDER, _mixing_tables
+from netident.netsim import transfer_eval
 
-from oracles import markov_blocks_oracle, random_connected_edges
+from oracles import markov_blocks_oracle, random_connected_edges, single_channel_transfer
 
 
 def path(n):
@@ -228,6 +230,36 @@ class TestLiftedMarkov:
         for k in range(7):
             want = n_e @ np.linalg.matrix_power(state, k) @ m_e
             np.testing.assert_allclose(lifted.data[k], want, rtol=1e-9, atol=1e-12)
+
+    def test_laurent_series_matches_the_single_channel_transfer_identity(self):
+        """The lifted Markov parameters are the Laurent coefficients of the
+        lifted transfer matrix, T(s) = sum_k data[k] s^-(k+1), which the
+        oracle gets from transfer_eval at the one point 1/g(s).
+
+        |s| = 4 (|A| + |X| |E| |K|) (spectral norms) is at least four times
+        the lift's state norm, so the terms past ``order`` add up to at
+        most 4^-order of |C| |B| / |s|, the scale of T; the sum must match
+        to 1e-10 of that scale."""
+        rng = np.random.default_rng(31)
+        order = 30
+        norm = functools.partial(np.linalg.norm, ord=2)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            x = random_weights(Graph(n, random_connected_edges(rng, n)),
+                               seed=int(rng.integers(2**31)))
+            q, r, t = (int(v) for v in rng.integers(1, (5, 3, 3)))
+            dyn = random_dyn(rng, q, r=r, t=t, s=1)
+            v_in, v_out = [sorted(int(v) + 1 for v in rng.choice(
+                n, int(rng.integers(1, n + 1)), replace=False)) for _ in range(2)]
+            lifted = lifted_markov(x, dyn, v_in, v_out, order)
+            modulus = 4 * (norm(dyn.A) + norm(x.entries) * norm(dyn.E) * norm(dyn.K))
+            for s in modulus * np.exp(1j * rng.uniform(0, 2 * np.pi, 2)):
+                laurent = sum(block * s ** -(k + 1) for k, block in enumerate(lifted.data))
+                want = single_channel_transfer(
+                    lambda sigma: transfer_eval(x, v_in, v_out, sigma), v_in, v_out,
+                    dyn.A, dyn.B, dyn.C, dyn.E, dyn.K, s)
+                scale = norm(dyn.C) * norm(dyn.B) / abs(s)
+                assert np.abs(laurent - want).max() <= 1e-10 * scale
 
 
 class TestMixingTables:

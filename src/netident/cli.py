@@ -279,9 +279,10 @@ def _parser_tree() -> tuple[argparse.ArgumentParser, dict]:
                 MATRIX_FORMATS)
     p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="seed for all randomness (default 0)")
-    p.add_argument("--weight-range", default="0.5,2.0", metavar="LO,HI",
-                   help="uniform edge-weight range (default 0.5,2.0)")
-    p.add_argument("--diagonal", choices=("free", "laplacian"), default="free",
+    weight_range = ",".join(map(str, netsim.DEFAULT_WEIGHT_RANGE))
+    p.add_argument("--weight-range", default=weight_range, metavar="LO,HI",
+                   help=f"uniform edge-weight range (default {weight_range})")
+    p.add_argument("--diagonal", choices=netsim.DIAGONAL_MODES, default="free",
                    help="diagonal mode (default free)")
     p = command(sim, "markov", _sim_markov, "Markov parameters N X^k M of a matrix",
                 ("graph", "matrix", "in_nodes", "out_nodes"))
@@ -356,7 +357,3 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

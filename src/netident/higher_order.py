@@ -145,8 +145,7 @@ def _vanishing_couplings(dyn: NodeDynamics) -> Iterator[np.ndarray]:
     float64 range however large or small EK is. A nilpotent EK reaches
     the exact zero power, every entry of whose product vanishes.
     """
-    tol = COUPLING_TOL * (float(np.linalg.norm(dyn.C)) or 1.0)
-    tol *= float(np.linalg.norm(dyn.B)) or 1.0
+    tol = COUPLING_TOL * float(np.linalg.norm(dyn.C)) * float(np.linalg.norm(dyn.B))
     power = np.eye(dyn.state_dim)
     while True:
         yield np.abs(dyn.C @ power @ dyn.B) <= tol * np.linalg.norm(power)
@@ -157,9 +156,10 @@ def _vanishing_couplings(dyn: NodeDynamics) -> Iterator[np.ndarray]:
 def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingReport:
     """Check C (EK)^k B != 0 for k = 0..k_max (default 2q).
 
-    "Nonzero" is scale-aware: the max-abs entry must exceed
-    ``COUPLING_TOL`` times the norm product of the factors. Reports the
-    first failing order, if any; refuses ``k_max`` above ``COUPLING_MAX_ORDER``.
+    "Nonzero" is relative to the factors' own scale: the max-abs entry
+    must exceed ``COUPLING_TOL`` times their norm product, so a power of
+    two on C or B changes no verdict and a zero C or B fails at order 0.
+    Reports the first failing order, if any; refuses ``k_max`` above ``COUPLING_MAX_ORDER``.
     """
     if k_max is None:
         k_max = 2 * dyn.state_dim
@@ -234,15 +234,17 @@ def deconvolve(
     At each order k the known lower-order contributions are subtracted,
     leaving a Kronecker product of the unknown base block with
     ``C (EK)^k B``; dividing by that product's largest entry recovers the
-    block, and a few other well-sized entries are cross-checked for ratio
-    consistency. The residuals of all orders are held on one 5-d block
-    view ``grids[k, i, a, j, b]`` (output node i, output channel a, input
-    node j, input channel b): once the block of order k is known, its term
-    is subtracted from every higher order in one broadcast outer product,
-    with the same products as ``np.kron`` but without forming the
-    Kronecker matrix. Each order still takes its subtractions in
-    ascending order, the whole peel makes O(K) numpy calls, and the
-    blocks fill one ``(K+1, n_out, n_in)`` array. Raises
+    block, and a few other well-sized entries are cross-checked against
+    it, relative to its largest magnitude. Every check is relative to the
+    data's own scale: scaling the lifted data by 2^j scales the blocks by
+    exactly 2^j, and scaling C or B changes nothing. The residuals of all
+    orders are held on one 5-d view ``grids[k, i, a, j, b]`` (output node
+    i, output channel a, input node j, input channel b): once the block
+    of order k is known, its term is subtracted from every higher order in
+    one broadcast outer product, with the same products as ``np.kron`` but
+    without forming the Kronecker matrix. Each order still takes its
+    subtractions in ascending order, the whole peel makes O(K) numpy
+    calls, and the blocks fill one ``(K+1, n_out, n_in)`` array. Raises
     DeconvolutionBlockedError at the first order whose coupling product
     is zero by the test of :func:`coupling_condition` or whose mixing
     table overflows float64, and InconsistentDataError when the data is
@@ -293,7 +295,7 @@ def deconvolve(
                 break
             other = grid[:, a2, :, b2] / top[a2, b2]
             err = np.abs(other - block).max(initial=0.0)
-            if err > RATIO_TOL * max(1.0, np.abs(block).max(initial=0.0)):
+            if err > RATIO_TOL * np.abs(block).max(initial=0.0):
                 raise InconsistentDataError(
                     f"lifted data at order {k} is not a consistent Kronecker "
                     f"mixture: block ratio mismatch {err:.3e}"

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_WEIGHT_RANGE = (0.5, 2.0)
+DIAGONAL_MODES = ("free", "laplacian")
 
 
 def _markov_blocks(order: int, p: int, m: int) -> np.ndarray:
@@ -239,8 +240,9 @@ def random_weights(
     lo, hi = weight_range
     if not (0.0 < lo <= hi):
         raise InputError(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-    if diagonal_mode not in ("free", "laplacian"):
-        raise InputError(f"diagonal_mode must be 'free' or 'laplacian', got {diagonal_mode!r}")
+    if diagonal_mode not in DIAGONAL_MODES:
+        modes = " or ".join(map(repr, DIAGONAL_MODES))
+        raise InputError(f"diagonal_mode must be {modes}, got {diagonal_mode!r}")
     if not np.isfinite(2.0 * hi if diagonal_mode == "free" else hi):
         raise InputError(f"weight range ({lo}, {hi}) is too wide to draw in float64")
     try:

@@ -34,10 +34,10 @@ columns of V at orders 1..k-2 from orders up to k of B (k falls by two
 a round; order 0 past the overlap is never written). A round of several forces gathers U's rows with one ``take``
 and the U x U block with one more; a round of one force takes views and
 its weight as a scalar. After the loop each squared weight is screened
-against ``DEGENERACY_TOL * max(1, |X^2_uu|)``, and the screen is exact:
-a weight that passes is positive, so ``X^2_uu`` exceeds the float sum
-of the ``p^2``, which is at least their largest term, and the full scale
-``max(1, |X^2_uu|, max p^2)`` is the screen's. Only a failed screen
+against ``DEGENERACY_TOL * |X^2_uu|``, and the screen is exact: a weight
+that passes is positive, so ``X^2_uu`` exceeds the float sum of the
+``p^2``, which is at least their largest term, and the full scale
+``max(|X^2_uu|, max p^2)`` is the screen's. Only a failed screen
 gathers P again, to name the first overflowing (an InputError),
 vanishing or negative weight. The target block is checked with
 whole-array masks, located only when one fires, and the per-force
@@ -72,6 +72,8 @@ __all__ = [
 
 # A recovered squared edge weight at most this times its scale vanishes.
 DEGENERACY_TOL = 1e-12
+# A non-edge entry above this times the result's largest magnitude is noted.
+LEAK_TOL = 1e-6
 _BEYOND_RANGE = "Markov data is beyond float64 range"
 
 
@@ -127,16 +129,15 @@ def identify(markov: MarkovSequence, g: Graph, target: Iterable[int]) -> Reconst
     Seeds the power table with the input/output overlap block, replays
     the round chronicle that :func:`~netident.identifiability.certify`
     records for the overlap round by round until the target nodes are
-    covered, and reads the weights off the first power.
-    Replaying R rounds reads only orders up to 2R + 2 of the data, so a
-    longer sequence gives the same result. One mask of equal or adjacent
-    nodes gives each round's P, the target's edges and the result's
-    zeros, so non-edges inside the target are exactly zero; edge
-    entries are checked to be strictly positive. A graph-only plan
-    (:func:`_plan`) is replayed on the data (:func:`_replay`), and the
-    squared edge weights are checked after the loop, first force first:
-    one that vanishes raises DegenerateWeightError, a negative one
-    InconsistentDataError, one past float64 range InputError.
+    covered, and reads the weights off the first power. Replaying R
+    rounds reads only orders up to 2R + 2 of the data, so a longer
+    sequence gives the same result. Non-edges inside the target are
+    exactly zero, and edge entries must be strictly positive. The first
+    bad squared weight, in force order, raises DegenerateWeightError if
+    it vanishes, InconsistentDataError if negative, InputError if past
+    float64 range. Every check is relative to the data's own scale, and a
+    zero scale refuses: scaling order k by 2^(jk) scales the result by
+    exactly 2^j, refusals and notes unchanged, short of over- or underflow.
     """
     return _replay(markov, _plan(g, markov.v_in, markov.v_out, target))
 
@@ -261,9 +262,9 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
     # X^2_uu is never rewritten once it is known. Only a failed screen gathers
     # P again, to name the first bad weight; later ones follow from it.
     power2 = powers[2, fpos, fpos]
-    if not (squared > DEGENERACY_TOL * np.maximum(1.0, np.abs(power2))).all():
+    if not (squared > DEGENERACY_TOL * np.abs(power2)).all():
         p = np.where(pmask, powers[1, fpos], 0.0)
-        scale = np.maximum(np.maximum(1.0, np.abs(power2)), (p * p).max(axis=1, initial=0.0))
+        scale = np.maximum(np.abs(power2), (p * p).max(axis=1, initial=0.0))
         degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
         overflow = ~np.isfinite(squared)
         a = np.flatnonzero(overflow | degenerate | (squared < 0.0))[0]
@@ -299,12 +300,10 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
             "positive edge weights"
         )
     recovered = np.where(mask, block, 0.0)
-    diagonal = np.diagonal(block)
 
     # Non-edges are masked to zero: report where the table disagrees noticeably.
-    table_scale = max(float(np.abs(diagonal).max(initial=0.0)), 1.0)
     leaks = np.abs(block)
-    leaking = ~mask & (leaks > 1e-6 * table_scale)
+    leaking = ~mask & (leaks > LEAK_TOL * np.abs(recovered).max(initial=0.0))
     notes = [
         f"non-edge ({members[i]},{members[j]}) carries weight "
         f"{leaks[i, j]:.3e} in the measured data; entry omitted from the result"

@@ -7,13 +7,17 @@ or by a wavefront search, Markov blocks by numpy matrix powers. The two
 exceptions are ``reference_identify``, the previous round loop of
 ``identify``, kept to pin the library's replay bit for bit, and
 ``reference_replay``, the previous ``ForcingChronicle.replay``, kept to
-pin the chronicle check's results and error messages.
+pin the chronicle check's results and error messages. The named graph
+families (``path``, ``cycle``, ``complete``, ``grid``, ``star``) only
+spell out edge lists; they return the library's ``Graph`` for the tests.
 """
 
 import heapq
 import itertools
 
 import numpy as np
+
+from netident.graph_core import Graph
 
 
 def adjacency(n, edges):
@@ -387,7 +391,7 @@ def reference_identify(markov, g, target):
             power2 = powers[2, ui, ui]
             pp = p * p
             squared = power2 - pp.sum(axis=1)
-            scale = np.maximum(np.maximum(1.0, np.abs(power2)), pp.max(axis=1, initial=0.0))
+            scale = np.maximum(np.abs(power2), pp.max(axis=1, initial=0.0))
             overflow = ~np.isfinite(squared)
             degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
             bad = np.flatnonzero(overflow | degenerate | (squared < 0.0))
@@ -443,7 +447,7 @@ def reference_identify(markov, g, target):
                 "positive edge weights"
             )
         recovered = np.where(mask, block, 0.0)
-        table_scale = max(float(np.abs(np.diagonal(block)).max(initial=0.0)), 1.0)
+        table_scale = np.abs(recovered).max(initial=0.0)
         na, nb = np.nonzero(np.triu(~mask, 1))
         leaks = np.abs(block[na, nb])
         notes = [
@@ -496,6 +500,32 @@ def reference_replay(chronicle, g):
                 )
             black[v] = 1
     return NodeSet(v for v in range(1, n + 1) if black[v])
+
+
+# -- named graph families --------------------------------------------------
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def cycle(n):
+    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+
+
+def complete(n):
+    return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+def grid(a):
+    """a x a grid, nodes numbered row by row from 1."""
+    edges = [(r * a + c + 1, r * a + c + 2) for r in range(a) for c in range(a - 1)]
+    edges += [(r * a + c + 1, (r + 1) * a + c + 1) for r in range(a - 1) for c in range(a)]
+    return Graph(a * a, edges)
+
+
+def star(leaves):
+    return Graph(leaves + 1, [(1, k) for k in range(2, leaves + 2)])
 
 
 # -- random instance generators -------------------------------------------

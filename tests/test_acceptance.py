@@ -31,23 +31,19 @@ from netident import (
     zfs_heuristic,
 )
 
-from oracles import exhaustive_min_zfs, naive_derived, random_connected_edges, random_graph_edges
+from oracles import (
+    complete,
+    cycle,
+    exhaustive_min_zfs,
+    naive_derived,
+    path,
+    random_connected_edges,
+    random_graph_edges,
+)
 
 
 def _record(num: int, message: str) -> None:
     print(f"acceptance criterion {num}: PASS - {message}")
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def cycle(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
 def test_criterion_1_forcing_matches_oracle_and_scales():

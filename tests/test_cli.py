@@ -915,6 +915,43 @@ def test_every_malformed_file_exits_two(tmp_path, capsys, group, command, flag, 
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("group, command, flag, value, message", [
+    ("zfs", "check", "--in", {}, "node set JSON must be an array of ints"),
+    ("zfs", "check", "--graph", {"n": 2**63, "edges": []},
+     f"node count n is too large: {2**63}"),
+    ("sim", "markov", "--matrix", "n,x\n", "bad matrix CSV header 'n,x'"),
+    ("sim", "markov", "--matrix", "n,2\n1,0\n0,1\n", "matrix shape (2, 2) does not match n=4"),
+    ("ident", "recover", "--markov", {"v_in": [1], "v_out": [1], "K": 0},
+     "bad Markov sequence JSON: 'data'"),
+    ("hod", "markov", "--order", "-1", "order must be >= 0, got -1"),
+    ("hod", "check", "--order", "-1", "k_max must be >= 0, got -1"),
+    ("hod", "check", "--dyn", {**TestHod.DYN, "A": [0.0]},
+     "A must be a 2-d matrix, got ndim=1"),
+    ("hod", "check", "--dyn", {**TestHod.DYN, "A": [[0.0, 0.0]]},
+     "A must be square and non-empty, got (1, 2)"),
+    ("hod", "check", "--dyn", {**TestHod.DYN, "C": [[1.0, 0.0]]},
+     "C must have 1 columns, got (1, 2)"),
+    ("hod", "check", "--dyn", {**TestHod.DYN, "E": [[1.0], [0.0]]},
+     "E must have 1 rows, got (2, 1)"),
+    ("hod", "check", "--dyn", {k: v for k, v in TestHod.DYN.items() if k != "K"},
+     "bad node-dynamics JSON: 'K'"),
+], ids=["nodes-object", "n-2**63", "csv-header", "csv-too-small", "markov-no-data",
+        "hod-markov-order", "hod-check-order", "dyn-A-1d", "dyn-A-not-square",
+        "dyn-C-columns", "dyn-E-rows", "dyn-no-K"])
+def test_library_refusals_exit_two_with_the_library_message(tmp_path, capsys, group, command,
+                                                           flag, value, message):
+    """A value the library refuses exits 2 with the library's own message."""
+    argv = next(argv for argv in TestOneParserPerProcess().commands(tmp_path)
+                if tuple(argv[:2]) == (group, command))
+    if flag in FILE_FLAGS:
+        value = write(tmp_path, "bad", value)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    assert run(capsys, argv) == (2, "", f"input error: {message}\n")
+
+
 def test_first_malformed_file_in_table_order_is_reported(tmp_path, capsys):
     argv = next(argv for argv in TestOneParserPerProcess().commands(tmp_path)
                 if argv[:2] == ["hod", "markov"])

@@ -27,15 +27,14 @@ from netident import (
 )
 from netident.netsim import check_pattern
 
-from oracles import adjacency, random_connected_edges, random_graph_edges, reference_graph
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+from oracles import (
+    adjacency,
+    complete,
+    path,
+    random_connected_edges,
+    random_graph_edges,
+    reference_graph,
+)
 
 
 Pair = namedtuple("Pair", "i j")

@@ -1,9 +1,12 @@
 import functools
 import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netident import (
     CouplingReport,
@@ -12,6 +15,7 @@ from netident import (
     InconsistentDataError,
     InputError,
     MarkovSequence,
+    NetidentError,
     NodeDynamics,
     NodeSet,
     WeightMatrix,
@@ -28,11 +32,12 @@ from netident import (
 from netident.higher_order import COUPLING_MAX_ORDER, _mixing_tables
 from netident.netsim import transfer_eval
 
-from oracles import markov_blocks_oracle, random_connected_edges, single_channel_transfer
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
+from oracles import (
+    markov_blocks_oracle,
+    path,
+    random_connected_edges,
+    single_channel_transfer,
+)
 
 
 SCALAR_IDENTITY = NodeDynamics(
@@ -151,6 +156,16 @@ class TestCouplingCondition:
         # (EK)^2 = 1e-400 underflows, but the test is scale-invariant.
         dyn = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[1e-200]], K=[[1.0]])
         assert coupling_condition(dyn, k_max=20).ok
+
+    def test_a_tiny_output_matrix_is_not_zero(self):
+        # norm(C) underflows to zero, and the scale has no floor to exceed 1e-200.
+        dyn = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1e-200]], E=[[1.0]], K=[[1.0]])
+        assert coupling_condition(dyn).ok
+
+    @pytest.mark.parametrize("name", ["B", "C"])
+    def test_a_zero_input_or_output_matrix_fails_at_order_zero(self, name):
+        dyn = NodeDynamics(**{**SCALAR_IDENTITY.to_json(), name: [[0.0]]})
+        assert coupling_condition(dyn).first_failure == 0
 
     def test_scale_free(self):
         rng = np.random.default_rng(19)
@@ -478,3 +493,53 @@ def test_end_to_end_recovery_through_lift():
         scale = np.abs(x.entries).max()
         assert np.abs(recovered - x.entries).max() <= 1e-5 * scale
         done += 1
+
+
+ORDER_IN_MESSAGE = re.compile(r"order (\d+)")
+
+
+def deconvolved(lifted, dyn):
+    """The base blocks, or the error class and the orders its message names."""
+    try:
+        return deconvolve(lifted, dyn).data
+    except NetidentError as exc:
+        return type(exc), ORDER_IN_MESSAGE.findall(str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    j=st.integers(-200, 200),
+    tamper=st.sampled_from((0.0, 1e-9, 1e-6, 1e-3, 1.0)),
+)
+def test_deconvolve_is_equivariant_under_power_of_two_scaling(seed, j, tamper):
+    """Two outputs and two inputs per node, so the ratio check runs: scaling
+    the lifted data by 2^j scales every base block by exactly 2^j, and data
+    with one entry off raises the same error at the same order."""
+    rng = np.random.default_rng(seed)
+    dyn = random_dyn(rng, 3, r=2, t=2)
+    x = random_weights(path(4), seed=seed)
+    data = lifted_markov(x, dyn, NodeSet([1, 4]), NodeSet([1, 2]), 6).data.copy()
+    data[tuple(rng.integers(0, data.shape))] *= 1.0 + tamper
+    lifted = MarkovSequence(NodeSet([1, 4]), NodeSet([1, 2]), data)
+    base = deconvolved(lifted, dyn)
+    scaled = deconvolved(MarkovSequence(lifted.v_in, lifted.v_out, np.ldexp(data, j)), dyn)
+    if isinstance(base, tuple):
+        assert scaled == base
+    else:
+        assert scaled.tobytes() == np.ldexp(base, j).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), j=st.integers(-500, 500), name=st.sampled_from("BC"))
+def test_scaling_b_or_c_changes_no_base_block(seed, j, name):
+    rng = np.random.default_rng(seed)
+    dyn = random_dyn(rng, 3, r=2, t=2)
+    scaled = NodeDynamics(**{**dyn.to_json(), name: np.ldexp(getattr(dyn, name), j)})
+    x = random_weights(path(4), seed=seed)
+    base, same = (deconvolved(lifted_markov(x, d, [1, 4], [1, 2], 6), d) for d in (dyn, scaled))
+    if isinstance(base, tuple):
+        assert same == base
+    else:
+        assert same.tobytes() == base.tobytes()
+    assert coupling_condition(scaled) == coupling_condition(dyn)

@@ -14,19 +14,7 @@ from netident import (
     required_order,
 )
 
-from oracles import random_graph_edges
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+from oracles import complete, cycle, path, random_graph_edges
 
 
 class TestCertify:

@@ -28,11 +28,7 @@ from netident import (
 )
 from netident.netsim import check_pattern
 
-from oracles import markov_blocks_oracle, random_connected_edges, random_graph_edges
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
+from oracles import markov_blocks_oracle, path, random_connected_edges, random_graph_edges
 
 
 P2 = path(2)
@@ -83,6 +79,12 @@ class TestPatternChecker:
             DirectedWeightMatrix(np.array([[0.0, -1.0], [0.0, 0.0]]))
         DirectedWeightMatrix(np.array([[-3.0, 1.0], [0.0, 2.0]]))  # diagonal free
 
+    @pytest.mark.parametrize("build", [DirectedWeightMatrix, matrix_to_csv],
+                             ids=["directed", "csv"])
+    def test_a_non_square_matrix_is_refused(self, build):
+        with pytest.raises(InputError, match=r"expected a square matrix, got shape \(2, 3\)"):
+            build(np.zeros((2, 3)))
+
 
 class TestRandomWeights:
     def test_p2_laplacian_forced_form(self):
@@ -132,6 +134,11 @@ class TestRandomWeights:
             random_weights(P2, seed=0, weight_range=(0.0, 1.0))
         with pytest.raises(InputError):
             random_weights(P2, seed=0, weight_range=(2.0, 1.0))
+
+    def test_unknown_diagonal_mode(self):
+        message = "diagonal_mode must be 'free' or 'laplacian', got 'x'"
+        with pytest.raises(InputError, match=message):
+            random_weights(P2, seed=0, diagonal_mode="x")
 
     @pytest.mark.parametrize("weight_range, mode", [
         ((1.0, np.inf), "free"), ((1.0, np.inf), "laplacian"), ((1.0, 1e308), "free"),

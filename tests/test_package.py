@@ -104,7 +104,19 @@ def test_every_private_name_is_read():
     assert unread == []
 
 
-def test_docstring_references_resolve():
+def test_readme_names_every_tolerance():
+    """The README's "There is no `--tol`" paragraph names each module-level
+    ``*_TOL`` constant in ``src/`` as ``module.NAME``, and nothing else."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    paragraph = re.search(r"There is no `--tol`:(.*?)\n\n", readme, re.S).group(1)
+    defined = {f"{path.stem}.{target.id}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+               for target in node.targets
+               if isinstance(target, ast.Name) and target.id.endswith("_TOL")}
+    assert defined and set(re.findall(r"`(\w+\.\w+_TOL)`", paragraph)) == defined
+
+
+
     """Each ``:func:``, ``:class:`` or ``:meth:`` target in a docstring names
     an object: a bare name on its own module, ``~netident.mod.name`` through
     the package. ``__main__`` is skipped, as importing it runs the CLI."""

@@ -20,6 +20,7 @@ from netident import (
     InputError,
     InsufficientOrderError,
     MarkovSequence,
+    NetidentError,
     NodeSet,
     UncertifiedTargetError,
     WeightMatrix,
@@ -34,28 +35,17 @@ from netident import (
 from netident.reconstruct import DEGENERACY_TOL
 
 from oracles import (
+    grid,
     markov_blocks_oracle,
+    path,
     random_connected_edges,
     random_tree_edges,
     reference_identify,
 )
 
 
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
 P2 = path(2)
 X2 = np.array([[1.0, 2.0], [2.0, 3.0]])
-
-
-def grid(a):
-    def node(r, c):
-        return r * a + c + 1
-
-    edges = [(node(r, c), node(r, c + 1)) for r in range(a) for c in range(a - 1)]
-    edges += [(node(r, c), node(r + 1, c)) for r in range(a - 1) for c in range(a)]
-    return Graph(a * a, edges)
 
 
 def seq_from_raw(entries, v_in, v_out, order):
@@ -430,8 +420,8 @@ SCREEN_OFFSETS = (0.0, 1e-12, -1e-12, 1.0000000000000002e-12, 5e-13, 2e-12, 1e-3
 @example(row=[2.0, 3.0], x2=13.0, near=False, offset=0.0)
 @example(row=[1e-170], x2=0.0, near=True, offset=1e-300)
 def test_screen_passes_exactly_when_the_full_check_flags_nothing(row, x2, near, offset):
-    """_replay screens each squared weight with max(1, |X^2_uu|) as its scale and
-    runs the full check, whose scale also takes max p^2, only when the screen fails."""
+    """_replay screens each squared weight with |X^2_uu| as its scale and runs
+    the full check, whose scale also takes max p^2, only when the screen fails."""
     p = np.array([row])
     with np.errstate(all="ignore"):
         sums = (p * p).sum(axis=1)
@@ -439,8 +429,8 @@ def test_screen_passes_exactly_when_the_full_check_flags_nothing(row, x2, near, 
         if near:  # X^2_uu just around the sum, where the scale decides
             power2 = sums + offset * np.maximum(1.0, sums)
         squared = power2 - sums  # as _replay computes it
-        screen = bool((squared > DEGENERACY_TOL * np.maximum(1.0, np.abs(power2))).all())
-        scale = np.maximum(np.maximum(1.0, np.abs(power2)), (p * p).max(axis=1, initial=0.0))
+        screen = bool((squared > DEGENERACY_TOL * np.abs(power2)).all())
+        scale = np.maximum(np.abs(power2), (p * p).max(axis=1, initial=0.0))
         degenerate = np.abs(squared) <= DEGENERACY_TOL * scale
         overflow = ~np.isfinite(squared)
         flagged = bool((overflow | degenerate | (squared < 0.0)).any())
@@ -592,3 +582,92 @@ def test_replay_matches_the_reference_bit_for_bit(n, seed, exact, diagonal, part
     assert outcome(markov, g, target, identify) == outcome(
         markov, g, target, reference_identify
     )
+
+
+EDGE = re.compile(r"\(\d+,\d+\)")
+
+
+def scaled_by_powers(markov, j):
+    """Order k of ``markov`` scaled by 2^(jk): the data of the network scaled by 2^j."""
+    factors = np.ldexp(1.0, j * np.arange(len(markov.data)))
+    return MarkovSequence(markov.v_in, markov.v_out, markov.data * factors[:, None, None])
+
+
+def assert_equivariant(markov, g, j):
+    """identify on ``markov`` and on it scaled by 2^(jk) raise the same error
+    class naming the same edges, or return blocks that differ by exactly 2^j
+    with notes naming the same entries. Returns the unscaled error class and
+    the edges it names, or None and the edges each note names."""
+    outcomes = []
+    for data in (markov, scaled_by_powers(markov, j)):
+        try:
+            result = identify(data, g, g.nodes)
+        except NetidentError as exc:
+            outcomes.append((type(exc), EDGE.findall(str(exc)), None))
+        else:
+            notes = [EDGE.findall(note) for note in result.notes]
+            outcomes.append((None, notes, result.recovered))
+    (error, named, block), (scaled_error, scaled_named, scaled_block) = outcomes
+    assert (error, named) == (scaled_error, scaled_named)
+    if block is not None:
+        assert scaled_block.tobytes() == np.ldexp(block, j).tobytes()
+    return error, named
+
+
+WORKLOAD_SHAPED = st.one_of(
+    st.tuples(st.just("grid"), st.integers(4, 8)),
+    st.tuples(st.just("sparse"), st.integers(8, 14)),
+    st.tuples(st.just("path"), st.integers(4, 12)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=WORKLOAD_SHAPED, seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_identify_is_equivariant_under_power_of_two_scaling(shape, seed, data):
+    """Heuristic-seeded grids and minimum-seeded sparse graphs with a free
+    diagonal, and Laplacian paths seeded at one end. With |j| K <= 900 for
+    the data's order K the scaled data stays well inside float64's normal
+    range, so the equivariance is exact on both sides of the precision wall."""
+    family, n = shape
+    if family == "grid":
+        g = grid(n)
+        w, diagonal = zfs_heuristic(g), "free"
+    elif family == "sparse":
+        g = Graph(n, random_connected_edges(np.random.default_rng(seed), n, extra=0.2))
+        w, diagonal = minimum_zero_forcing_set(g), "free"
+    else:
+        g = path(n)
+        w, diagonal = NodeSet([1]), "laplacian"
+    _, chron = derived_set(g, w)
+    order = required_order(chron)
+    markov = markov_sequence(random_weights(g, seed=seed, diagonal_mode=diagonal), w, w, order)
+    assert_equivariant(markov, g, data.draw(st.integers(-(900 // order), 900 // order)))
+
+
+@pytest.mark.parametrize("side", [4, 5, 6, 7, 8])
+def test_weights_near_one_millionth_are_recovered(side):
+    """Data of a grid whose weights are 2^-20 times the default range: each
+    recovered block is exactly 2^-20 times the unscaled one."""
+    g = grid(side)
+    w = zfs_heuristic(g)
+    _, chron = derived_set(g, w)
+    for weight_seed in (1, 2, 3):
+        markov = markov_sequence(random_weights(g, seed=weight_seed), w, w,
+                                 required_order(chron))
+        assert assert_equivariant(markov, g, -20) == (None, [])
+
+
+@pytest.mark.parametrize("j", [-80, -3, 5, 80])
+def test_refusals_and_notes_do_not_depend_on_the_scale(j):
+    checks = TestChecksAfterTheLoop()
+    assert assert_equivariant(checks.data(1.0), checks.G, j) == (
+        InconsistentDataError, ["(7,8)"])
+    assert assert_equivariant(checks.data(1e-7), checks.G, j) == (
+        DegenerateWeightError, ["(2,3)"])
+    g = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    x = weights_on(g, (0.5, -0.3, 0.0, 0.8, 0.7), (0.3, -0.2, 0.1, 0.4, -0.1))
+    assert assert_equivariant(seq_from_raw(x, [1, 2, 3], [1, 2, 3], 6), g, j) == (
+        InconsistentDataError, ["(1,3)"])
+    x = np.array([[1.0, 0.5, 0.3], [0.5, 2.0, 0.7], [0.3, 0.7, 1.5]])
+    assert assert_equivariant(seq_from_raw(x, [1, 3], [1, 3], 4), path(3), j) == (
+        None, [["(1,3)"]])

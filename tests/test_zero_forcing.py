@@ -31,12 +31,16 @@ from netident.zero_forcing import _diametral_path, _eccentricities
 from oracles import (
     adjacency,
     bfs_ecc,
+    complete,
+    cycle,
     dfs_min_zfs,
     diameter,
     exhaustive_min_zfs,
+    grid,
     is_zfs_naive,
     naive_derived,
     parallel_colour_change,
+    path,
     random_connected_edges,
     random_graph_edges,
     random_tree_edges,
@@ -44,30 +48,9 @@ from oracles import (
     relabelled_components,
     round_chronicle,
     shuffled_derived,
+    star,
     wavefront_zf_number,
 )
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def cycle(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-
-
-def grid(a):
-    edges = [(r * a + c + 1, r * a + c + 2) for r in range(a) for c in range(a - 1)]
-    edges += [(r * a + c + 1, (r + 1) * a + c + 1) for r in range(a - 1) for c in range(a)]
-    return Graph(a * a, edges)
-
-
-def star(leaves):
-    return Graph(leaves + 1, [(1, k) for k in range(2, leaves + 2)])
 
 
 class TestDerivedSet:

@@ -235,16 +235,17 @@ def deconvolve(
     leaving a Kronecker product of the unknown base block with
     ``C (EK)^k B``; dividing by that product's largest entry recovers the
     block, and a few other well-sized entries are cross-checked against
-    it, relative to its largest magnitude. Every check is relative to the
-    data's own scale: scaling the lifted data by 2^j scales the blocks by
-    exactly 2^j, and scaling C or B changes nothing. The residuals of all
-    orders are held on one 5-d view ``grids[k, i, a, j, b]`` (output node
-    i, output channel a, input node j, input channel b): once the block
-    of order k is known, its term is subtracted from every higher order in
-    one broadcast outer product, with the same products as ``np.kron`` but
-    without forming the Kronecker matrix. Each order still takes its
-    subtractions in ascending order, the whole peel makes O(K) numpy
-    calls, and the blocks fill one ``(K+1, n_out, n_in)`` array. Raises
+    it within rounding of that order's data (a zero block leaves a
+    residual of rounding alone). Every check is relative to the data's own
+    scale: lifted data times 2^j gives blocks times exactly 2^j, and C or
+    B times 2^j changes nothing. The residuals of all orders are held on
+    one 5-d view ``grids[k, i, a, j, b]`` (output node i, output channel
+    a, input node j, input channel b): once the block of order k is known,
+    its term is subtracted from every higher order in one broadcast outer
+    product, with the same products as ``np.kron`` but without forming the
+    Kronecker matrix. Each order still takes its subtractions in ascending
+    order, the whole peel makes O(K) numpy calls, and the blocks fill one
+    ``(K+1, n_out, n_in)`` array. Raises
     DeconvolutionBlockedError at the first order whose coupling product
     is zero by the test of :func:`coupling_condition` or whose mixing
     table overflows float64, and InconsistentDataError when the data is
@@ -284,18 +285,17 @@ def deconvolve(
                 f"deconvolution blocked at order {k}",
                 k=k,
             )
-        flat = int(np.abs(top).argmax())
-        alpha, beta = divmod(flat, r)
+        alpha, beta = divmod(int(np.abs(top).argmax()), r)
         block = grid[:, alpha, :, beta] / top[alpha, beta]
-
-        # Cross-check up to three other well-sized entries of the top product.
+        # Cross-check up to three other well-sized entries, to rounding of the order's data.
+        scale = max(np.abs(lifted.data[k]).max(initial=0.0), np.abs(grid).max(initial=0.0))
         for pos in np.argsort(np.abs(top), axis=None)[::-1][1:4]:
             a2, b2 = divmod(int(pos), r)
             if vanish[a2, b2]:
                 break
             other = grid[:, a2, :, b2] / top[a2, b2]
             err = np.abs(other - block).max(initial=0.0)
-            if err > RATIO_TOL * np.abs(block).max(initial=0.0):
+            if err > RATIO_TOL * scale / abs(top[alpha, beta]):
                 raise InconsistentDataError(
                     f"lifted data at order {k} is not a consistent Kronecker "
                     f"mixture: block ratio mismatch {err:.3e}"

@@ -116,7 +116,7 @@ def test_readme_names_every_tolerance():
     assert defined and set(re.findall(r"`(\w+\.\w+_TOL)`", paragraph)) == defined
 
 
-
+def test_docstring_references_resolve():
     """Each ``:func:``, ``:class:`` or ``:meth:`` target in a docstring names
     an object: a bare name on its own module, ``~netident.mod.name`` through
     the package. ``__main__`` is skipped, as importing it runs the CLI."""

@@ -12,13 +12,17 @@ where the R tables depend on the node dynamics only and the top
 coefficient at order k is ``C (EK)^k B``. As long as those coupling
 products stay nonzero, the mixture is triangular and the base network's
 Markov parameters can be peeled out order by order, after which the
-plain reconstruction applies unchanged.
+plain reconstruction applies unchanged. :func:`deconvolve` computes all
+that the peel does not change for every order before it starts, so its
+loop over orders only divides, cross-checks and subtracts. The lift's
+Kronecker products are broadcasts with the same products as ``np.kron``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
@@ -46,6 +50,8 @@ RATIO_TOL = 1e-6
 # Highest order coupling_condition checks. No lower cap is sound: the orders
 # where C (EK)^k B vanishes are the zeros of a linear recurrence (Skolem's problem).
 COUPLING_MAX_ORDER = 10**5
+# Most orders coupling_condition tests in one stack of powers, which bounds its memory.
+POWER_BATCH = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,21 +142,46 @@ class CouplingReport:
         }
 
 
-def _vanishing_couplings(dyn: NodeDynamics) -> Iterator[np.ndarray]:
-    """For k = 0, 1, 2, ...: which entries of C (EK)^k B count as zero.
+def _scaled_norm(mat: np.ndarray) -> float:
+    """Frobenius norm of ``mat``, taken on ``mat`` divided by the power of
+    two of its largest magnitude and scaled back: the same bits as
+    ``np.linalg.norm`` in the normal range, and no overflow or underflow
+    of the squares at the ends of it."""
+    _, exp = np.frexp(np.abs(mat).max(initial=0.0))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(mat, -exp)), exp))
 
-    An entry vanishes when it is at most ``COUPLING_TOL`` times
-    ``norm(C) norm(B) norm((EK)^k)``. The test is scale-invariant, so the
-    power is divided by its largest entry at every step and stays inside
-    float64 range however large or small EK is. A nilpotent EK reaches
-    the exact zero power, every entry of whose product vanishes.
-    """
-    tol = COUPLING_TOL * float(np.linalg.norm(dyn.C)) * float(np.linalg.norm(dyn.B))
+
+def _coupling_tol(dyn: NodeDynamics) -> float:
+    """``COUPLING_TOL`` times ``norm(C) norm(B)``: the scale of the coupling test."""
+    return COUPLING_TOL * _scaled_norm(dyn.C) * _scaled_norm(dyn.B)
+
+
+def _stack_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms of an ``(m, q, q)`` stack, shape ``(m, 1, 1)``. Each
+    is the one dot product ``np.linalg.norm`` takes, so it has the same bits."""
+    flat = stack.reshape(len(stack), 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1))
+
+
+def _coupling_powers(dyn: NodeDynamics) -> Iterator[np.ndarray]:
+    """(EK)^k for k = 0, 1, 2, ..., each divided by its largest magnitude,
+    so it stays inside float64 range however large or small EK is. A
+    nilpotent EK reaches the exact zero power."""
     power = np.eye(dyn.state_dim)
     while True:
-        yield np.abs(dyn.C @ power @ dyn.B) <= tol * np.linalg.norm(power)
+        yield power
         power = dyn.coupling @ power
         power /= np.abs(power).max() or 1.0
+
+
+def _vanishing(dyn: NodeDynamics, powers: np.ndarray, tol: float) -> np.ndarray:
+    """Which entries of C P B count as zero, for each P of an ``(m, q, q)``
+    stack of :func:`_coupling_powers`: those at most ``tol * norm(P)``.
+
+    The test is scale-invariant, so normalising the powers changes no
+    verdict. The result has shape ``(m, t, r)``.
+    """
+    return np.abs(dyn.C @ powers @ dyn.B) <= tol * _stack_norms(powers)
 
 
 def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingReport:
@@ -168,10 +199,24 @@ def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingR
     if k_max > COUPLING_MAX_ORDER:
         raise InputError("k_max must be at most COUPLING_MAX_ORDER = "
                          f"{COUPLING_MAX_ORDER}, got {k_max}")
-    for k, vanish in zip(range(k_max + 1), _vanishing_couplings(dyn)):
-        if vanish.all():
+    tol, powers = _coupling_tol(dyn), _coupling_powers(dyn)
+    start, size = 0, 1
+    while start <= k_max:
+        # Stacks of 1, 2, 4, ... powers: a failure at order k computes none past order 2k.
+        stack = np.array(list(islice(powers, min(size, k_max + 1 - start))))
+        failing = np.flatnonzero(_vanishing(dyn, stack, tol).all(axis=(1, 2)))
+        if failing.size:
+            k = start + int(failing[0])
             return CouplingReport(verified_up_to=k - 1, first_failure=k)
+        start, size = start + size, min(2 * size, POWER_BATCH)
     return CouplingReport(verified_up_to=k_max, first_failure=None)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices: the same products, signed zeros
+    included, as one broadcast over the ``(m, p, n, q)`` view."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[:, None, :]).reshape(m * p, n * q)
 
 
 def lifted_markov(
@@ -194,9 +239,9 @@ def lifted_markov(
     if order < 0:
         raise InputError(f"order must be >= 0, got {order}")
     n = x.graph.n
-    state = np.kron(np.eye(n), dyn.A) + np.kron(x.entries, dyn.coupling)
-    cur = np.kron(selection_matrix(n, v_in), dyn.B)
-    out = np.kron(selection_matrix(n, v_out).T, dyn.C)
+    state = _kron(np.eye(n), dyn.A) + _kron(x.entries, dyn.coupling)
+    cur = _kron(selection_matrix(n, v_in), dyn.B)
+    out = _kron(selection_matrix(n, v_out).T, dyn.C)
     data = _markov_blocks(order, out.shape[0], cur.shape[1])
     for k in range(order + 1 if data.size else 0):  # empty blocks need no powers
         data[k] = out @ cur
@@ -238,11 +283,20 @@ def deconvolve(
     it within rounding of that order's data (a zero block leaves a
     residual of rounding alone). Every check is relative to the data's own
     scale: lifted data times 2^j gives blocks times exactly 2^j, and C or
-    B times 2^j changes nothing. The residuals of all orders are held on
-    one 5-d view ``grids[k, i, a, j, b]`` (output node i, output channel
-    a, input node j, input channel b): once the block of order k is known,
-    its term is subtracted from every higher order in one broadcast outer
-    product, with the same products as ``np.kron`` but without forming the
+    B times 2^j changes nothing.
+
+    What does not depend on the peel is computed for all K+1 orders up
+    front: the coupling products ``C (EK)^k B``, which of their entries
+    vanish and so which orders are blocked, each order's pivot and its
+    up to three cross-check entries, and each order's largest data
+    magnitude. The loop then raises at a blocked order, divides by the
+    pivot, cross-checks against the residual when there is an entry to
+    check (never with one output and one input channel), and peels. The
+    residuals of all orders are held on one 5-d view
+    ``grids[k, i, a, j, b]`` (output node i, output channel a, input node
+    j, input channel b): once the block of order k is known, its term is
+    subtracted from every higher order in one broadcast outer product,
+    with the same products as ``np.kron`` but without forming the
     Kronecker matrix. Each order still takes its subtractions in ascending
     order, the whole peel makes O(K) numpy calls, and the blocks fill one
     ``(K+1, n_out, n_in)`` array. Raises
@@ -266,40 +320,53 @@ def deconvolve(
         )
 
     mixing = _mixing_tables(dyn, lifted.order)
+    orders = len(mixing)
     finite = np.isfinite(mixing).all(axis=(1, 2, 3))
-    stop = len(mixing) if finite.all() else int(finite.argmin())
-    grids = lifted.data.reshape(len(lifted.data), n_out, t, n_in, r).copy()
-    base = np.empty((len(grids), n_out, n_in))
-    for k, (grid, vanish) in enumerate(zip(grids, _vanishing_couplings(dyn))):
+    stop = orders if finite.all() else int(finite.argmin())
+    # Everything the peel does not change, for every order at once.
+    tops = mixing[np.arange(orders), np.arange(orders)].reshape(orders, t * r)
+    powers = np.array(list(islice(_coupling_powers(dyn), orders)))
+    vanish = _vanishing(dyn, powers, _coupling_tol(dyn)).reshape(orders, t * r)
+    # The table's unscaled (EK)^k can underflow to zero where the test does not.
+    blocked = (vanish.all(axis=1) | ~tops.any(axis=1)).tolist()
+    sizes = np.abs(tops)
+    # With no channel every order is blocked, and argmax refuses an empty row.
+    pivots = sizes.argmax(axis=1).tolist() if t * r else [0] * orders
+    # Up to three other well-sized entries, up to the first one that vanishes.
+    ranked = np.argsort(sizes, axis=1)[:, ::-1][:, 1:4]
+    kept = ~np.logical_or.accumulate(np.take_along_axis(vanish, ranked, axis=1), axis=1)
+    checks = [[p for p, c in zip(*row) if c] for row in zip(ranked.tolist(), kept.tolist())]
+    data_scale = np.abs(lifted.data).max(axis=(1, 2), initial=0.0)
+    top_values = tops.tolist()
+
+    grids = lifted.data.reshape(orders, n_out, t, n_in, r).copy()
+    base = np.empty((orders, n_out, n_in))
+    for k, grid in enumerate(grids):
         if k == stop:
             raise DeconvolutionBlockedError(
                 f"coupling product C (EK)^{k} B overflows float64: "
                 f"deconvolution blocked at order {k}",
                 k=k,
             )
-        top = mixing[k, k]
-        # The table's unscaled (EK)^k can underflow to zero where the test does not.
-        if vanish.all() or not top.any():
+        if blocked[k]:
             raise DeconvolutionBlockedError(
                 f"coupling product C (EK)^{k} B is zero within tolerance: "
                 f"deconvolution blocked at order {k}",
                 k=k,
             )
-        alpha, beta = divmod(int(np.abs(top).argmax()), r)
-        block = grid[:, alpha, :, beta] / top[alpha, beta]
-        # Cross-check up to three other well-sized entries, to rounding of the order's data.
-        scale = max(np.abs(lifted.data[k]).max(initial=0.0), np.abs(grid).max(initial=0.0))
-        for pos in np.argsort(np.abs(top), axis=None)[::-1][1:4]:
-            a2, b2 = divmod(int(pos), r)
-            if vanish[a2, b2]:
-                break
-            other = grid[:, a2, :, b2] / top[a2, b2]
-            err = np.abs(other - block).max(initial=0.0)
-            if err > RATIO_TOL * scale / abs(top[alpha, beta]):
-                raise InconsistentDataError(
-                    f"lifted data at order {k} is not a consistent Kronecker "
-                    f"mixture: block ratio mismatch {err:.3e}"
-                )
+        top, pivot = top_values[k], pivots[k]
+        alpha, beta = divmod(pivot, r)
+        block = grid[:, alpha, :, beta] / top[pivot]
+        if checks[k]:  # to rounding of the order's data
+            scale = max(data_scale[k], np.abs(grid).max(initial=0.0))
+            for pos in checks[k]:
+                a2, b2 = divmod(pos, r)
+                err = np.abs(grid[:, a2, :, b2] / top[pos] - block).max(initial=0.0)
+                if err > RATIO_TOL * scale / abs(top[pivot]):
+                    raise InconsistentDataError(
+                        f"lifted data at order {k} is not a consistent Kronecker "
+                        f"mixture: block ratio mismatch {err:.3e}"
+                    )
         base[k] = block
         # Peel this order's term out of every higher order with a finite table.
         grids[k + 1 : stop] -= block[:, None, :, None] * mixing[k + 1 : stop, k, None, :, None, :]

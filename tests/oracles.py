@@ -5,9 +5,12 @@ shares no code path with the library: forcing fixpoints by repeated
 full rescans, minimum sets by subset enumeration, by depth-first search
 or by a wavefront search, Markov blocks by numpy matrix powers. The two
 exceptions are ``reference_identify``, the previous round loop of
-``identify``, kept to pin the library's replay bit for bit, and
+``identify``, kept to pin the library's replay bit for bit,
 ``reference_replay``, the previous ``ForcingChronicle.replay``, kept to
-pin the chronicle check's results and error messages. The named graph
+pin the chronicle check's results and error messages, and
+``reference_deconvolve`` and ``reference_coupling_condition``, the
+previous per-order peel and coupling loop, kept to pin the batched ones
+bit for bit. ``kron_lift`` is the lift as ``np.kron`` builds it. The named graph
 families (``path``, ``cycle``, ``complete``, ``grid``, ``star``) only
 spell out edge lists; they return the library's ``Graph`` for the tests.
 """
@@ -500,6 +503,101 @@ def reference_replay(chronicle, g):
                 )
             black[v] = 1
     return NodeSet(v for v in range(1, n + 1) if black[v])
+
+
+def kron_lift(entries, A, B, C, E, K, v_in, v_out, order):
+    """Lifted Markov blocks built with ``np.kron``: state matrix
+    I (x) A + X (x) EK, input M (x) B, output N (x) C, one product per order."""
+    entries = np.asarray(entries, dtype=float)
+    eye = np.eye(entries.shape[0])
+    select_in = eye[:, [j - 1 for j in sorted(v_in)]]
+    select_out = eye[:, [i - 1 for i in sorted(v_out)]]
+    state = np.kron(eye, A) + np.kron(entries, E @ K)
+    cur = np.kron(select_in, B)
+    out = np.kron(select_out.T, C)
+    data = np.empty((order + 1, out.shape[0], cur.shape[1]))
+    for k in range(order + 1):
+        data[k] = out @ cur
+        if k < order:
+            cur = state @ cur
+    return data
+
+
+def reference_vanishing(dyn):
+    """For k = 0, 1, 2, ...: which entries of C (EK)^k B are at most
+    ``COUPLING_TOL`` times ``norm(C) norm(B) norm((EK)^k)``, one order at
+    a time with ``np.linalg.norm`` on the power divided by its largest entry.
+    It includes the overflow-safe scale: norm(C) and norm(B) are taken on
+    the matrix divided by the power of two of its largest magnitude."""
+    from netident.higher_order import COUPLING_TOL
+
+    def norm(mat):
+        exp = np.frexp(np.abs(mat).max(initial=0.0))[1]
+        return np.ldexp(np.linalg.norm(np.ldexp(mat, -exp)), exp)
+
+    tol = COUPLING_TOL * float(norm(dyn.C)) * float(norm(dyn.B))
+    power = np.eye(dyn.state_dim)
+    while True:
+        yield np.abs(dyn.C @ power @ dyn.B) <= tol * np.linalg.norm(power)
+        power = dyn.coupling @ power
+        power /= np.abs(power).max() or 1.0
+
+
+def reference_coupling_condition(dyn, k_max):
+    """The previous ``coupling_condition`` loop: one order at a time."""
+    from netident.higher_order import CouplingReport
+
+    for k, vanish in zip(range(k_max + 1), reference_vanishing(dyn)):
+        if vanish.all():
+            return CouplingReport(verified_up_to=k - 1, first_failure=k)
+    return CouplingReport(verified_up_to=k_max, first_failure=None)
+
+
+def reference_deconvolve(lifted, dyn):
+    """The previous ``deconvolve``: every check is made inside the loop over
+    orders, one order at a time. Returns the base blocks as one
+    ``(K+1, n_out, n_in)`` array; raises the library's errors."""
+    from netident.errors import DeconvolutionBlockedError, InconsistentDataError
+    from netident.higher_order import RATIO_TOL, _mixing_tables
+
+    n_in, n_out = len(lifted.v_in), len(lifted.v_out)
+    t, r = dyn.output_dim, dyn.input_dim
+    mixing = _mixing_tables(dyn, lifted.order)
+    finite = np.isfinite(mixing).all(axis=(1, 2, 3))
+    stop = len(mixing) if finite.all() else int(finite.argmin())
+    grids = lifted.data.reshape(len(lifted.data), n_out, t, n_in, r).copy()
+    base = np.empty((len(grids), n_out, n_in))
+    for k, (grid, vanish) in enumerate(zip(grids, reference_vanishing(dyn))):
+        if k == stop:
+            raise DeconvolutionBlockedError(
+                f"coupling product C (EK)^{k} B overflows float64: "
+                f"deconvolution blocked at order {k}",
+                k=k,
+            )
+        top = mixing[k, k]
+        if vanish.all() or not top.any():
+            raise DeconvolutionBlockedError(
+                f"coupling product C (EK)^{k} B is zero within tolerance: "
+                f"deconvolution blocked at order {k}",
+                k=k,
+            )
+        alpha, beta = divmod(int(np.abs(top).argmax()), r)
+        block = grid[:, alpha, :, beta] / top[alpha, beta]
+        scale = max(np.abs(lifted.data[k]).max(initial=0.0), np.abs(grid).max(initial=0.0))
+        for pos in np.argsort(np.abs(top), axis=None)[::-1][1:4]:
+            a2, b2 = divmod(int(pos), r)
+            if vanish[a2, b2]:
+                break
+            other = grid[:, a2, :, b2] / top[a2, b2]
+            err = np.abs(other - block).max(initial=0.0)
+            if err > RATIO_TOL * scale / abs(top[alpha, beta]):
+                raise InconsistentDataError(
+                    f"lifted data at order {k} is not a consistent Kronecker "
+                    f"mixture: block ratio mismatch {err:.3e}"
+                )
+        base[k] = block
+        grids[k + 1 : stop] -= block[:, None, :, None] * mixing[k + 1 : stop, k, None, :, None, :]
+    return base
 
 
 # -- named graph families --------------------------------------------------

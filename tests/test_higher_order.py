@@ -29,13 +29,22 @@ from netident import (
     required_order,
     zfs_heuristic,
 )
-from netident.higher_order import COUPLING_MAX_ORDER, _mixing_tables
+from netident.higher_order import (
+    COUPLING_MAX_ORDER,
+    _kron,
+    _mixing_tables,
+    _scaled_norm,
+    _stack_norms,
+)
 from netident.netsim import transfer_eval
 
 from oracles import (
+    kron_lift,
     markov_blocks_oracle,
     path,
     random_connected_edges,
+    reference_coupling_condition,
+    reference_deconvolve,
     single_channel_transfer,
 )
 
@@ -161,6 +170,17 @@ class TestCouplingCondition:
         # norm(C) underflows to zero, and the scale has no floor to exceed 1e-200.
         dyn = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1e-200]], E=[[1.0]], K=[[1.0]])
         assert coupling_condition(dyn).ok
+
+    @pytest.mark.parametrize("value", [1e160, 1e300])
+    @pytest.mark.parametrize("name", ["B", "C"])
+    def test_a_huge_input_or_output_matrix_is_not_zero(self, name, value):
+        # norm(C) or norm(B) squares past float64 range unless taken on the
+        # matrix divided by the power of two of its largest magnitude.
+        dyn = NodeDynamics(**{**SCALAR_IDENTITY.to_json(), name: [[value]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coupling_condition(dyn, k_max=0).ok
+            assert coupling_condition(dyn).ok
 
     @pytest.mark.parametrize("name", ["B", "C"])
     def test_a_zero_input_or_output_matrix_fails_at_order_zero(self, name):
@@ -552,6 +572,141 @@ def test_scaling_b_or_c_changes_no_base_block(seed, j, name):
     rng = np.random.default_rng(seed)
     dyn = random_dyn(rng, 3, r=2, t=2)
     scaled = NodeDynamics(**{**dyn.to_json(), name: np.ldexp(getattr(dyn, name), j)})
+    x = random_weights(path(4), seed=seed)
+    base, same = (deconvolved(lifted_markov(x, d, [1, 4], [1, 2], 6), d) for d in (dyn, scaled))
+    if isinstance(base, tuple):
+        assert same == base
+    else:
+        assert same.tobytes() == base.tobytes()
+    assert coupling_condition(scaled) == coupling_condition(dyn)
+
+
+def sparse_dyn(rng, q, t, r, s, nilpotent, integer=False):
+    """Node dynamics with negative and zero entries, small integers with
+    ``integer`` (so coupling products tie); with ``nilpotent`` (and q > 1)
+    E has zero rows from some i on and K zero columns before i, so EK is
+    strictly upper triangular and (EK)^2 = 0 exactly."""
+    shapes = dict(zip("ABCEK", ((q, q), (q, r), (t, q), (q, s), (s, q))))
+    mats = {name: rng.integers(-2, 3, shape).astype(float) if integer
+            else rng.uniform(-1, 1, shape) * (rng.random(shape) < 0.75)
+            for name, shape in shapes.items()}
+    if nilpotent and q > 1:
+        i = int(rng.integers(1, q))
+        mats["E"][i:] = 0.0
+        mats["K"][:, :i] = 0.0
+    return NodeDynamics(**mats)
+
+
+def outcome(fn):
+    """The bytes of ``fn()``, or the error class and message it raises."""
+    try:
+        return fn().tobytes()
+    except NetidentError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    q=st.integers(1, 4),
+    tr=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    s=st.integers(1, 2),
+    nilpotent=st.booleans(),
+    integer=st.booleans(),
+    tamper=st.sampled_from((0.0, 1e-9, 1e-3, 1.0)),
+)
+def test_deconvolve_equals_the_per_order_reference(seed, q, tr, s, nilpotent, integer, tamper):
+    """The checks computed for all orders up front give the same blocks, or
+    the same error and message, as the loop that makes them order by order;
+    with t r > 1 the cross-check runs, integer dynamics make the entries it
+    ranks tie, and one lifted entry may be off."""
+    rng = np.random.default_rng(seed)
+    dyn = sparse_dyn(rng, q, *tr, s, nilpotent, integer)
+    n = int(rng.integers(1, 6))
+    x = random_weights(Graph(n, random_connected_edges(rng, n)), seed=seed)
+    v_in, v_out = (NodeSet(int(v) + 1 for v in rng.choice(n, int(rng.integers(1, n + 1)),
+                                                          replace=False)) for _ in range(2))
+    data = lifted_markov(x, dyn, v_in, v_out, int(rng.integers(0, 13))).data.copy()
+    data[tuple(rng.integers(0, data.shape))] *= 1.0 + tamper
+    lifted = MarkovSequence(v_in, v_out, data)
+    got = outcome(lambda: deconvolve(lifted, dyn).data)
+    assert got == outcome(lambda: reference_deconvolve(lifted, dyn))
+    k_max = int(rng.integers(0, 60))
+    assert coupling_condition(dyn, k_max) == reference_coupling_condition(dyn, k_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), q=st.integers(2, 4),
+       k_max=st.integers(0, COUPLING_MAX_ORDER))
+def test_coupling_condition_equals_the_per_order_reference_on_a_nilpotent_coupling(
+        seed, q, k_max):
+    rng = np.random.default_rng(seed)
+    dyn = sparse_dyn(rng, q, *rng.integers(1, 3, 3), nilpotent=True)
+    assert coupling_condition(dyn, k_max) == reference_coupling_condition(dyn, k_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 5),
+    q=st.integers(1, 3),
+    trs=st.tuples(*[st.integers(1, 2)] * 3),
+    order=st.integers(0, 6),
+)
+def test_lift_equals_the_kron_build_bit_for_bit(seed, n, q, trs, order):
+    """Zero and negative entries, and a zero diagonal half of the time, make
+    0.0 * (-x) = -0.0 products; node sets may be empty."""
+    rng = np.random.default_rng(seed)
+    dyn = sparse_dyn(rng, q, *trs, nilpotent=False)
+    g = Graph(n, random_connected_edges(rng, n))
+    entries = random_weights(g, seed=seed).entries * (1.0 - np.eye(n) * rng.integers(0, 2))
+    x = WeightMatrix(g, entries)
+    v_in, v_out = (sorted(int(v) + 1 for v in rng.choice(n, int(rng.integers(0, n + 1)),
+                                                         replace=False)) for _ in range(2))
+    got = lifted_markov(x, dyn, v_in, v_out, order).data
+    want = kron_lift(x.entries, dyn.A, dyn.B, dyn.C, dyn.E, dyn.K, v_in, v_out, order)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    a, b = x.entries, dyn.coupling
+    assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+def test_kron_keeps_negative_zeros():
+    a, b = np.array([[0.0, 1.0]]), np.array([[-2.0], [0.0]])
+    assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
+    assert np.signbit(_kron(a, b)).tolist() == [[True, True], [False, False]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 30), q=st.integers(1, 6),
+       exp=st.integers(-100, 100))
+def test_stacked_norms_equal_numpy_norm_bit_for_bit(seed, m, q, exp):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((m, q, q)) * (rng.random((m, q, q)) < 0.7) * 10.0 ** exp
+    want = np.array([np.linalg.norm(power) for power in stack])
+    assert _stack_norms(stack).shape == (m, 1, 1)
+    assert _stack_norms(stack)[:, 0, 0].tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), j=st.integers(-1000, 1000))
+def test_scaled_norm_is_numpy_norm_in_the_normal_range_and_scales_past_it(seed, j):
+    rng = np.random.default_rng(seed)
+    mat = rng.uniform(-1, 1, tuple(rng.integers(1, 4, 2)))
+    assert _scaled_norm(mat) == np.linalg.norm(mat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scaled_norm(np.ldexp(mat, j)) == np.ldexp(np.linalg.norm(mat), j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), j=st.integers(600, 900),
+       sign=st.sampled_from((-1, 1)), name=st.sampled_from("BC"))
+def test_scaling_b_or_c_far_out_changes_nothing(seed, j, sign, name):
+    """Past 2^±512 the squares in norm(C) or norm(B) leave float64 range;
+    the coupling test and the blocks still do not move."""
+    rng = np.random.default_rng(seed)
+    dyn = random_dyn(rng, 3, r=2, t=2)
+    scaled = NodeDynamics(**{**dyn.to_json(), name: np.ldexp(getattr(dyn, name), sign * j)})
     x = random_weights(path(4), seed=seed)
     base, same = (deconvolved(lifted_markov(x, d, [1, 4], [1, 2], 6), d) for d in (dyn, scaled))
     if isinstance(base, tuple):

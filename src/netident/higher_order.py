@@ -12,10 +12,11 @@ where the R tables depend on the node dynamics only and the top
 coefficient at order k is ``C (EK)^k B``. As long as those coupling
 products stay nonzero, the mixture is triangular and the base network's
 Markov parameters can be peeled out order by order, after which the
-plain reconstruction applies unchanged. :func:`deconvolve` computes all
-that the peel does not change for every order before it starts, so its
-loop over orders only divides, cross-checks and subtracts. The lift's
-Kronecker products are broadcasts with the same products as ``np.kron``.
+plain reconstruction applies unchanged. :func:`deconvolve` finds every
+order's coupling product, blocked flag and pivot before its loop; only
+with more than one output or input channel does the loop choose and run
+cross-checks. The lift's Kronecker products are broadcasts with the same
+products as ``np.kron``.
 """
 
 from __future__ import annotations
@@ -200,15 +201,12 @@ def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingR
         raise InputError("k_max must be at most COUPLING_MAX_ORDER = "
                          f"{COUPLING_MAX_ORDER}, got {k_max}")
     tol, powers = _coupling_tol(dyn), _coupling_powers(dyn)
-    start, size = 0, 1
-    while start <= k_max:
-        # Stacks of 1, 2, 4, ... powers: a failure at order k computes none past order 2k.
-        stack = np.array(list(islice(powers, min(size, k_max + 1 - start))))
+    for start in range(0, k_max + 1, POWER_BATCH):
+        stack = np.array(list(islice(powers, min(POWER_BATCH, k_max + 1 - start))))
         failing = np.flatnonzero(_vanishing(dyn, stack, tol).all(axis=(1, 2)))
         if failing.size:
             k = start + int(failing[0])
             return CouplingReport(verified_up_to=k - 1, first_failure=k)
-        start, size = start + size, min(2 * size, POWER_BATCH)
     return CouplingReport(verified_up_to=k_max, first_failure=None)
 
 
@@ -285,14 +283,15 @@ def deconvolve(
     scale: lifted data times 2^j gives blocks times exactly 2^j, and C or
     B times 2^j changes nothing.
 
-    What does not depend on the peel is computed for all K+1 orders up
-    front: the coupling products ``C (EK)^k B``, which of their entries
-    vanish and so which orders are blocked, each order's pivot and its
-    up to three cross-check entries, and each order's largest data
-    magnitude. The loop then raises at a blocked order, divides by the
-    pivot, cross-checks against the residual when there is an entry to
-    check (never with one output and one input channel), and peels. The
-    residuals of all orders are held on one 5-d view
+    Computed for all K+1 orders up front: the coupling products
+    ``C (EK)^k B``, which of their entries vanish and so which orders are
+    blocked, and each order's pivot. The loop raises at a blocked order,
+    divides by the pivot and peels. With more than one output or input
+    channel (t*r > 1) it also picks the order's cross-check entries, the
+    next three largest up to the first that vanishes, and checks them
+    against the residual to rounding of the order's data.
+
+    The residuals of all orders are held on one 5-d view
     ``grids[k, i, a, j, b]`` (output node i, output channel a, input node
     j, input channel b): once the block of order k is known, its term is
     subtracted from every higher order in one broadcast outer product,
@@ -332,11 +331,6 @@ def deconvolve(
     sizes = np.abs(tops)
     # With no channel every order is blocked, and argmax refuses an empty row.
     pivots = sizes.argmax(axis=1).tolist() if t * r else [0] * orders
-    # Up to three other well-sized entries, up to the first one that vanishes.
-    ranked = np.argsort(sizes, axis=1)[:, ::-1][:, 1:4]
-    kept = ~np.logical_or.accumulate(np.take_along_axis(vanish, ranked, axis=1), axis=1)
-    checks = [[p for p, c in zip(*row) if c] for row in zip(ranked.tolist(), kept.tolist())]
-    data_scale = np.abs(lifted.data).max(axis=(1, 2), initial=0.0)
     top_values = tops.tolist()
 
     grids = lifted.data.reshape(orders, n_out, t, n_in, r).copy()
@@ -357,9 +351,11 @@ def deconvolve(
         top, pivot = top_values[k], pivots[k]
         alpha, beta = divmod(pivot, r)
         block = grid[:, alpha, :, beta] / top[pivot]
-        if checks[k]:  # to rounding of the order's data
-            scale = max(data_scale[k], np.abs(grid).max(initial=0.0))
-            for pos in checks[k]:
+        if t * r > 1:  # up to three other well-sized entries, to rounding of the order's data
+            scale = max(np.abs(lifted.data[k]).max(initial=0.0), np.abs(grid).max(initial=0.0))
+            for pos in np.argsort(sizes[k])[::-1][1:4].tolist():
+                if vanish[k, pos]:
+                    break
                 a2, b2 = divmod(pos, r)
                 err = np.abs(grid[:, a2, :, b2] / top[pos] - block).max(initial=0.0)
                 if err > RATIO_TOL * scale / abs(top[pivot]):

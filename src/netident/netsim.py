@@ -85,16 +85,11 @@ def check_pattern(graph: Graph, entries: np.ndarray, positive: bool = True) -> N
     if bad_zero.any():
         i, j = np.argwhere(bad_zero)[0]
         raise InputError(f"nonzero entry at non-edge ({i + 1},{j + 1})")
-    on_edges = entries[edge_mask]
-    if positive:
-        if edge_mask.any() and not (on_edges > 0.0).all():
-            idx = np.argwhere(edge_mask & (entries <= 0.0))[0]
-            raise InputError(
-                f"edge ({idx[0] + 1},{idx[1] + 1}) must carry a positive weight"
-            )
-    elif edge_mask.any() and not (on_edges != 0.0).all():
-        idx = np.argwhere(edge_mask & (entries == 0.0))[0]
-        raise InputError(f"edge ({idx[0] + 1},{idx[1] + 1}) must carry a nonzero weight")
+    bad_edge = edge_mask & ((entries <= 0.0) if positive else (entries == 0.0))
+    if bad_edge.any():
+        i, j = np.argwhere(bad_edge)[0]
+        kind = "positive" if positive else "nonzero"
+        raise InputError(f"edge ({i + 1},{j + 1}) must carry a {kind} weight")
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,9 +327,11 @@ def scaling_counterexample(
 
     Rescales the block of nodes that are neither inputs nor outputs by a
     similarity ``diag(I, eps*I)``, which leaves every ``N X^k M``
-    unchanged. For a directed matrix any positive ``eps != 1`` keeps the
-    sign pattern; for a symmetric (sign-free) matrix only ``eps = -1``
-    preserves symmetry. Either way the result witnesses that, without
+    unchanged. Only the visible-row, hidden-column block (times eps) and
+    the hidden-row, visible-column block (times 1/eps) change; every other
+    entry keeps its bits. For a directed matrix any positive ``eps != 1``
+    keeps the sign pattern; for a symmetric (sign-free) matrix only
+    ``eps = -1`` preserves symmetry. Either way the result witnesses that, without
     both symmetry and positivity, hidden nodes make the weights
     unidentifiable.
 
@@ -348,15 +345,14 @@ def scaling_counterexample(
     n = entries.shape[0]
     v_in = _nodes_within(v_in, n)
     v_out = _nodes_within(v_out, n)
-    visible = frozenset(v_in) | frozenset(v_out)
-    hidden = [i for i in range(1, n + 1) if i not in visible]
-    if not hidden:
+    hidden = np.ones(n, dtype=bool)
+    hidden[[i - 1 for i in (*v_in, *v_out)]] = False
+    if not hidden.any():
         raise NoHiddenNodesError(
             "every node is an input or output; no hidden block to rescale"
         )
-    hid = np.asarray([i - 1 for i in hidden], dtype=int)
-    vis = np.asarray([i - 1 for i in range(1, n + 1) if i in visible], dtype=int)
-    if not entries[np.ix_(vis, hid)].any() and not entries[np.ix_(hid, vis)].any():
+    vis_hid, hid_vis = np.ix_(~hidden, hidden), np.ix_(hidden, ~hidden)
+    if not entries[vis_hid].any() and not entries[hid_vis].any():
         raise DecoupledHiddenBlockError(
             "hidden block is decoupled from the visible nodes: the Markov "
             "parameters are independent of it, so the weights are "
@@ -378,19 +374,21 @@ def scaling_counterexample(
             f"directed rescaling requires a finite positive epsilon != 1, got {epsilon}"
         )
 
-    scale = np.ones(n)
-    scale[hid] = epsilon
+    # (S^-1 X S)_ij = X_ij * s_j / s_i: only the two coupling blocks change.
+    rescaled = entries.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.outer(1.0 / scale, scale)  # (S^-1 X S)_ij = X_ij * s_j / s_i
-        rescaled = entries * factor
+        rescaled[vis_hid] *= epsilon
+        rescaled[hid_vis] *= 1.0 / epsilon
     if not np.isfinite(rescaled).all():
         raise InputError(
             f"epsilon {epsilon} rescales the matrix beyond float64 range"
         )
-    if symmetric:  # a +-1 rescaling keeps symmetry and the nonzero pattern
-        rescaled.setflags(write=False)
+    # Valid by construction: a positive epsilon keeps every sign, and -1 keeps
+    # symmetry and the nonzero pattern.
+    rescaled.setflags(write=False)
+    if symmetric:
         return _built(WeightMatrix, graph=x.graph, entries=rescaled, sign_constrained=False)
-    return DirectedWeightMatrix(rescaled)
+    return _built(DirectedWeightMatrix, entries=rescaled)
 
 
 # -- matrix CSV ------------------------------------------------------------

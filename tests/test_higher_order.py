@@ -196,6 +196,25 @@ class TestCouplingCondition:
                 big = NodeDynamics(A=dyn.A, B=c * dyn.B, C=c * dyn.C, E=c * dyn.E, K=dyn.K)
                 assert coupling_condition(big, k_max=12).first_failure == want
 
+    @pytest.mark.parametrize("k_max_step", [-1, 0, 1, None])
+    @pytest.mark.parametrize("k0", [15, 16, 17, 31, 32, 33])
+    def test_first_failure_on_either_side_of_a_power_stack(self, k0, k_max_step):
+        # EK is the 40-state shift, so C (EK)^k B = C e_(k+1): nonzero exactly
+        # for k < k0. Orders are tested in stacks of 16 powers.
+        q = 40
+        b = np.zeros((q, 1))
+        b[0, 0] = 1.0
+        c = np.zeros((1, q))
+        c[0, :k0] = 1.0
+        dyn = NodeDynamics(A=np.zeros((q, q)), B=b, C=c, E=np.eye(q, k=-1), K=np.eye(q))
+        k_max = 47 if k_max_step is None else k0 + k_max_step
+        report = coupling_condition(dyn, k_max)
+        assert report == reference_coupling_condition(dyn, k_max)
+        if k_max < k0:
+            assert report == CouplingReport(verified_up_to=k_max, first_failure=None)
+        else:
+            assert report == CouplingReport(verified_up_to=k0 - 1, first_failure=k0)
+
 
 class TestLiftedMarkov:
     @pytest.mark.parametrize("v_in, v_out", [([1, 4], [1]), ([1], [4])], ids=["in", "out"])

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netident import (
     DecoupledHiddenBlockError,
@@ -532,6 +534,57 @@ class TestScalingCounterexample:
             warnings.simplefilter("error")
             with pytest.raises(InputError, match=re.escape(f"epsilon {epsilon} ") + ".*float64"):
                 scaling_counterexample(d, [1], [1], epsilon=epsilon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 5),
+    epsilon=st.just(-1.0) | st.floats(min_value=0.0, exclude_min=True,
+                                      allow_infinity=False).filter(lambda e: e != 1.0),
+)
+@example(seed=0, n=3, epsilon=49.0)
+@example(seed=0, n=3, epsilon=1e-300)
+@example(seed=0, n=3, epsilon=-1.0)
+def test_counterexample_changes_only_the_two_coupling_blocks(seed, n, epsilon):
+    """Directed for a positive epsilon, sign-free for -1. Every entry outside
+    the visible-hidden and hidden-visible blocks keeps its bits, the hidden
+    diagonal included (at epsilon = 49, (1/49) * 49 is not exactly 1), and
+    the Markov data stay the same to rounding while the rescaled blocks stay
+    in float64's normal range."""
+    rng = np.random.default_rng(seed)
+    g = Graph(n, random_connected_edges(rng, n))
+    entries = random_weights(g, seed=seed).entries.copy()
+    # Diagonal bounded away from zero, so no product in the powers is subnormal.
+    entries[np.diag_indices(n)] = rng.uniform(0.5, 2.0, n) * rng.choice((-1.0, 1.0), n)
+    if epsilon == -1.0:
+        signs = np.triu(rng.choice((-1.0, 1.0), size=(n, n)), 1)
+        x = WeightMatrix(g, entries * (signs + signs.T + np.eye(n)), sign_constrained=False)
+    else:
+        x = DirectedWeightMatrix(entries * rng.uniform(0.5, 2.0, (n, n)))
+    nodes = rng.permutation(np.arange(1, n + 1)).tolist()
+    visible = nodes[:int(rng.integers(1, n))]
+    vin = visible[:int(rng.integers(1, len(visible) + 1))]
+    vout = visible[len(vin) - 1:]
+    hidden = ~np.isin(np.arange(1, n + 1), visible)
+    try:
+        got = scaling_counterexample(x, vin, vout, epsilon)
+    except InputError as exc:  # only when a rescaled entry leaves float64 range
+        assert "beyond float64 range" in str(exc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not (np.isfinite(x.entries * epsilon).all()
+                        and np.isfinite(x.entries * (1.0 / epsilon)).all())
+        return
+    assert type(got) is type(x)
+    coupling = np.outer(~hidden, hidden) | np.outer(hidden, ~hidden)
+    assert got.entries[~coupling].tobytes() == x.entries[~coupling].tobytes()
+    assert np.diag(got.entries)[hidden].tobytes() == np.diag(x.entries)[hidden].tobytes()
+    if 1e-300 <= abs(epsilon) <= 1e300:
+        before = markov_blocks_oracle(x.entries, vin, vout, n)
+        after = markov_blocks_oracle(got.entries, vin, vout, n)
+        bound = markov_blocks_oracle(np.abs(x.entries), vin, vout, n)
+        for a, b, c in zip(before, after, bound):
+            assert (np.abs(a - b) <= 1e-12 * c).all()
 
 
 class TestNodeRange:

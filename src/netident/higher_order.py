@@ -175,23 +175,27 @@ def _coupling_powers(dyn: NodeDynamics) -> Iterator[np.ndarray]:
         power /= np.abs(power).max() or 1.0
 
 
-def _vanishing(dyn: NodeDynamics, powers: np.ndarray, tol: float) -> np.ndarray:
-    """Which entries of C P B count as zero, for each P of an ``(m, q, q)``
-    stack of :func:`_coupling_powers`: those at most ``tol * norm(P)``.
+def _vanishing(products: np.ndarray, powers: np.ndarray, tol: float) -> np.ndarray:
+    """Which entries of the ``(m, t, r)`` products C P B count as zero, for
+    each P of an ``(m, q, q)`` stack of :func:`_coupling_powers`: those at
+    most ``tol * norm(P)``.
 
     The test is scale-invariant, so normalising the powers changes no
     verdict. The result has shape ``(m, t, r)``.
     """
-    return np.abs(dyn.C @ powers @ dyn.B) <= tol * _stack_norms(powers)
+    return np.abs(products) <= tol * _stack_norms(powers)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingReport:
     """Check C (EK)^k B != 0 for k = 0..k_max (default 2q).
 
     "Nonzero" is relative to the factors' own scale: the max-abs entry
     must exceed ``COUPLING_TOL`` times their norm product, so a power of
     two on C or B changes no verdict and a zero C or B fails at order 0.
-    Reports the first failing order, if any; refuses ``k_max`` above ``COUPLING_MAX_ORDER``.
+    Reports the first failing order, if any. Refuses ``k_max`` above
+    ``COUPLING_MAX_ORDER``, and a scale or a tested product beyond float64
+    range, which no verdict can judge.
     """
     if k_max is None:
         k_max = 2 * dyn.state_dim
@@ -201,11 +205,17 @@ def coupling_condition(dyn: NodeDynamics, k_max: int | None = None) -> CouplingR
         raise InputError("k_max must be at most COUPLING_MAX_ORDER = "
                          f"{COUPLING_MAX_ORDER}, got {k_max}")
     tol, powers = _coupling_tol(dyn), _coupling_powers(dyn)
+    if not np.isfinite(tol):
+        raise InputError("coupling scale COUPLING_TOL * norm(C) * norm(B) is beyond float64 range")
     for start in range(0, k_max + 1, POWER_BATCH):
         stack = np.array(list(islice(powers, min(POWER_BATCH, k_max + 1 - start))))
-        failing = np.flatnonzero(_vanishing(dyn, stack, tol).all(axis=(1, 2)))
+        products = dyn.C @ stack @ dyn.B
+        overflow = ~np.isfinite(products).all(axis=(1, 2))
+        failing = np.flatnonzero(overflow | _vanishing(products, stack, tol).all(axis=(1, 2)))
         if failing.size:
             k = start + int(failing[0])
+            if overflow[failing[0]]:
+                raise InputError(f"coupling product C (EK)^{k} B is beyond float64 range")
             return CouplingReport(verified_up_to=k - 1, first_failure=k)
     return CouplingReport(verified_up_to=k_max, first_failure=None)
 
@@ -217,6 +227,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[:, None, :]).reshape(m * p, n * q)
 
 
+# Powers can overflow float64; MarkovSequence._built refuses the first
+# non-finite block, so the overflow raises no warning here.
+@np.errstate(over="ignore", invalid="ignore")
 def lifted_markov(
     x: WeightMatrix,
     dyn: NodeDynamics,
@@ -268,6 +281,9 @@ def _mixing_tables(dyn: NodeDynamics, order: int) -> np.ndarray:
         return dyn.C @ words @ dyn.B
 
 
+# An overflowing coupling product blocks its order, and an overflowing peel
+# is refused by MarkovSequence._built, so neither raises a warning here.
+@np.errstate(over="ignore", invalid="ignore")
 def deconvolve(
     lifted: MarkovSequence,
     dyn: NodeDynamics,
@@ -325,7 +341,7 @@ def deconvolve(
     # Everything the peel does not change, for every order at once.
     tops = mixing[np.arange(orders), np.arange(orders)].reshape(orders, t * r)
     powers = np.array(list(islice(_coupling_powers(dyn), orders)))
-    vanish = _vanishing(dyn, powers, _coupling_tol(dyn)).reshape(orders, t * r)
+    vanish = _vanishing(dyn.C @ powers @ dyn.B, powers, _coupling_tol(dyn)).reshape(orders, t * r)
     # The table's unscaled (EK)^k can underflow to zero where the test does not.
     blocked = (vanish.all(axis=1) | ~tops.any(axis=1)).tolist()
     sizes = np.abs(tops)

@@ -260,6 +260,9 @@ def random_weights(
     return _built(WeightMatrix, graph=g, entries=entries, sign_constrained=True)
 
 
+# Powers can overflow float64; MarkovSequence._built refuses the first
+# non-finite block, so the overflow raises no warning here.
+@np.errstate(over="ignore", invalid="ignore")
 def markov_sequence(
     x: WeightMatrix | DirectedWeightMatrix,
     v_in: Iterable[int],
@@ -339,7 +342,8 @@ def scaling_counterexample(
     node, and DecoupledHiddenBlockError when the hidden block is not
     connected to the rest, or when no node is visible (the data then
     carries no information about it, which is a different route to the
-    same non-identifiability).
+    same non-identifiability). Raises InputError when eps takes a
+    coupling entry past float64 range, or a nonzero one to zero.
     """
     entries = x.entries
     n = entries.shape[0]
@@ -382,6 +386,11 @@ def scaling_counterexample(
     if not np.isfinite(rescaled).all():
         raise InputError(
             f"epsilon {epsilon} rescales the matrix beyond float64 range"
+        )
+    if ((rescaled == 0.0) & (entries != 0.0)).any():
+        raise InputError(
+            f"epsilon {epsilon} rescales a nonzero coupling entry to zero, "
+            "below float64 range"
         )
     # Valid by construction: a positive epsilon keeps every sign, and -1 keeps
     # symmetry and the nonzero pattern.

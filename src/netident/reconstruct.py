@@ -31,17 +31,16 @@ marks the target's edges and gives the zeros of the result. The replay
 symmetrises the overlap at every order in a contiguous temporary and
 copies it into the table once; each round then writes the rows and
 columns of V at orders 1..k-2 from orders up to k of B (k falls by two
-a round; order 0 past the overlap is never written). A round of several forces gathers U's rows with one ``take``
-and the U x U block with one more; a round of one force takes views and
-its weight as a scalar. After the loop each squared weight is screened
-against ``DEGENERACY_TOL * |X^2_uu|``, and the screen is exact: a weight
-that passes is positive, so ``X^2_uu`` exceeds the float sum of the
-``p^2``, which is at least their largest term, and the full scale
-``max(|X^2_uu|, max p^2)`` is the screen's. Only a failed screen
-gathers P again, to name the first overflowing (an InputError),
-vanishing or negative weight. The target block is checked with
-whole-array masks, located only when one fires, and the per-force
-records are named tuples built by one ``map``.
+a round; order 0 past the overlap is never written). A round gathers
+U's rows with one ``take`` and the U x U block with one more. After the
+loop each squared weight is screened against ``DEGENERACY_TOL *
+|X^2_uu|``, and the screen is exact: a weight that passes is positive,
+so ``X^2_uu`` exceeds the float sum of the ``p^2``, which is at least
+their largest term, and the full scale ``max(|X^2_uu|, max p^2)`` is
+the screen's. Only a failed screen gathers P again, to name the first
+overflowing (an InputError), vanishing or negative weight. The target
+block is checked with whole-array masks, located only when one fires,
+and the per-force records are named tuples built by one ``map``.
 """
 
 from __future__ import annotations
@@ -230,19 +229,14 @@ def _replay(markov: MarkovSequence, plan: tuple) -> ReconstructionResult:
         # its forces are s..t-1. rows[k] holds U's rows of X^k, uu[k] = X^k[U,U].
         k_max = needed - 2 * (rnd - 1)
         t, e = s + count, b + count
-        if count == 1:  # one force: slices give views, not gathers
-            u = int(fpos[s])
-            rows = powers[: k_max + 1, u : u + 1]
-            uu = rows[:, :, u : u + 1]
-        else:  # whole rows: a take from the contiguous table is the cheap gather
-            rows = powers[: k_max + 1].take(fpos[s:t], axis=1)
-            uu = rows.take(fpos[s:t], axis=2)
+        rows = powers[: k_max + 1].take(fpos[s:t], axis=1)
+        uu = rows.take(fpos[s:t], axis=2)
         p = np.where(pmask[s:t, :b], rows[1, :, :b], 0.0)
 
-        # Squared edge weights from the second power; one force's d is a scalar.
+        # Squared edge weights from the second power.
         squared[s:t] = uu[2].diagonal() - (p * p).sum(axis=1)
         d = np.sqrt(squared[s:t])
-        d, dc = (d[0], d[0]) if count == 1 else (d, d[:, None])
+        dc = d[:, None]
 
         # X^k[V,B], then X^k[V,V], for k = 1..k_max-2. The powers are
         # symmetric, so one product over the stacked X^k gives every X^k P^T.

@@ -805,6 +805,47 @@ def test_a_node_count_that_cannot_be_held_exits_two(tmp_path):
     assert proc.stderr == f"input error: node count n is too large: {10**18}\n"
 
 
+@pytest.mark.parametrize("command", ["sim markov", "hod markov", "hod recover"])
+def test_overflowing_data_exits_two_with_one_stderr_line(tmp_path, command):
+    # A child process, so a numpy warning would print as it does for a user.
+    root = Path(__file__).resolve().parent.parent
+    dyn = {"A": [[0.2, 0.1], [0.0, 0.1]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]],
+           "E": [[1.0], [0.5]], "K": [[1.0, 0.2]]}
+    d = write(tmp_path, "d.json", dyn)
+    z = write(tmp_path, "z.json", [1])
+    if command == "hod recover":  # a valid lift whose peel overflows
+        one = NodeSet([1])
+        lifted = netident.lifted_markov(netident.WeightMatrix(Graph(1, []), [[0.5]]),
+                                        netident.NodeDynamics.from_json(dyn), one, one, 1000)
+        argv = ["--graph", write(tmp_path, "g.json", {"n": 1, "edges": []}),
+                "--markov", write(tmp_path, "m.json", lifted.to_json()),
+                "--dyn", d, "--target", z]
+    else:
+        x = random_weights(Graph(3, [(1, 2), (2, 3)]), seed=7)
+        argv = ["--graph", write(tmp_path, "g.json", path_json(3)),
+                "--matrix", write(tmp_path, "x.csv", netident.matrix_to_csv(x.entries)),
+                *(["--dyn", d] if command == "hod markov" else []),
+                "--in", z, "--out-nodes", z, "--order", "2000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "netident", *command.split(), *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("input error: Markov block ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("c, b", [(1e160, 1e160), (1e200, 1e110)], ids=["scale", "product"])
+def test_hod_check_beyond_float64_range_exits_two(tmp_path, capsys, c, b):
+    d = write(tmp_path, "d.json", {**TestHod.DYN, "B": [[b]], "C": [[c]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["hod", "check", "--dyn", d])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: coupling ") and err.endswith(" is beyond float64 range\n")
+
+
 def test_json_output_is_one_compact_sorted_line(tmp_path, capsys):
     graph = Graph(3, [(1, 2), (2, 3)])
     g = write(tmp_path, "g.json", path_json(3))

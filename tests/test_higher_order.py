@@ -182,6 +182,17 @@ class TestCouplingCondition:
             assert coupling_condition(dyn, k_max=0).ok
             assert coupling_condition(dyn).ok
 
+    @pytest.mark.parametrize("c, b", [(1e160, 1e160), (1e200, 1e110)],
+                             ids=["scale", "product"])
+    def test_a_coupling_beyond_float64_range_is_refused(self, c, b):
+        # COUPLING_TOL * 1e160 * 1e160 overflows; 1e200 * 1e110 overflows under
+        # a finite scale of 1e300. Neither is a verdict on C (EK)^0 B.
+        dyn = NodeDynamics(**{**SCALAR_IDENTITY.to_json(), "B": [[b]], "C": [[c]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="beyond float64 range"):
+                coupling_condition(dyn)
+
     @pytest.mark.parametrize("name", ["B", "C"])
     def test_a_zero_input_or_output_matrix_fails_at_order_zero(self, name):
         dyn = NodeDynamics(**{**SCALAR_IDENTITY.to_json(), name: [[0.0]]})
@@ -257,6 +268,15 @@ class TestLiftedMarkov:
             with pytest.raises(InputError, match=f"^order {order} is too large: "):
                 lifted_markov(random_weights(path(2), seed=4), SCALAR_IDENTITY,
                               NodeSet(v_in), NodeSet(v_out), order)
+
+    def test_overflowing_powers_are_an_input_error_without_a_warning(self):
+        dyn = NodeDynamics(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[1e200]], K=[[1.0]])
+        x = WeightMatrix(Graph(1, []), [[0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as err:
+                lifted_markov(x, dyn, NodeSet([1]), NodeSet([1]), 3)
+        assert str(err.value) == "Markov block 2 entry (1,1) is not finite: inf"
 
     def test_one_array_matching_the_oracle_bit_for_bit(self):
         # With B = C = I every lifted block is the state-power block of the
@@ -448,6 +468,30 @@ class TestDeconvolve:
         assert err.value.k == 1024
         assert str(err.value) == ("coupling product C (EK)^1024 B overflows float64: "
                                   "deconvolution blocked at order 1024")
+
+    def test_an_overflowing_coupling_product_blocks_without_a_warning(self):
+        # C B = 1e320 in every coupling product, order 0 included.
+        big = NodeDynamics(A=[[0.0]], B=[[1e160]], C=[[1e160]], E=[[1.0]], K=[[1.0]])
+        one = NodeSet([1])
+        lifted = lifted_markov(WeightMatrix(Graph(1, []), [[0.5]]), SCALAR_IDENTITY, one, one, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeconvolutionBlockedError) as err:
+                deconvolve(lifted, big)
+        assert str(err.value) == ("coupling product C (EK)^0 B overflows float64: "
+                                  "deconvolution blocked at order 0")
+
+    def test_an_overflowing_peel_is_an_input_error_without_a_warning(self):
+        # The lift is valid, but the peel's rounding errors grow order by
+        # order (past 1e2 by order 200) until a block passes float64 range.
+        dyn = NodeDynamics(A=[[0.2, 0.1], [0.0, 0.1]], B=[[1.0], [0.0]], C=[[1.0, 0.0]],
+                           E=[[1.0], [0.5]], K=[[1.0, 0.2]])
+        one = NodeSet([1])
+        lifted = lifted_markov(WeightMatrix(Graph(1, []), [[0.5]]), dyn, one, one, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"^Markov block \d+ entry \(1,1\) is not finite"):
+                deconvolve(lifted, dyn)
 
     def test_underflowing_coupling_product_blocks(self):
         # C (EK)^2 B = 1e-400 is zero in float64, so order 2 cannot be divided out.

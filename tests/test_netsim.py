@@ -182,6 +182,14 @@ class TestMarkovSequence:
             seq = markov_sequence(x, [1], [1, 2], 3)
         assert seq.data[3, 0, 0] == 1e300
 
+    def test_overflowing_powers_are_an_input_error_without_a_warning(self):
+        x = WeightMatrix(P2, np.array([[0.0, 1e200], [1e200, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as err:
+                markov_sequence(x, [1], [1], 3)
+        assert str(err.value) == "Markov block 2 entry (1,1) is not finite: inf"
+
     def test_order_zero_full_selection_is_identity(self):
         g = path(3)
         x = random_weights(g, seed=2)
@@ -534,6 +542,15 @@ class TestScalingCounterexample:
             warnings.simplefilter("error")
             with pytest.raises(InputError, match=re.escape(f"epsilon {epsilon} ") + ".*float64"):
                 scaling_counterexample(d, [1], [1], epsilon=epsilon)
+
+
+    def test_an_entry_rescaled_to_zero_is_refused(self):
+        # 1e-200 * 1e-200 underflows to zero: the witness would lose edge (1,2).
+        d = DirectedWeightMatrix(
+            np.array([[0.0, 1e-200, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        )
+        with pytest.raises(InputError, match="epsilon 1e-200 .*to zero, below float64 range"):
+            scaling_counterexample(d, [1], [1], epsilon=1e-200)
 
 
 @settings(max_examples=200, deadline=None)
